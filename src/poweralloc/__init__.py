@@ -1,10 +1,12 @@
 """Power-aware size allocation and multiple-testing procedures.
 
 A library and CLI for multiple hypothesis testing that exploits
-differences in per-test power: optimal per-test size allocation under a
-weak family-wise error budget, the derived step-down (strong FWER) and
-step-up (FDR) procedures with their Sidak / Bonferroni / BH baselines,
-brute-force verification oracles, and a seeded Monte Carlo harness.
+differences in per-test power.  A panel of one-sided Gaussian tests is
+modelled by its array of effect sizes (``RocModel``); on it sit the
+optimal per-test size allocation under a weak family-wise error budget,
+the derived step-down (strong FWER) and step-up (FDR) procedures with
+their Sidak / Bonferroni / BH baselines, brute-force verification
+oracles, and a seeded Monte Carlo harness.
 """
 
 from .allocate import (
@@ -22,18 +24,7 @@ from .allocate import (
     size_map,
     size_map_inverse,
 )
-from .model import (
-    DecisionProcess,
-    GaussianHypothesis,
-    GaussianMPProcess,
-    RandomizedSample,
-    RocModel,
-    UniformRandomizerProcess,
-    mp_test,
-    randomized_pvalue,
-    roc,
-    roc_deriv,
-)
+from .model import RocModel, roc, roc_deriv
 from .numerics import (
     Bracket,
     BracketingError,

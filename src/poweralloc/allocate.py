@@ -15,8 +15,11 @@ For the Gaussian family this reduces, per test, to the scalar equation
 in v_m = Phi^{-1}(1 - eta_m), solved by a vectorized safeguarded Newton
 iteration on v in [-40, 40]; the budget equation in d is then solved by a
 bracketed root find on log d (the constraint gap is monotone in d because
-every g_m is nonincreasing).  All aggregation happens on log(1 - eta), so
-allocations with sizes near 1e-12 or far smaller lose no precision.
+every g_m is nonincreasing).  The Sidak size eta_S = 1 - (1-alpha)^(1/M)
+brackets that root in closed form: at d = min_m g_m(eta_S) every size is
+at least eta_S, and at d = max_m g_m(eta_S) at most eta_S.  All
+aggregation happens on log(1 - eta), so allocations with sizes near 1e-12
+or far smaller lose no precision.
 
 The one-parameter structure also gives the inverse map cheaply: the budget
 W at which test m first receives size s is found by evaluating the budget
@@ -27,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
@@ -55,13 +57,16 @@ LOG_SQRT_2PI = 0.9189385332046727
 V_LO, V_HI = -40.0, 40.0
 INNER_TOL = 1e-13
 OUTER_TOL = 1e-13
+BUDGET_TOL = 1e-10
 ALPHA_CAP = 1.0 - 1e-12
-_MAX_BRACKET_STEPS = 400
-_LOG_EXPAND = math.log(4.0)
+EPS = float(np.finfo(float).eps)
+# log_ndtr(v) returns 0 once 1 - Phi(v) drops below about 6e-311 (v > 37.677,
+# where erfc underflows): a log Phi under this magnitude cannot be resolved.
+LOG_PHI_FLUSH = 1e-310
 
 
 class AllocationError(RuntimeError):
-    """The Lagrange system could not be bracketed or solved."""
+    """The Lagrange system could not be solved to the budget's precision."""
 
 
 class SaturationError(ValueError):
@@ -227,7 +232,10 @@ def _solve_v(gamma, c, tol: float = INNER_TOL) -> np.ndarray:
     bracketed Newton iteration with bisection fallback always converges.
     Elements whose root lies outside [V_LO, V_HI] are clamped to the
     endpoint, which encodes the corner cases eta ~ 0 (v at V_HI) and
-    eta ~ 1 (v at V_LO).
+    eta ~ 1 (v at V_LO).  An element stops once the error it leaves in
+    log Phi(v) = log(1 - eta) is below tol relative to that log, so sizes
+    far below tol keep their precision.  Far in the upper tail Newton
+    creeps by about 1/v a step, hence the generous iteration cap.
     """
     shape = np.broadcast_shapes(np.shape(gamma), np.shape(c))
     g = np.ascontiguousarray(np.broadcast_to(gamma, shape), dtype=float).ravel()
@@ -255,26 +263,40 @@ def _solve_v(gamma, c, tol: float = INNER_TOL) -> np.ndarray:
     lo = np.full(v.shape, V_LO)
     hi = np.full(v.shape, V_HI)
     idx = np.nonzero(~(below | above))[0]
-    for _ in range(200):
+    for _ in range(1000):
         if not idx.size:
             break
         vi = v[idx]
         gi = g[idx]
         li = log_ndtr(vi)
         err = li + gi * vi - cc[idx]
+        # Still active while err is above the rounding of c, the error
+        # err * r / slope it leaves in log Phi(v) = log(1 - eta) exceeds tol
+        # relative to that log (absolute past magnitude 1), and the bracket
+        # is wider than a few ulp.  Arrays are freed as soon as they are
+        # spent: a panel solves M^2 elements at once.
+        active = np.abs(err) > 4.0 * EPS * np.abs(cc[idx])
+        # Past the flush, Newton on the tiny slope phi(v) creeps by
+        # |c| / phi(v) a step; a target below the flush is met there.
+        active &= ~((li == 0.0) & (np.abs(err) <= LOG_PHI_FLUSH))
+        log1m_err = np.exp(-0.5 * vi * vi - LOG_SQRT_2PI - li)  # r = phi(v) / Phi(v)
+        slope = log1m_err + gi
+        log1m_err *= np.abs(err) / slope
+        active &= log1m_err > tol * np.minimum(1.0, np.abs(li))
+        del li, log1m_err
         neg = err < 0.0
         lo_i = np.where(neg, vi, lo[idx])
         hi_i = np.where(neg, hi[idx], vi)
         lo[idx] = lo_i
         hi[idx] = hi_i
-        slope = np.exp(-0.5 * vi * vi - LOG_SQRT_2PI - li) + gi
+        active &= hi_i - lo_i > 1e-15 * np.maximum(1.0, np.abs(vi))
         step = vi - err / slope
         outside = ~np.isfinite(step) | (step <= lo_i) | (step >= hi_i)
-        active = (np.abs(err) > tol) & (hi_i - lo_i > 1e-15)
         # Converged elements keep the v at which err was measured; only the
         # still-active ones take the Newton/bisection update.
         v[idx] = np.where(active, np.where(outside, 0.5 * (lo_i + hi_i), step), vi)
         idx = idx[active]
+        del vi, gi, err, slope, lo_i, hi_i, step
     if idx.size:
         raise AllocationError(
             f"inner size solve did not converge for {idx.size} of {g.size} elements"
@@ -317,101 +339,95 @@ def _size_profile(gammas, log_d) -> tuple[np.ndarray, np.ndarray]:
     return v, log_ndtr(v)
 
 
-def _constraint_gap(gammas, counts, log_d: float, target: float) -> float:
-    _, log1m = _size_profile(gammas, log_d)
-    return float(counts @ log1m) - target
-
-
-def _constraint_slope(gammas, counts, log_d: float) -> float:
+def _constraint_gap(gammas, counts, log_d: float, target: float) -> tuple[float, float]:
+    """The budget gap sum_m counts_m log(1 - eta_m(d)) - target at log d,
+    and its derivative in log d, from one size profile."""
+    v, log1m = _size_profile(gammas, log_d)
     # d(sum log(1-eta)) / d(log d) = sum r/(r+gamma), r = phi(v)/Phi(v).
     # Corner coordinates (r and gamma both ~0) contribute nothing.
-    v, log1m = _size_profile(gammas, log_d)
     r = np.exp(-0.5 * v * v - LOG_SQRT_2PI - log1m)
     with np.errstate(invalid="ignore"):
         ratio = r / (r + gammas)
-    return float(counts @ np.where(np.isnan(ratio), 0.0, ratio))
+    slope = float(counts @ np.where(np.isnan(ratio), 0.0, ratio))
+    return float(counts @ log1m) - target, slope
 
 
 def _solve_multiplier(gammas: np.ndarray, counts: np.ndarray, alpha: float) -> float:
     """Root of sum_m counts_m log(1 - eta_m(d)) = log(1 - alpha) in log d.
 
-    The gap is monotone increasing in log d; the bracket is grown
-    geometrically (factor 4) from d = 1.
+    The gap is monotone increasing in log d.  Every g_m is nonincreasing,
+    so at log d = min_m log g_m(eta_S) each size is at least the Sidak size
+    eta_S (gap <= 0), and at max_m log g_m(eta_S) at most eta_S (gap >= 0).
+    An end whose gap rounds to the wrong sign is itself the root.  Below 1,
+    both the gap and log d are measured in units of the budget
+    |log(1 - alpha)| (floored where the scaled gap would overflow), so that
+    OUTER_TOL is relative for small budgets and absolute for large ones.
     """
     target = math.log1p(-alpha)
-    gap = lambda ld: _constraint_gap(gammas, counts, ld, target)
-    lo = hi = 0.0
-    f_lo = f_hi = gap(0.0)
-    if f_lo == 0.0:
-        return 0.0
-    steps = 0
-    if f_lo > 0.0:
-        while f_lo > 0.0:
-            hi, f_hi = lo, f_lo
-            lo -= _LOG_EXPAND
-            f_lo = gap(lo)
-            steps += 1
-            if steps > _MAX_BRACKET_STEPS:
-                raise AllocationError(
-                    f"could not bracket the size multiplier below d=1 "
-                    f"(alpha={alpha}, last gap={f_lo:.3g})"
-                )
+    log1m_s = target / counts.sum()
+    if log1m_s == 0.0:  # a budget this small gives every test size 0
+        return math.inf
+    # log g_m(eta_S) from log(1 - eta_S), so that eta_S near 1 keeps its
+    # precision: log Phi(v_S) = log(1 - eta_S) at v_S = Phi^{-1}(1 - eta_S).
+    log_g = log1m_s + gammas * float(ndtri_exp(log1m_s)) - 0.5 * gammas * gammas
+    scale = min(1.0, max(-target, 1e-200))
+    lo, hi = float(log_g.min()) / scale, float(log_g.max()) / scale
+    evaluated: dict[float, tuple[float, float]] = {}
+
+    def gap(t: float) -> float:  # t = log d / scale
+        value, slope = _constraint_gap(gammas, counts, t * scale, target)
+        evaluated[t] = (value / scale, slope)
+        return evaluated[t][0]
+
+    if lo == hi or gap(lo) >= 0.0:
+        root = lo
+    elif gap(hi) <= 0.0:
+        root = hi
     else:
-        while f_hi < 0.0:
-            lo, f_lo = hi, f_hi
-            hi += _LOG_EXPAND
-            f_hi = gap(hi)
-            steps += 1
-            if steps > _MAX_BRACKET_STEPS:
-                raise AllocationError(
-                    f"could not bracket the size multiplier above d=1 "
-                    f"(alpha={alpha}, last gap={f_hi:.3g})"
-                )
-    result = find_root(
-        gap,
-        Bracket(lo, hi, f_lo, f_hi),
-        tol=OUTER_TOL,
-        df=lambda ld: _constraint_slope(gammas, counts, ld),
-    )
-    return result.root
+        # The root finder takes Newton steps only from points it has
+        # already evaluated, so each slope comes with its gap.
+        root = find_root(
+            gap,
+            Bracket(lo, hi, evaluated[lo][0], evaluated[hi][0]),
+            tol=OUTER_TOL,
+            df=lambda t: evaluated[t][1],
+        ).root
+    # The Sidak multiplier of an exchangeable panel still carries the
+    # rounding of the inner solves, and a bracket that narrows below
+    # OUTER_TOL can stop with a gap of slope * OUTER_TOL: one Newton step
+    # from the last point removes either.
+    if root not in evaluated:
+        gap(root)
+    value, slope = evaluated[root]
+    if abs(value) > OUTER_TOL and slope > 0.0:
+        root -= value / slope
+    return root * scale
 
 
 def _solve_system(gammas, counts, alpha):
-    """Shared optimal-allocation solve; returns (log_d, v, log1m, sizes,
-    constraint_residual, stationarity_residual)."""
+    """Shared optimal-allocation solve; returns (lagrange, log1m, sizes,
+    constraint_residual, stationarity_residual).  A multiplier beyond the
+    float range is reported as inf.  Raises AllocationError when the sizes
+    miss the budget by more than BUDGET_TOL, which happens once gamma^2/2
+    is so large that log d has no precision left (gamma ~ 1e8)."""
     log_d = _solve_multiplier(gammas, counts, alpha)
     v, log1m = _size_profile(gammas, log_d)
     sizes = -np.expm1(log1m)
     constraint = float(counts @ log1m) - math.log1p(-alpha)
+    if not abs(constraint) <= BUDGET_TOL:
+        raise AllocationError(
+            f"the sizes miss the budget by {constraint:.3g} in log(1 - alpha); "
+            f"the effect sizes are beyond the solver's precision"
+        )
     # Stationarity in log space at the solved v; endpoint-clamped
     # coordinates are corner solutions (eta pinned at ~0 or ~1) where the
     # multiplier condition holds as an inequality, so they are excluded.
     err = log1m + gammas * v - 0.5 * gammas * gammas - log_d
     interior = (v > V_LO) & (v < V_HI)
     stationarity = float(np.abs(np.expm1(err[interior])).max()) if interior.any() else 0.0
-    return log_d, v, log1m, sizes, constraint, stationarity
-
-
-@lru_cache(maxsize=256)
-def _cached_optimal(model: RocModel, alpha: float) -> SizeAllocation:
-    gammas = model.gammas
-    counts = np.ones_like(gammas)
-    if alpha == 0.0:
-        zeros = np.zeros_like(gammas)
-        return SizeAllocation(
-            alpha=0.0, sizes=zeros, log1m_sizes=zeros, lagrange=math.inf,
-            constraint_residual=0.0, stationarity_residual=0.0, method="optimal",
-        )
-    log_d, _, log1m, sizes, constraint, stationarity = _solve_system(gammas, counts, alpha)
-    return SizeAllocation(
-        alpha=alpha,
-        sizes=sizes,
-        log1m_sizes=log1m,
-        lagrange=math.exp(log_d),
-        constraint_residual=constraint,
-        stationarity_residual=stationarity,
-        method="optimal",
-    )
+    with np.errstate(over="ignore"):
+        lagrange = float(np.exp(log_d))
+    return lagrange, log1m, sizes, constraint, stationarity
 
 
 def optimal_sizes(model: RocModel, alpha: float) -> SizeAllocation:
@@ -419,10 +435,27 @@ def optimal_sizes(model: RocModel, alpha: float) -> SizeAllocation:
 
     Satisfies rho_m'(eta_m)(1 - eta_m) = d for a common d and
     sum log(1 - eta_m) = log(1 - alpha); for an exchangeable model this is
-    exactly the Sidak allocation.  Results are memoized per (model, alpha).
+    exactly the Sidak allocation.
     """
     alpha = _validate_alpha(alpha)
-    return _cached_optimal(model, alpha)
+    gammas = model.gammas
+    if alpha == 0.0:
+        zeros = np.zeros_like(gammas)
+        return SizeAllocation(
+            alpha=0.0, sizes=zeros, log1m_sizes=zeros, lagrange=math.inf,
+            constraint_residual=0.0, stationarity_residual=0.0, method="optimal",
+        )
+    lagrange, log1m, sizes, constraint, stationarity = _solve_system(
+        gammas, np.ones_like(gammas), alpha)
+    return SizeAllocation(
+        alpha=alpha,
+        sizes=sizes,
+        log1m_sizes=log1m,
+        lagrange=lagrange,
+        constraint_residual=constraint,
+        stationarity_residual=stationarity,
+        method="optimal",
+    )
 
 
 def optimal_sizes_clustered(spec: ClusterSpec, alpha: float) -> ClusterAllocation:
@@ -438,13 +471,13 @@ def optimal_sizes_clustered(spec: ClusterSpec, alpha: float) -> ClusterAllocatio
             alpha=0.0, spec=spec, cluster_sizes=zeros, cluster_log1m=zeros,
             lagrange=math.inf, constraint_residual=0.0, stationarity_residual=0.0,
         )
-    log_d, _, log1m, sizes, constraint, stationarity = _solve_system(gammas, counts, alpha)
+    lagrange, log1m, sizes, constraint, stationarity = _solve_system(gammas, counts, alpha)
     return ClusterAllocation(
         alpha=alpha,
         spec=spec,
         cluster_sizes=sizes,
         cluster_log1m=log1m,
-        lagrange=math.exp(log_d),
+        lagrange=lagrange,
         constraint_residual=constraint,
         stationarity_residual=stationarity,
     )
@@ -488,6 +521,24 @@ def size_map_inverse(model: RocModel, m: int, s: float) -> float:
     return w
 
 
+def _size_condition_report(grid, sizes) -> SizeConditionReport:
+    """Size condition (M-1) * max_m eta_m <= sum_m eta_m for every column
+    of the (M, K) matrix ``sizes``, column k being the allocation at budget
+    grid[k]; the first worst column is reported."""
+    M = sizes.shape[0]
+    col_max = sizes.max(axis=0)
+    col_sum = sizes.sum(axis=0)
+    ok = col_sum > 0.0
+    ratios = np.zeros_like(col_sum)
+    ratios[ok] = (M - 1) * col_max[ok] / col_sum[ok]
+    worst = int(np.argmax(ratios))
+    return SizeConditionReport(
+        satisfied=bool(ratios[worst] <= 1.0),
+        worst_alpha=float(grid[worst]),
+        worst_ratio=float(ratios[worst]),
+    )
+
+
 def check_size_condition(model: RocModel, alpha_grid) -> SizeConditionReport:
     """Evaluate (M-1) * max_m eta_m(alpha) <= sum_m eta_m(alpha) over the
     grid (the worst case over proper subsets of possible true nulls).
@@ -498,17 +549,5 @@ def check_size_condition(model: RocModel, alpha_grid) -> SizeConditionReport:
     grid = np.atleast_1d(np.asarray(alpha_grid, dtype=float))
     if grid.size == 0 or np.any(grid <= 0.0) or np.any(grid >= 1.0):
         raise ValueError("alpha grid must be nonempty with values in (0, 1)")
-    worst_ratio = -math.inf
-    worst_alpha = float(grid[0])
-    for alpha in grid:
-        sizes = optimal_sizes(model, float(alpha)).sizes
-        total = sizes.sum()
-        ratio = 0.0 if total == 0.0 else (model.M - 1) * sizes.max() / total
-        if ratio > worst_ratio:
-            worst_ratio = float(ratio)
-            worst_alpha = float(alpha)
-    return SizeConditionReport(
-        satisfied=bool(worst_ratio <= 1.0),
-        worst_alpha=worst_alpha,
-        worst_ratio=worst_ratio,
-    )
+    sizes = np.stack([optimal_sizes(model, float(alpha)).sizes for alpha in grid], axis=1)
+    return _size_condition_report(grid, sizes)

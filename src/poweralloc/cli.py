@@ -5,13 +5,14 @@ Three subcommands:
 * ``allocate`` - size vectors from a budget and effect sizes (or just M
   for the closed-form baselines), with solver diagnostics and efficiency
   relative to the Sidak allocation.
-* ``decide``   - run a procedure over a CSV of p-values.
+* ``decide``   - run a procedure over a CSV of p-values; the model-based
+  procedures also print each hypothesis's budget-scale p-value ``w``.
 * ``simulate`` - seeded Monte Carlo grid, written as a tidy CSV.
 
 I/O conventions: CSV inputs need a header row and are addressed by column
 name (``id``, ``gamma``, ``pvalue``, ``cluster``); outputs are UTF-8 with
 '.' decimals and probabilities printed to 12 significant digits; JSON
-reports carry a schema_version field.  Exit codes: 0 success, 2 on
+reports carry schema_version "2".  Exit codes: 0 success, 2 on
 usage/validation problems, 3 on numerical failure.
 """
 
@@ -37,12 +38,12 @@ from .allocate import (
     optimal_sizes_clustered,
     sidak_sizes,
 )
-from .model import RocModel
+from .model import RocModel, roc
 from .numerics import BracketingError, ConvergenceError
 from .procedures import generalized_pvalues
-from .sim import PROCEDURE_TAGS, _decide, _power_sum, run_table
+from .sim import PROCEDURE_TAGS, _decide, run_table
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 _MODEL_PROCEDURES = ("weak-fwer-opt", "strong-fwer-opt", "fdr-opt")
 _ALPHA_PROCEDURES = ("weak-fwer-opt", "bonferroni")
 
@@ -50,7 +51,7 @@ _ALPHA_PROCEDURES = ("weak-fwer-opt", "bonferroni")
 def _fmt(x) -> str:
     if x is None:
         return ""
-    x = float(x)
+    x = float(x) + 0.0  # -0.0 + 0.0 is 0.0
     if math.isnan(x):
         return ""
     return f"{x:.12g}"
@@ -59,7 +60,7 @@ def _fmt(x) -> str:
 def _jnum(x):
     if x is None:
         return None
-    x = float(x)
+    x = float(x) + 0.0
     if math.isnan(x):
         return None
     return float(f"{x:.12g}")
@@ -186,7 +187,7 @@ def _cmd_allocate(args) -> int:
     efficiency = None
     if gammas is not None and 0.0 < alpha < 1.0:
         sidak = sidak_sizes(M, alpha).sizes
-        efficiency = 100.0 * _power_sum(gammas, sizes) / _power_sum(gammas, sidak)
+        efficiency = 100.0 * roc(gammas, sizes).sum() / roc(gammas, sidak).sum()
 
     summary = {
         "alpha": alpha,
@@ -266,7 +267,9 @@ def _cmd_decide(args) -> int:
         model = RocModel.from_gammas(gammas)
 
     decision = _decide(procedure, model, pvalues, budget)
-    w = generalized_pvalues(model, pvalues).w if model is not None else None
+    # The stepwise model rules return the W they ordered by; the weak rule
+    # compares sizes directly, so its W takes a panel solve of its own.
+    w = generalized_pvalues(model, pvalues).w if procedure == "weak-fwer-opt" else decision.w
 
     if args.out == "json":
         doc = {
@@ -274,7 +277,6 @@ def _cmd_decide(args) -> int:
             "command": "decide",
             "procedure": procedure,
             ("alpha" if procedure in _ALPHA_PROCEDURES else "q"): budget,
-            "seed": args.seed,
             "cutoff_index": decision.cutoff_index,
             "alpha_threshold": _jnum(decision.alpha_threshold),
             "records": [
@@ -393,9 +395,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("--q", type=float, help="FDR / strong-FWER budget")
     p_dec.add_argument("--alpha", type=float, help="weak FWER budget")
     p_dec.add_argument("--input", required=True, help="CSV with columns id,pvalue[,gamma]")
-    p_dec.add_argument("--seed", type=int, default=None,
-                       help="seed for auxiliary randomizers (recorded; the Gaussian "
-                            "family's p-values are randomizer-free)")
     p_dec.add_argument("--trace", action="store_true",
                        help="include the per-step scan trace (json output only)")
     p_dec.add_argument("--out", choices=["json", "csv"], default="json")

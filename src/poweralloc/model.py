@@ -1,111 +1,66 @@
-"""Gaussian most-powerful decision processes, their ROC functions, and
-randomized p-values.
+"""Effect-size model of a panel of one-sided Gaussian location tests.
 
-Each hypothesis pair is a one-sided Gaussian location test with known null
-mean ``mu0`` and standard deviation ``sigma0``; the standardized mean
-separation is the effect size ``gamma``.  The size-eta most-powerful test
-rejects when x >= mu0 + sigma0 * Phi^{-1}(1 - eta), its power is
-rho(eta) = Phi(gamma - Phi^{-1}(1 - eta)), and the derivative of the power
-with respect to eta is the Gaussian density ratio exp(gamma*z - gamma^2/2)
-at z = Phi^{-1}(1 - eta).  The derivative is always evaluated through that
-exponential form, never as a ratio of two densities, so it stays finite in
-both tails.
+Each test compares a standardized null N(0, 1) against an alternative
+mean shifted up by the effect size ``gamma`` >= 0.  Its size-eta
+most-powerful test rejects when x >= Phi^{-1}(1 - eta), so the test enters
+every allocation and stepwise rule only through its ROC function
 
-A decision process is described by three evaluators (decide at a given
-size, size function, ROC function); only the Gaussian family and a trivial
-pure-randomizer process ship here, but ``randomized_pvalue`` works for any
-process through a monotone bisection fallback.
+    rho(eta) = Phi(gamma - Phi^{-1}(1 - eta)),
+
+whose derivative in eta is the Gaussian density ratio exp(gamma*z -
+gamma^2/2) at z = Phi^{-1}(1 - eta).  The derivative is always evaluated
+through that exponential form, never as a ratio of two densities, so it
+stays finite in both tails.
+
+A model is therefore nothing but the read-only array of the M effect
+sizes; ``roc`` and ``roc_deriv`` take gamma directly, as a scalar or an
+array that broadcasts against eta.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr, ndtri
-
-from .numerics import norm_quantile
+from scipy.special import ndtr, ndtri
 
 __all__ = [
-    "DecisionProcess",
-    "GaussianHypothesis",
-    "GaussianMPProcess",
-    "RandomizedSample",
     "RocModel",
-    "UniformRandomizerProcess",
-    "mp_test",
-    "randomized_pvalue",
     "roc",
     "roc_deriv",
 ]
 
 
-@dataclass(frozen=True)
-class GaussianHypothesis:
-    """One simple-vs-simple Gaussian test: N(mu0, sigma0^2) against a mean
-    shifted up by gamma standard deviations."""
-
-    gamma: float
-    mu0: float = 0.0
-    sigma0: float = 1.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.gamma) and self.gamma >= 0.0):
-            raise ValueError(f"effect size must be finite and >= 0, got {self.gamma!r}")
-        if not (math.isfinite(self.sigma0) and self.sigma0 > 0.0):
-            raise ValueError(f"sigma0 must be finite and > 0, got {self.sigma0!r}")
-        if not math.isfinite(self.mu0):
-            raise ValueError(f"mu0 must be finite, got {self.mu0!r}")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RocModel:
-    """An ordered panel of Gaussian hypotheses (length M >= 1)."""
+    """An ordered panel of M >= 1 effect sizes, stored as one read-only
+    float array."""
 
-    hypotheses: tuple[GaussianHypothesis, ...]
+    gammas: np.ndarray
 
     def __post_init__(self):
-        hyps = tuple(self.hypotheses)
-        object.__setattr__(self, "hypotheses", hyps)
-        if len(hyps) < 1:
-            raise ValueError("a model needs at least one hypothesis")
-        if not all(isinstance(h, GaussianHypothesis) for h in hyps):
-            raise TypeError("hypotheses must be GaussianHypothesis instances")
+        gammas = np.array(self.gammas, dtype=float, ndmin=1)
+        if gammas.ndim != 1 or gammas.size < 1:
+            raise ValueError("a model needs a nonempty 1-d array of effect sizes")
+        if not (np.all(np.isfinite(gammas)) and np.all(gammas >= 0.0)):
+            raise ValueError("effect sizes must be finite and >= 0")
+        gammas.setflags(write=False)
+        object.__setattr__(self, "gammas", gammas)
 
     @classmethod
     def from_gammas(cls, gammas) -> "RocModel":
-        return cls(tuple(GaussianHypothesis(gamma=float(g)) for g in np.atleast_1d(gammas)))
+        return cls(gammas)
 
     @property
     def M(self) -> int:
-        return len(self.hypotheses)
+        return self.gammas.size
 
     def __len__(self) -> int:
-        return len(self.hypotheses)
-
-    @property
-    def gammas(self) -> np.ndarray:
-        return np.array([h.gamma for h in self.hypotheses], dtype=float)
+        return self.gammas.size
 
     @property
     def exchangeable(self) -> bool:
-        g0 = self.hypotheses[0].gamma
-        return all(h.gamma == g0 for h in self.hypotheses)
-
-
-@dataclass(frozen=True)
-class RandomizedSample:
-    """An observed statistic together with its auxiliary U(0,1) randomizer."""
-
-    x: float
-    u: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.x):
-            raise ValueError(f"x must be finite, got {self.x!r}")
-        if not (0.0 <= self.u <= 1.0):
-            raise ValueError(f"u must lie in [0, 1], got {self.u!r}")
+        return bool(np.all(self.gammas == self.gammas[0]))
 
 
 def _validate_eta(eta, open_interval: bool = False):
@@ -119,118 +74,27 @@ def _validate_eta(eta, open_interval: bool = False):
     return eta
 
 
-def mp_test(h: GaussianHypothesis, x: float, eta: float) -> int:
-    """Most-powerful test of size eta: 1 iff x clears the upper-tail cutoff.
-
-    eta=0 never rejects (infinite cutoff); eta=1 always rejects.
-    """
-    eta = float(_validate_eta(eta))
-    if eta == 0.0:
-        return 0
-    if eta == 1.0:
-        return 1
-    cutoff = h.mu0 + h.sigma0 * norm_quantile(1.0 - eta)
-    return int(x >= cutoff)
-
-
-def roc(h: GaussianHypothesis, eta):
+def roc(gamma, eta):
     """Power of the size-eta most-powerful test: Phi(gamma + Phi^{-1}(eta)).
 
     Accepts scalars or arrays of eta in [0, 1]; the identity
     Phi^{-1}(eta) = -Phi^{-1}(1 - eta) keeps full precision for tiny eta.
     """
     eta = _validate_eta(eta)
+    gamma = np.asarray(gamma, dtype=float)
     with np.errstate(invalid="ignore"):
-        out = ndtr(h.gamma + ndtri(eta))
+        out = ndtr(gamma + ndtri(eta))
     out = np.where(eta == 0.0, 0.0, np.where(eta == 1.0, 1.0, out))
     return float(out) if out.ndim == 0 else out
 
 
-def roc_deriv(h: GaussianHypothesis, eta):
+def roc_deriv(gamma, eta):
     """d(power)/d(eta) = exp(gamma*z - gamma^2/2) with z = Phi^{-1}(1-eta).
 
     Defined on the open interval (0, 1) only; strictly positive.
     """
     eta = _validate_eta(eta, open_interval=True)
+    gamma = np.asarray(gamma, dtype=float)
     z = -ndtri(eta)
-    out = np.exp(h.gamma * z - 0.5 * h.gamma**2)
+    out = np.exp(gamma * z - 0.5 * gamma**2)
     return float(out) if out.ndim == 0 else out
-
-
-class DecisionProcess:
-    """A size-indexed family of tests, nondecreasing and right-continuous in
-    the size.  Subclasses supply ``decide``, ``size`` and ``roc``; the
-    generic randomized p-value falls back to a monotone bisection over the
-    size axis."""
-
-    def decide(self, x: float, u: float, eta: float) -> int:
-        raise NotImplementedError
-
-    def size(self, eta: float) -> float:
-        raise NotImplementedError
-
-    def roc(self, eta: float) -> float:
-        raise NotImplementedError
-
-    def pvalue(self, x: float, u: float) -> float:
-        # Smallest eta at which the realized decision turns to "reject";
-        # monotonicity in eta makes bisection valid.
-        if self.decide(x, u, 1.0) == 0:
-            return 1.0
-        if self.decide(x, u, 0.0) == 1:
-            return 0.0
-        lo, hi = 0.0, 1.0
-        while hi - lo > 1e-13:
-            mid = 0.5 * (lo + hi)
-            if self.decide(x, u, mid) == 1:
-                hi = mid
-            else:
-                lo = mid
-        return hi
-
-
-class GaussianMPProcess(DecisionProcess):
-    """Most-powerful decision process for one Gaussian hypothesis; its
-    p-value has the closed form 1 - Phi((x - mu0)/sigma0), independent of
-    the randomizer."""
-
-    def __init__(self, hypothesis: GaussianHypothesis):
-        self.hypothesis = hypothesis
-
-    def decide(self, x: float, u: float, eta: float) -> int:
-        return mp_test(self.hypothesis, x, eta)
-
-    def size(self, eta: float) -> float:
-        return float(_validate_eta(eta))
-
-    def roc(self, eta: float) -> float:
-        return roc(self.hypothesis, eta)
-
-    def pvalue(self, x: float, u: float) -> float:
-        h = self.hypothesis
-        return float(ndtr(-(x - h.mu0) / h.sigma0))
-
-
-class UniformRandomizerProcess(DecisionProcess):
-    """Degenerate process that ignores the data: delta_eta(x) = eta.  Its
-    p-value is the randomizer itself."""
-
-    def decide(self, x: float, u: float, eta: float) -> int:
-        _validate_eta(eta)
-        return int(u <= eta)
-
-    def size(self, eta: float) -> float:
-        return float(_validate_eta(eta))
-
-    def roc(self, eta: float) -> float:
-        return float(_validate_eta(eta))
-
-    def pvalue(self, x: float, u: float) -> float:
-        return float(u)
-
-
-def randomized_pvalue(process: DecisionProcess, sample: RandomizedSample) -> float:
-    """Randomized p-value of a decision process: the smallest size at which
-    the realized (x, u) is rejected.  Uniform under the null whenever the
-    process is size-valid."""
-    return process.pvalue(sample.x, sample.u)

@@ -127,7 +127,8 @@ def find_root(
 ) -> RootResult:
     """Find a root of ``f`` inside ``bracket``.
 
-    Terminates when |f(x)| <= tol or the bracket width falls below tol.
+    Terminates when |f(x)| <= tol, when the bracket width falls below tol,
+    or when no float lies strictly inside the bracket any more.
     Newton (if ``df`` given) or secant candidates are used only while they
     remain inside the bracket and the bracket keeps halving every other
     iteration; otherwise bisection steps are forced.  Deterministic for
@@ -145,7 +146,7 @@ def find_root(
     x, fx = (a, fa) if abs(fa) <= abs(fb) else (b, fb)
     width_two_ago, width_one_ago = b - a, b - a
     for iteration in range(1, max_iter + 1):
-        if abs(fx) <= tol or (b - a) <= tol:
+        if abs(fx) <= tol or (b - a) <= tol or not a < 0.5 * (a + b) < b:
             return RootResult(x, fx, iteration - 1)
 
         cand = math.nan

@@ -62,7 +62,7 @@ def grid_optimal_sizes(model: RocModel, alpha: float, step: float) -> GridSearch
     n = int(round(1.0 / step))
     total = math.log1p(-alpha)
     sizes_1d = -np.expm1(total * np.arange(n + 1) / n)  # eta at weight k/n
-    powers = [roc(h, sizes_1d) for h in model.hypotheses]
+    powers = [roc(g, sizes_1d) for g in model.gammas]
 
     if M == 2:
         objective = powers[0] + powers[1][::-1]

@@ -1,6 +1,10 @@
-"""Multiple-decision procedures.
+"""Multiple-decision procedures on a panel of p-values and a ``RocModel``.
 
-Four rules share one engine:
+The model-based stepwise rules share one engine: a single panel solve
+(``_solve_panel``) pins, for each hypothesis, the multiplier d_m = g_m(S_m)
+at its p-value and sizes every hypothesis at every such multiplier.  That
+one (M, M) array of log(1 - eta) gives the budget-scale p-values W, their
+ordering, the step-down products and the step-up size sums.  The rules:
 
 * ``decide_weak_fwer`` - fixed-budget rule: reject m iff its p-value is at
   most its optimally allocated size (a weighted-p-value rule; rejections
@@ -18,6 +22,8 @@ Four rules share one engine:
 
 All stepwise computations run on the M order statistics (never a continuum
 search), and products of survival sizes are accumulated in log space.
+The step-up rule also reports the size condition on its candidate budgets
+through the same ratio check as ``allocate.check_size_condition``.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ import numpy as np
 from .allocate import (
     SizeConditionReport,
     _log_marginal_value,
+    _size_condition_report,
     _size_profile,
     optimal_sizes,
 )
@@ -53,12 +60,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PValuePanel:
-    """Ordinary p-values S, optional randomizers, budget-scale p-values W,
-    and the anti-rank permutation sorting W ascending (ties broken by
-    original index)."""
+    """Ordinary p-values S, budget-scale p-values W, and the anti-rank
+    permutation sorting W ascending (ties broken by original index)."""
 
     s: np.ndarray
-    u: np.ndarray | None
     w: np.ndarray
     antiranks: np.ndarray
 
@@ -82,7 +87,7 @@ class ProcedureTrace:
 
     ``survival_product`` carries the step-down product statistic and
     ``size_sum`` the step-up cumulative-size statistic; a procedure fills
-    the path(s) it actually evaluates and leaves the other as NaN.
+    the path it actually evaluates and leaves the other as NaN.
     """
 
     order_stats: np.ndarray
@@ -105,7 +110,8 @@ class Decision:
     rejection set is always the cutoff_index smallest order statistics of
     the procedure's ordering.  ``alpha_threshold`` reports the left
     endpoint of the half-open interval of budgets realizing the same
-    decision."""
+    decision.  ``w`` holds the per-hypothesis budget-scale p-values that
+    a stepwise model rule ordered by (None for the other rules)."""
 
     reject: np.ndarray
     cutoff_index: int
@@ -113,11 +119,16 @@ class Decision:
     procedure_tag: str
     trace: ProcedureTrace | None = None
     size_condition: SizeConditionReport | None = None
+    w: np.ndarray | None = None
 
     def __post_init__(self):
         arr = np.asarray(self.reject, dtype=bool)
         arr.setflags(write=False)
         object.__setattr__(self, "reject", arr)
+        if self.w is not None:
+            w = np.asarray(self.w, dtype=float)
+            w.setflags(write=False)
+            object.__setattr__(self, "w", w)
 
     @property
     def n_rejected(self) -> int:
@@ -175,14 +186,12 @@ def _validate_budget(q: float, name: str = "q") -> float:
 
 @dataclass(frozen=True)
 class _PanelSolution:
-    """One shared solve per panel: the multiplier pinned by each p-value,
-    the budget-scale p-values, and the full size profile at every
-    candidate cutoff."""
+    """One shared solve per panel: the budget-scale p-values, their
+    ordering, and the size profile at every candidate cutoff."""
 
     w: np.ndarray          # budget-scale p-values, per hypothesis
     order: np.ndarray      # anti-ranks: w[order] is nondecreasing
     log1m: np.ndarray      # (M, M): log(1 - eta_j) at the multiplier of hypothesis m
-    eta: np.ndarray        # (M, M): sizes, same layout
 
 
 def _solve_panel(model: RocModel, s: np.ndarray) -> _PanelSolution:
@@ -190,11 +199,10 @@ def _solve_panel(model: RocModel, s: np.ndarray) -> _PanelSolution:
     log_d = _log_marginal_value(gammas, s)
     _, log1m = _size_profile(gammas, log_d)
     w = -np.expm1(log1m.sum(axis=0))
-    order = np.argsort(w, kind="stable")
-    return _PanelSolution(w=w, order=order, log1m=log1m, eta=-np.expm1(log1m))
+    return _PanelSolution(w=w, order=np.argsort(w, kind="stable"), log1m=log1m)
 
 
-def generalized_pvalues(model: RocModel, s, u=None) -> PValuePanel:
+def generalized_pvalues(model: RocModel, s) -> PValuePanel:
     """Budget-scale p-values W_m: the smallest weak-FWER budget at which
     hypothesis m is rejected by the optimal allocation.
 
@@ -208,12 +216,8 @@ def generalized_pvalues(model: RocModel, s, u=None) -> PValuePanel:
     s = _validate_pvalues(s)
     if model.M != s.size:
         raise ValueError(f"model has M={model.M} but got {s.size} p-values")
-    if u is not None:
-        u = np.asarray(u, dtype=float)
-        if u.shape != s.shape or np.any(u < 0.0) or np.any(u > 1.0):
-            raise ValueError("randomizers must match the p-values and lie in [0, 1]")
     sol = _solve_panel(model, s)
-    return PValuePanel(s=s, u=u, w=sol.w, antiranks=sol.order)
+    return PValuePanel(s=s, w=sol.w, antiranks=sol.order)
 
 
 def _prefix_decision(order: np.ndarray, j: int) -> np.ndarray:
@@ -221,23 +225,6 @@ def _prefix_decision(order: np.ndarray, j: int) -> np.ndarray:
     if j > 0:
         reject[order[:j]] = True
     return reject
-
-
-def _size_condition_on_grid(w_sorted, eta_ordered) -> SizeConditionReport:
-    """Size-condition diagnostic on the realized candidate budgets (the W
-    order statistics): (M-1) * max_j eta_j <= sum_j eta_j per column."""
-    M = eta_ordered.shape[0]
-    col_max = eta_ordered.max(axis=0)
-    col_sum = eta_ordered.sum(axis=0)
-    ok = col_sum > 0.0
-    ratios = np.zeros_like(col_sum)
-    ratios[ok] = (M - 1) * col_max[ok] / col_sum[ok]
-    worst = int(np.argmax(ratios))
-    return SizeConditionReport(
-        satisfied=bool(ratios[worst] <= 1.0),
-        worst_alpha=float(w_sorted[worst]),
-        worst_ratio=float(ratios[worst]),
-    )
 
 
 def decide_weak_fwer(model: RocModel, s, alpha: float) -> Decision:
@@ -289,7 +276,7 @@ def decide_strong_fwer(model: RocModel, s, qstar: float) -> Decision:
     trace = ProcedureTrace(
         order_stats=w_sorted,
         survival_product=np.exp(log_products),
-        size_sum=sol.eta[:, sol.order].sum(axis=0),
+        size_sum=np.full(M, np.nan),
         threshold=np.full(M, 1.0 - qstar),
     )
     return Decision(
@@ -298,6 +285,7 @@ def decide_strong_fwer(model: RocModel, s, qstar: float) -> Decision:
         alpha_threshold=float(w_sorted[j - 1]) if j > 0 else 0.0,
         procedure_tag="strong-fwer-opt",
         trace=trace,
+        w=sol.w,
     )
 
 
@@ -308,8 +296,8 @@ def decide_fdr_opt(model: RocModel, s, qstar: float) -> Decision:
     ordering, where J is the largest m with
     sum_j eta_j(W_(m)) <= qstar * m.  Reduces to Benjamini-Hochberg when
     all ROC functions are identical.  A size-condition diagnostic over the
-    realized candidate budgets is attached; a failing condition annotates
-    but never refuses the decision.
+    realized candidate budgets (the W order statistics) is attached; a
+    failing condition annotates but never refuses the decision.
     """
     s = _validate_pvalues(s)
     qstar = _validate_budget(qstar)
@@ -317,18 +305,17 @@ def decide_fdr_opt(model: RocModel, s, qstar: float) -> Decision:
         raise ValueError(f"model has M={model.M} but got {s.size} p-values")
     sol = _solve_panel(model, s)
     M = s.size
-    eta_ordered = sol.eta[:, sol.order]
+    # Column i: every hypothesis sized at budget W_(i).
+    eta_ordered = -np.expm1(sol.log1m[:, sol.order])
     size_sums = eta_ordered.sum(axis=0)
     bounds = qstar * np.arange(1, M + 1)
     passing = np.nonzero(size_sums <= bounds)[0]
     j = int(passing[-1]) + 1 if passing.size else 0
 
     w_sorted = sol.w[sol.order]
-    log1m_ord = sol.log1m[sol.order][:, sol.order]
-    suffix = np.cumsum(log1m_ord[::-1, :], axis=0)[::-1, :]
     trace = ProcedureTrace(
         order_stats=w_sorted,
-        survival_product=np.exp(np.diagonal(suffix)),
+        survival_product=np.full(M, np.nan),
         size_sum=size_sums,
         threshold=bounds,
     )
@@ -338,7 +325,8 @@ def decide_fdr_opt(model: RocModel, s, qstar: float) -> Decision:
         alpha_threshold=float(w_sorted[j - 1]) if j > 0 else 0.0,
         procedure_tag="fdr-opt",
         trace=trace,
-        size_condition=_size_condition_on_grid(w_sorted, eta_ordered),
+        size_condition=_size_condition_report(w_sorted, eta_ordered),
+        w=sol.w,
     )
 
 

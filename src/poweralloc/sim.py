@@ -21,10 +21,10 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtr
 
 from .allocate import optimal_sizes, sidak_sizes
-from .model import RocModel
+from .model import RocModel, roc
 from .procedures import (
     Decision,
     TruthAssignment,
@@ -212,12 +212,6 @@ def risk_metrics(decision: Decision, truth: TruthAssignment) -> ReplicateLosses:
     )
 
 
-def _power_sum(gammas: np.ndarray, sizes: np.ndarray) -> float:
-    with np.errstate(invalid="ignore"):
-        powers = ndtr(gammas + ndtri(sizes))
-    return float(np.where(sizes <= 0.0, 0.0, powers).sum())
-
-
 def efficiency_vs_sidak(model: RocModel, alpha: float) -> float:
     """Average power of the optimal allocation relative to Sidak's, in
     percent: 100 * sum rho_m(eta_m_opt) / sum rho_m(eta_m_Sidak)."""
@@ -226,7 +220,7 @@ def efficiency_vs_sidak(model: RocModel, alpha: float) -> float:
     gammas = model.gammas
     opt = optimal_sizes(model, alpha).sizes
     sid = sidak_sizes(model.M, alpha).sizes
-    return 100.0 * _power_sum(gammas, opt) / _power_sum(gammas, sid)
+    return float(100.0 * roc(gammas, opt).sum() / roc(gammas, sid).sum())
 
 
 def _decide(tag: str, model: RocModel, s: np.ndarray, budget: float) -> Decision:

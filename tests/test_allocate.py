@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from poweralloc import (
     ClusterSpec,
@@ -25,7 +28,7 @@ ALPHAS = (0.01, 0.05, 0.2)
 
 
 def total_power(model, sizes):
-    return sum(roc(h, eta) for h, eta in zip(model.hypotheses, sizes))
+    return float(roc(model.gammas, sizes).sum())
 
 
 def random_panels(n, seed, max_m=50):
@@ -121,16 +124,49 @@ class TestOptimalSizes:
         assert alloc.sizes[0] <= 1e-12
         assert alloc.sizes[1] == pytest.approx(0.05, abs=0.002)
 
-    def test_cache_returns_identical_result(self):
-        model = RocModel.from_gammas([1.0, 2.0, 3.0])
-        assert optimal_sizes(model, 0.05) is optimal_sizes(model, 0.05)
-
     def test_validation(self):
         model = RocModel.from_gammas([1.0])
         with pytest.raises(ValueError):
             optimal_sizes(model, 1.0)
         with pytest.raises(ValueError):
             RocModel.from_gammas([np.nan])
+
+    @pytest.mark.parametrize("gammas", [[38.0], [40.0], [60.0], [40.0, 1.0, 0.1]])
+    def test_large_effects_solve(self, gammas):
+        # Near gamma = 40, c = log d + gamma^2/2 ~ 800 carries rounding of
+        # 1e-13, beyond an absolute stopping test; at gamma = 60 the root
+        # sits at log d ~ -1700, far from d = 1.
+        alloc = optimal_sizes(RocModel.from_gammas(gammas), 0.05)
+        assert abs(alloc.constraint_residual) <= 1e-12
+        assert np.all(alloc.sizes >= 0.0) and np.all(alloc.sizes < 1.0)
+        if len(gammas) == 1:
+            assert alloc.sizes[0] == pytest.approx(0.05, rel=1e-12)
+
+    @pytest.mark.parametrize("gammas, alpha", [
+        ([1e-300] * 50, 1e-12),          # sizes far below an absolute tolerance
+        ([1.0] + [0.0] * 11, 1e-13),     # a budget below an absolute gap tolerance
+        ([1e-15] + [0.0] * 199, 1e-15),  # the whole bracket narrower than 1e-13
+        ([23.0, 0.0], 1e-250),           # log d ~ 513, where one ulp exceeds 1e-13
+        ([0.0] + [1e-13] * 152, 1 - 1e-15),  # gap slope 153 on a tiny bracket
+        ([0.0, 1e-12], 1 - 2**-53),      # Sidak size within 1e-16 of 1
+        ([0.0], 1e-323),                 # log(1 - alpha) below log Phi's underflow
+        ([1e-320, 0.0], 5e-311),         # a subnormal effect at the underflow edge
+    ])
+    def test_extreme_budgets(self, gammas, alpha):
+        alloc = optimal_sizes(RocModel.from_gammas(gammas), alpha)
+        assert abs(alloc.constraint_residual) <= 1e-12
+        if alpha >= 1e-200:
+            assert abs(alloc.constraint_residual) <= 1e-12 * -math.log1p(-alpha)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        gammas=st.integers(1, 200).flatmap(lambda m: arrays(
+            float, m, elements=st.one_of(st.just(0.0), st.floats(0.0, 100.0)))),
+        alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    )
+    def test_any_valid_panel_meets_the_budget(self, gammas, alpha):
+        alloc = optimal_sizes(RocModel.from_gammas(gammas), alpha)
+        assert abs(alloc.constraint_residual) <= 1e-12
 
 
 class TestClustered:

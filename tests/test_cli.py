@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from poweralloc import RocModel, decide_weak_fwer
+from poweralloc import RocModel, cli, decide_weak_fwer, generalized_pvalues, procedures
 
 
 def run_cli(*args, expect=0):
@@ -39,7 +39,7 @@ class TestAllocate:
         proc = run_cli("allocate", "--alpha", "0.05", "--M", "4",
                        "--gamma-const", "1", "--method", "optimal")
         doc = json.loads(proc.stdout)
-        assert doc["schema_version"] == "1"
+        assert doc["schema_version"] == "2"
         etas = [rec["eta"] for rec in doc["records"]]
         assert etas == pytest.approx([0.012741] * 4, abs=5e-6)
         assert doc["efficiency_vs_sidak"] == pytest.approx(100.0, abs=1e-6)
@@ -147,6 +147,47 @@ class TestDecide:
                                  "--input", str(path), "--trace").stdout)
         assert len(doc["trace"]["order_stats"]) == 2
         assert len(doc["trace"]["survival_product"]) == 2
+
+    def test_zero_w_prints_as_zero(self, tmp_path):
+        # W = -expm1(0) is -0.0 for a p-value of 0.
+        path = tmp_path / "p.csv"
+        write_csv(path, ["id", "pvalue", "gamma"], [["a", 0.0, 2.0], ["b", 0.9, 1.0]])
+        out = run_cli("decide", "--procedure", "fdr-opt", "--q", "0.1",
+                      "--input", str(path), "--out", "csv").stdout
+        assert "-0" not in out
+        rows = parse_csv(out)
+        assert rows[0]["w"] == "0"
+        assert rows[0]["alpha_threshold"] == "0"
+
+    @pytest.mark.parametrize("procedure", ["fdr-opt", "strong-fwer-opt"])
+    def test_one_panel_solve_per_stepwise_decision(self, tmp_path, monkeypatch, capsys,
+                                                   procedure):
+        rng = np.random.default_rng(21)
+        gammas = rng.uniform(0.2, 5.0, 30)
+        pvals = rng.uniform(0.0, 1.0, 30) ** 3
+        path = tmp_path / "p.csv"
+        write_csv(path, ["id", "pvalue", "gamma"],
+                  [[f"h{i}", repr(float(p)), repr(float(g))]
+                   for i, (p, g) in enumerate(zip(pvals, gammas))])
+        calls = []
+        solve = procedures._solve_panel
+        monkeypatch.setattr(procedures, "_solve_panel",
+                            lambda *a: calls.append(a) or solve(*a))
+        assert cli.main(["decide", "--procedure", procedure, "--q", "0.1",
+                         "--input", str(path), "--out", "json"]) == 0
+        assert len(calls) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert "seed" not in doc
+        expected = generalized_pvalues(RocModel.from_gammas(gammas), pvals).w
+        assert [r["w"] for r in doc["records"]] == [cli._jnum(w) for w in expected]
+
+    def test_trace_marks_the_unevaluated_path_null(self, tmp_path):
+        path = tmp_path / "p.csv"
+        write_csv(path, ["id", "pvalue", "gamma"], [["a", 0.01, 1.0], ["b", 0.3, 2.0]])
+        doc = json.loads(run_cli("decide", "--procedure", "fdr-opt", "--q", "0.1",
+                                 "--input", str(path), "--trace").stdout)
+        assert doc["trace"]["survival_product"] == [None, None]
+        assert all(x is not None for x in doc["trace"]["size_sum"])
 
     def test_trace_requires_json(self, tmp_path):
         path = tmp_path / "p.csv"

@@ -1,4 +1,4 @@
-"""Gaussian decision processes: tests, ROC functions, randomized p-values."""
+"""Effect-size model and the Gaussian ROC functions."""
 
 import math
 
@@ -7,16 +7,11 @@ import pytest
 from scipy import stats
 
 from poweralloc import (
-    DecisionProcess,
-    GaussianHypothesis,
-    GaussianMPProcess,
-    RandomizedSample,
     RocModel,
-    UniformRandomizerProcess,
+    ScenarioConfig,
     concavity_check,
-    mp_test,
+    generate_panel,
     norm_quantile,
-    randomized_pvalue,
     roc,
     roc_deriv,
 )
@@ -29,21 +24,22 @@ from helpers import fd_power_deriv
 
 
 class TestValidation:
-    def test_hypothesis_fields(self):
-        with pytest.raises(ValueError):
-            GaussianHypothesis(gamma=-0.1)
-        with pytest.raises(ValueError):
-            GaussianHypothesis(gamma=1.0, sigma0=0.0)
-        with pytest.raises(ValueError):
-            GaussianHypothesis(gamma=math.inf)
-
     def test_model_needs_hypotheses(self):
         with pytest.raises(ValueError):
             RocModel(())
 
-    def test_sample_randomizer_range(self):
+    def test_rejects_bad_gammas_and_is_read_only(self):
+        for bad in ([], [1.0, np.nan], [np.inf], [2.0, -0.1], [[1.0, 2.0]]):
+            with pytest.raises(ValueError):
+                RocModel.from_gammas(bad)
+        source = np.array([1.0, 2.0])
+        model = RocModel.from_gammas(source)
         with pytest.raises(ValueError):
-            RandomizedSample(x=0.0, u=1.5)
+            model.gammas[0] = 5.0
+        # The model owns its array: the caller's stays writable and apart.
+        source[0] = 5.0
+        assert model.gammas.tolist() == [1.0, 2.0]
+        assert model.gammas is model.gammas
 
     def test_model_helpers(self):
         m = RocModel.from_gammas([1.0, 2.0])
@@ -51,128 +47,71 @@ class TestValidation:
         assert m.gammas.tolist() == [1.0, 2.0]
         assert not m.exchangeable
         assert RocModel.from_gammas([3.0, 3.0]).exchangeable
-
-
-class TestMpTest:
-    def test_above_threshold(self):
-        h = GaussianHypothesis(gamma=1.0)
-        # size 0.05 puts the cutoff at Phi^{-1}(0.95) ~ 1.645
-        assert mp_test(h, 2.0, 0.05) == 1
-        assert mp_test(h, norm_quantile(0.95) - 1e-9, 0.05) == 0
-
-    def test_location_scale(self):
-        h = GaussianHypothesis(gamma=1.0, mu0=3.0, sigma0=2.0)
-        cutoff = 3.0 + 2.0 * norm_quantile(0.95)
-        assert mp_test(h, cutoff + 1e-9, 0.05) == 1
-        assert mp_test(h, cutoff - 1e-9, 0.05) == 0
-
-    def test_degenerate_sizes(self):
-        h = GaussianHypothesis(gamma=2.0)
-        for x in (-100.0, 0.0, 100.0):
-            assert mp_test(h, x, 0.0) == 0
-            assert mp_test(h, x, 1.0) == 1
-
-    def test_rejects_bad_size(self):
-        with pytest.raises(ValueError):
-            mp_test(GaussianHypothesis(1.0), 0.0, 1.2)
+        assert RocModel.from_gammas(0.5).gammas.tolist() == [0.5]
 
 
 class TestRoc:
     def test_zero_effect_is_identity(self):
-        h = GaussianHypothesis(gamma=0.0)
         eta = np.linspace(0, 1, 11)
-        np.testing.assert_allclose(roc(h, eta), eta, atol=1e-14)
+        np.testing.assert_allclose(roc(0.0, eta), eta, atol=1e-14)
 
     def test_frozen_value(self):
         # gamma=1, eta=0.05: Phi(1 - Phi^{-1}(0.95)), via the erfc oracle.
-        h = GaussianHypothesis(gamma=1.0)
         oracle = erfc_phi(1.0 - norm_quantile(0.95))
-        assert roc(h, 0.05) == pytest.approx(oracle, rel=1e-13)
-        assert roc(h, 0.05) == pytest.approx(0.2595, abs=5e-5)
+        assert roc(1.0, 0.05) == pytest.approx(oracle, rel=1e-13)
+        assert roc(1.0, 0.05) == pytest.approx(0.2595, abs=5e-5)
 
     def test_boundaries(self):
         for g in GAMMAS:
-            h = GaussianHypothesis(gamma=g)
-            assert roc(h, 0.0) == 0.0
-            assert roc(h, 1.0) == 1.0
+            assert roc(g, 0.0) == 0.0
+            assert roc(g, 1.0) == 1.0
 
     def test_dominates_diagonal_and_concave(self):
         for g in GAMMAS:
-            h = GaussianHypothesis(gamma=g)
-            report = concavity_check(lambda e: roc(h, e), 1001)
+            report = concavity_check(lambda e: roc(g, e), 1001)
             assert report.passed, f"gamma={g}: worst violation {report.worst_violation}"
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            roc(GaussianHypothesis(1.0), -0.01)
+            roc(1.0, -0.01)
+
+    def test_gamma_array_broadcasts(self):
+        gammas = np.array(GAMMAS)
+        eta = np.array([0.0, 0.01, 0.05, 0.2, 0.7, 1.0])
+        expected = [roc(g, e) for g, e in zip(GAMMAS, eta)]
+        assert roc(gammas, eta).tolist() == expected
+        assert roc(gammas, 0.05).tolist() == [roc(g, 0.05) for g in GAMMAS]
+
+
+class TestRandomizedPvalue:
+    def test_null_uniformity_ks(self):
+        # Under the null the p-value statistic S = 1 - Phi(x) is standard uniform.
+        config = ScenarioConfig(M=100_000, p=0.0, nu=1.5, qstar=0.1, reps=1, seed=42)
+        s = generate_panel(config, 0).s
+        assert stats.kstest(s, "uniform").pvalue > 0.01
 
 
 class TestRocDeriv:
     def test_zero_effect(self):
-        assert roc_deriv(GaussianHypothesis(0.0), 0.37) == pytest.approx(1.0, abs=1e-14)
+        assert roc_deriv(0.0, 0.37) == pytest.approx(1.0, abs=1e-14)
 
     def test_density_ratio_values(self):
         # At eta=0.5 the cutoff is z=0, so the ratio is exp(-gamma^2/2).
-        assert roc_deriv(GaussianHypothesis(1.0), 0.5) == pytest.approx(math.exp(-0.5), rel=1e-13)
-        assert roc_deriv(GaussianHypothesis(2.0), 0.5) == pytest.approx(math.exp(-2.0), rel=1e-13)
+        assert roc_deriv(1.0, 0.5) == pytest.approx(math.exp(-0.5), rel=1e-13)
+        assert roc_deriv(2.0, 0.5) == pytest.approx(math.exp(-2.0), rel=1e-13)
 
     def test_matches_finite_difference(self):
         eta = np.linspace(0.01, 0.99, 197)
         for g in GAMMAS:
-            h = GaussianHypothesis(gamma=g)
             numeric = fd_power_deriv(g, eta)
-            exact = roc_deriv(h, eta)
+            exact = roc_deriv(g, eta)
             np.testing.assert_allclose(exact, numeric, rtol=1e-5)
 
     def test_open_interval_only(self):
-        h = GaussianHypothesis(1.0)
         for bad in (0.0, 1.0):
             with pytest.raises(ValueError):
-                roc_deriv(h, bad)
+                roc_deriv(1.0, bad)
 
     def test_strictly_positive_in_tails(self):
-        h = GaussianHypothesis(8.0)
         for eta in (1e-12, 1e-6, 1 - 1e-6):
-            assert roc_deriv(h, eta) > 0.0
-
-
-class TestRandomizedPvalue:
-    def test_gaussian_closed_form(self):
-        proc = GaussianMPProcess(GaussianHypothesis(gamma=1.0))
-        x = norm_quantile(0.95)
-        for u in (0.0, 0.3, 1.0):
-            s = randomized_pvalue(proc, RandomizedSample(x=x, u=u))
-            assert s == pytest.approx(0.05, abs=1e-12)
-
-    def test_gaussian_location_scale(self):
-        proc = GaussianMPProcess(GaussianHypothesis(gamma=1.0, mu0=-2.0, sigma0=0.5))
-        x = -2.0 + 0.5 * norm_quantile(0.9)
-        s = randomized_pvalue(proc, RandomizedSample(x=x, u=0.5))
-        assert s == pytest.approx(0.1, abs=1e-12)
-
-    def test_pure_randomizer_returns_u(self):
-        proc = UniformRandomizerProcess()
-        for u in (0.0, 0.25, 0.8, 1.0):
-            assert randomized_pvalue(proc, RandomizedSample(x=123.0, u=u)) == u
-
-    def test_generic_bisection_agrees_with_closed_form(self):
-        proc = GaussianMPProcess(GaussianHypothesis(gamma=2.0))
-        rng = np.random.default_rng(3)
-        for x in rng.normal(size=20):
-            direct = proc.pvalue(x, 0.5)
-            generic = DecisionProcess.pvalue(proc, x, 0.5)
-            assert generic == pytest.approx(direct, abs=1e-12)
-
-    def test_null_uniformity_ks(self):
-        # Under the null the p-value statistic is standard uniform.
-        rng = np.random.default_rng(42)
-        proc = GaussianMPProcess(GaussianHypothesis(gamma=1.5))
-        x = rng.standard_normal(100_000)
-        s = np.array([proc.pvalue(xi, 0.0) for xi in x])
-        assert stats.kstest(s, "uniform").pvalue > 0.01
-
-    def test_randomizer_uniformity_ks(self):
-        rng = np.random.default_rng(43)
-        proc = UniformRandomizerProcess()
-        s = np.array([proc.pvalue(0.0, u) for u in rng.random(100_000)])
-        assert stats.kstest(s, "uniform").pvalue > 0.01
+            assert roc_deriv(8.0, eta) > 0.0

@@ -183,6 +183,13 @@ class TestFindRoot:
         with pytest.raises(BracketingError):
             Bracket.from_function(f, -1.0, 1.0)
 
+    def test_stops_when_the_bracket_reaches_float_resolution(self):
+        # Near 513 one ulp is 1.1e-13, wider than tol, and the step function
+        # never gets within tol of 0: only adjacent floats end the search.
+        f = lambda x: -1.0 if x < 512.89 else 1.0
+        res = find_root(f, Bracket.from_function(f, 512.0, 513.0), tol=1e-14)
+        assert math.nextafter(512.89, 0.0) <= res.root <= math.nextafter(512.89, 1e3)
+
     def test_iteration_cap_carries_best(self):
         f = lambda x: math.cos(x) - x
         with pytest.raises(ConvergenceError) as exc:
