@@ -11,18 +11,12 @@ oracles, and a seeded Monte Carlo harness.
 
 from .allocate import (
     AllocationError,
-    ClusterAllocation,
-    ClusterSpec,
-    SaturationError,
     SizeAllocation,
     SizeConditionReport,
     bonferroni_sizes,
     check_size_condition,
     optimal_sizes,
-    optimal_sizes_clustered,
     sidak_sizes,
-    size_map,
-    size_map_inverse,
 )
 from .model import RocModel, roc, roc_deriv
 from .numerics import (
@@ -31,9 +25,6 @@ from .numerics import (
     ConvergenceError,
     RootResult,
     find_root,
-    log_norm_cdf,
-    norm_cdf,
-    norm_quantile,
 )
 from .oracle import (
     ConcavityReport,

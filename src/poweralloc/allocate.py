@@ -21,9 +21,15 @@ at least eta_S, and at d = max_m g_m(eta_S) at most eta_S.  All
 aggregation happens on log(1 - eta), so allocations with sizes near 1e-12
 or far smaller lose no precision.
 
+Hypotheses that share an effect size share their size, so the system is
+solved once per distinct gamma, each weighted by its count in the budget
+sum: a panel with K distinct effect sizes costs a K-element solve, and an
+exchangeable panel a single one at the Sidak multiplier.
+
 The one-parameter structure also gives the inverse map cheaply: the budget
-W at which test m first receives size s is found by evaluating the budget
-at the multiplier d = g_m(s), with no nested root finding.
+W at which test m first receives size s is the budget realized at the
+multiplier d = g_m(s), with no nested root finding.
+``procedures.generalized_pvalues`` evaluates it for a whole panel.
 """
 
 from __future__ import annotations
@@ -39,18 +45,12 @@ from .numerics import Bracket, find_root
 
 __all__ = [
     "AllocationError",
-    "ClusterAllocation",
-    "ClusterSpec",
-    "SaturationError",
     "SizeAllocation",
     "SizeConditionReport",
     "bonferroni_sizes",
     "check_size_condition",
     "optimal_sizes",
-    "optimal_sizes_clustered",
     "sidak_sizes",
-    "size_map",
-    "size_map_inverse",
 ]
 
 LOG_SQRT_2PI = 0.9189385332046727
@@ -58,7 +58,6 @@ V_LO, V_HI = -40.0, 40.0
 INNER_TOL = 1e-13
 OUTER_TOL = 1e-13
 BUDGET_TOL = 1e-10
-ALPHA_CAP = 1.0 - 1e-12
 EPS = float(np.finfo(float).eps)
 # log_ndtr(v) returns 0 once 1 - Phi(v) drops below about 6e-311 (v > 37.677,
 # where erfc underflows): a log Phi under this magnitude cannot be resolved.
@@ -67,10 +66,6 @@ LOG_PHI_FLUSH = 1e-310
 
 class AllocationError(RuntimeError):
     """The Lagrange system could not be solved to the budget's precision."""
-
-
-class SaturationError(ValueError):
-    """Requested per-test size is not attained by any budget below the cap."""
 
 
 @dataclass(frozen=True)
@@ -100,67 +95,6 @@ class SizeAllocation:
     @property
     def M(self) -> int:
         return self.sizes.size
-
-
-@dataclass(frozen=True)
-class ClusterSpec:
-    """K clusters of hypotheses sharing a common effect size within each
-    cluster; counts give the cluster cardinalities."""
-
-    cluster_gammas: tuple[float, ...]
-    cluster_counts: tuple[int, ...]
-
-    def __post_init__(self):
-        gammas = tuple(float(g) for g in self.cluster_gammas)
-        counts = tuple(int(c) for c in self.cluster_counts)
-        object.__setattr__(self, "cluster_gammas", gammas)
-        object.__setattr__(self, "cluster_counts", counts)
-        if len(gammas) < 1 or len(gammas) != len(counts):
-            raise ValueError("need K >= 1 clusters with matching gamma/count lengths")
-        if any(not (math.isfinite(g) and g >= 0.0) for g in gammas):
-            raise ValueError("cluster effect sizes must be finite and >= 0")
-        if any(c < 1 for c in counts):
-            raise ValueError("cluster counts must be positive")
-
-    @property
-    def K(self) -> int:
-        return len(self.cluster_gammas)
-
-    @property
-    def M(self) -> int:
-        return sum(self.cluster_counts)
-
-
-@dataclass(frozen=True)
-class ClusterAllocation:
-    """Per-cluster optimal sizes zeta_k; expand() replicates them to the
-    full per-hypothesis allocation."""
-
-    alpha: float
-    spec: ClusterSpec
-    cluster_sizes: np.ndarray
-    cluster_log1m: np.ndarray
-    lagrange: float
-    constraint_residual: float
-    stationarity_residual: float
-
-    def __post_init__(self):
-        for name in ("cluster_sizes", "cluster_log1m"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    def expand(self) -> SizeAllocation:
-        counts = np.asarray(self.spec.cluster_counts)
-        return SizeAllocation(
-            alpha=self.alpha,
-            sizes=np.repeat(self.cluster_sizes, counts),
-            log1m_sizes=np.repeat(self.cluster_log1m, counts),
-            lagrange=self.lagrange,
-            constraint_residual=self.constraint_residual,
-            stationarity_residual=self.stationarity_residual,
-            method="clustered",
-        )
 
 
 @dataclass(frozen=True)
@@ -263,40 +197,44 @@ def _solve_v(gamma, c, tol: float = INNER_TOL) -> np.ndarray:
     lo = np.full(v.shape, V_LO)
     hi = np.full(v.shape, V_HI)
     idx = np.nonzero(~(below | above))[0]
-    for _ in range(1000):
-        if not idx.size:
-            break
-        vi = v[idx]
-        gi = g[idx]
-        li = log_ndtr(vi)
-        err = li + gi * vi - cc[idx]
-        # Still active while err is above the rounding of c, the error
-        # err * r / slope it leaves in log Phi(v) = log(1 - eta) exceeds tol
-        # relative to that log (absolute past magnitude 1), and the bracket
-        # is wider than a few ulp.  Arrays are freed as soon as they are
-        # spent: a panel solves M^2 elements at once.
-        active = np.abs(err) > 4.0 * EPS * np.abs(cc[idx])
-        # Past the flush, Newton on the tiny slope phi(v) creeps by
-        # |c| / phi(v) a step; a target below the flush is met there.
-        active &= ~((li == 0.0) & (np.abs(err) <= LOG_PHI_FLUSH))
-        log1m_err = np.exp(-0.5 * vi * vi - LOG_SQRT_2PI - li)  # r = phi(v) / Phi(v)
-        slope = log1m_err + gi
-        log1m_err *= np.abs(err) / slope
-        active &= log1m_err > tol * np.minimum(1.0, np.abs(li))
-        del li, log1m_err
-        neg = err < 0.0
-        lo_i = np.where(neg, vi, lo[idx])
-        hi_i = np.where(neg, hi[idx], vi)
-        lo[idx] = lo_i
-        hi[idx] = hi_i
-        active &= hi_i - lo_i > 1e-15 * np.maximum(1.0, np.abs(vi))
-        step = vi - err / slope
-        outside = ~np.isfinite(step) | (step <= lo_i) | (step >= hi_i)
-        # Converged elements keep the v at which err was measured; only the
-        # still-active ones take the Newton/bisection update.
-        v[idx] = np.where(active, np.where(outside, 0.5 * (lo_i + hi_i), step), vi)
-        idx = idx[active]
-        del vi, gi, err, slope, lo_i, hi_i, step
+    # slope = r + gamma below is 0 where gamma = 0 and phi(v) underflows
+    # (v past ~38.6): the Newton step is then not finite and the element
+    # bisects.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(1000):
+            if not idx.size:
+                break
+            vi = v[idx]
+            gi = g[idx]
+            li = log_ndtr(vi)
+            err = li + gi * vi - cc[idx]
+            # Still active while err is above the rounding of c, the error
+            # err * r / slope it leaves in log Phi(v) = log(1 - eta) exceeds tol
+            # relative to that log (absolute past magnitude 1), and the bracket
+            # is wider than a few ulp.  Arrays are freed as soon as they are
+            # spent: a panel solves M^2 elements at once.
+            active = np.abs(err) > 4.0 * EPS * np.abs(cc[idx])
+            # Past the flush, Newton on the tiny slope phi(v) creeps by
+            # |c| / phi(v) a step; a target below the flush is met there.
+            active &= ~((li == 0.0) & (np.abs(err) <= LOG_PHI_FLUSH))
+            log1m_err = np.exp(-0.5 * vi * vi - LOG_SQRT_2PI - li)  # r = phi(v) / Phi(v)
+            slope = log1m_err + gi
+            log1m_err *= np.abs(err) / slope
+            active &= log1m_err > tol * np.minimum(1.0, np.abs(li))
+            del li, log1m_err
+            neg = err < 0.0
+            lo_i = np.where(neg, vi, lo[idx])
+            hi_i = np.where(neg, hi[idx], vi)
+            lo[idx] = lo_i
+            hi[idx] = hi_i
+            active &= hi_i - lo_i > 1e-15 * np.maximum(1.0, np.abs(vi))
+            step = vi - err / slope
+            outside = ~np.isfinite(step) | (step <= lo_i) | (step >= hi_i)
+            # Converged elements keep the v at which err was measured; only the
+            # still-active ones take the Newton/bisection update.
+            v[idx] = np.where(active, np.where(outside, 0.5 * (lo_i + hi_i), step), vi)
+            idx = idx[active]
+            del vi, gi, err, slope, lo_i, hi_i, step
     if idx.size:
         raise AllocationError(
             f"inner size solve did not converge for {idx.size} of {g.size} elements"
@@ -309,13 +247,14 @@ def _log_marginal_value(gammas, s) -> np.ndarray:
 
     s = 0 maps to +inf (infinite marginal value at zero size when gamma > 0;
     by convention also for gamma = 0, where a zero size is only taken at a
-    zero budget).
+    zero budget).  s = 1 maps to -inf for every gamma: a size reaches 1
+    only as d -> 0, where every other size reaches 1 too, so the budget is 1.
     """
     shape = np.broadcast_shapes(np.shape(gammas), np.shape(s))
     gv = np.ascontiguousarray(np.broadcast_to(gammas, shape), dtype=float).ravel()
     sv = np.ascontiguousarray(np.broadcast_to(s, shape), dtype=float).ravel()
-    out = np.full(sv.shape, np.inf)
-    interior = sv > 0.0
+    out = np.where(sv < 1.0, np.inf, -np.inf)
+    interior = (sv > 0.0) & (sv < 1.0)
     v = -ndtri(sv[interior])
     gi = gv[interior]
     out[interior] = log_ndtr(v) + gi * v - 0.5 * gi * gi
@@ -405,11 +344,13 @@ def _solve_multiplier(gammas: np.ndarray, counts: np.ndarray, alpha: float) -> f
 
 
 def _solve_system(gammas, counts, alpha):
-    """Shared optimal-allocation solve; returns (lagrange, log1m, sizes,
-    constraint_residual, stationarity_residual).  A multiplier beyond the
-    float range is reported as inf.  Raises AllocationError when the sizes
-    miss the budget by more than BUDGET_TOL, which happens once gamma^2/2
-    is so large that log d has no precision left (gamma ~ 1e8)."""
+    """Optimal allocation for effect sizes ``gammas`` that occur ``counts``
+    times each; returns (lagrange, log1m, sizes, constraint_residual,
+    stationarity_residual), log1m and sizes with one entry per gamma.  A
+    multiplier beyond the float range, as at a zero budget, is reported as
+    inf.  Raises AllocationError when the sizes miss the budget by more
+    than BUDGET_TOL, which happens once gamma^2/2 is so large that log d
+    has no precision left (gamma ~ 1e8)."""
     log_d = _solve_multiplier(gammas, counts, alpha)
     v, log1m = _size_profile(gammas, log_d)
     sizes = -np.expm1(log1m)
@@ -435,90 +376,22 @@ def optimal_sizes(model: RocModel, alpha: float) -> SizeAllocation:
 
     Satisfies rho_m'(eta_m)(1 - eta_m) = d for a common d and
     sum log(1 - eta_m) = log(1 - alpha); for an exchangeable model this is
-    exactly the Sidak allocation.
+    exactly the Sidak allocation.  Equal effect sizes get bitwise-equal
+    sizes, and a zero budget gives every test size 0.
     """
     alpha = _validate_alpha(alpha)
-    gammas = model.gammas
-    if alpha == 0.0:
-        zeros = np.zeros_like(gammas)
-        return SizeAllocation(
-            alpha=0.0, sizes=zeros, log1m_sizes=zeros, lagrange=math.inf,
-            constraint_residual=0.0, stationarity_residual=0.0, method="optimal",
-        )
+    gammas, inverse, counts = np.unique(model.gammas, return_inverse=True, return_counts=True)
     lagrange, log1m, sizes, constraint, stationarity = _solve_system(
-        gammas, np.ones_like(gammas), alpha)
+        gammas, counts.astype(float), alpha)
     return SizeAllocation(
         alpha=alpha,
-        sizes=sizes,
-        log1m_sizes=log1m,
+        sizes=sizes[inverse],
+        log1m_sizes=log1m[inverse],
         lagrange=lagrange,
         constraint_residual=constraint,
         stationarity_residual=stationarity,
         method="optimal",
     )
-
-
-def optimal_sizes_clustered(spec: ClusterSpec, alpha: float) -> ClusterAllocation:
-    """Optimal allocation when hypotheses come in clusters with a shared
-    effect size: solves the K-dimensional system with cardinality weights
-    sum_k |M_k| log(1 - zeta_k) = log(1 - alpha)."""
-    alpha = _validate_alpha(alpha)
-    gammas = np.asarray(spec.cluster_gammas, dtype=float)
-    counts = np.asarray(spec.cluster_counts, dtype=float)
-    if alpha == 0.0:
-        zeros = np.zeros_like(gammas)
-        return ClusterAllocation(
-            alpha=0.0, spec=spec, cluster_sizes=zeros, cluster_log1m=zeros,
-            lagrange=math.inf, constraint_residual=0.0, stationarity_residual=0.0,
-        )
-    lagrange, log1m, sizes, constraint, stationarity = _solve_system(gammas, counts, alpha)
-    return ClusterAllocation(
-        alpha=alpha,
-        spec=spec,
-        cluster_sizes=sizes,
-        cluster_log1m=log1m,
-        lagrange=lagrange,
-        constraint_residual=constraint,
-        stationarity_residual=stationarity,
-    )
-
-
-def size_map(model: RocModel, alpha: float, m: int) -> float:
-    """eta_m(alpha): the m-th coordinate (0-based) of the optimal
-    allocation, as a function of the budget.  Nondecreasing and continuous
-    in alpha, with eta_m(0) = 0."""
-    if not (0 <= int(m) < model.M):
-        raise IndexError(f"hypothesis index {m} out of range for M={model.M}")
-    return float(optimal_sizes(model, alpha).sizes[int(m)])
-
-
-def size_map_inverse(model: RocModel, m: int, s: float) -> float:
-    """The budget W at which test m first receives size s: eta_m(W) = s.
-
-    Uses the one-parameter structure of the allocation: s pins the
-    multiplier d = g_m(s) in closed form, and W is the budget realized at
-    that multiplier.  Exchangeable models reduce to W = 1 - (1-s)^M.
-    Raises SaturationError when s exceeds the size attainable at the budget
-    cap 1 - 1e-12.
-    """
-    if not (0 <= int(m) < model.M):
-        raise IndexError(f"hypothesis index {m} out of range for M={model.M}")
-    s = float(s)
-    if not (0.0 <= s < 1.0):
-        raise ValueError(f"target size must lie in [0, 1), got {s!r}")
-    if s == 0.0:
-        return 0.0
-    gammas = model.gammas
-    log_d = float(_log_marginal_value(gammas[int(m)], s))
-    _, log1m = _size_profile(gammas, log_d)
-    w = float(-np.expm1(log1m.sum()))
-    if w > ALPHA_CAP:
-        s_max = size_map(model, ALPHA_CAP, m)
-        raise SaturationError(
-            f"size {s:.6g} for hypothesis {m} needs a budget above {ALPHA_CAP}; "
-            f"attainable sizes are [0, {s_max:.6g}]"
-        )
-    return w
 
 
 def _size_condition_report(grid, sizes) -> SizeConditionReport:

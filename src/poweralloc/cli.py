@@ -28,20 +28,11 @@ import sys
 
 import numpy as np
 
-from .allocate import (
-    AllocationError,
-    ClusterSpec,
-    SaturationError,
-    SizeAllocation,
-    bonferroni_sizes,
-    optimal_sizes,
-    optimal_sizes_clustered,
-    sidak_sizes,
-)
-from .model import RocModel, roc
+from .allocate import AllocationError, bonferroni_sizes, optimal_sizes, sidak_sizes
+from .model import RocModel
 from .numerics import BracketingError, ConvergenceError
 from .procedures import generalized_pvalues
-from .sim import PROCEDURE_TAGS, _decide, run_table
+from .sim import PROCEDURE_TAGS, _decide, _power_vs_sidak, run_table
 
 SCHEMA_VERSION = "2"
 _MODEL_PROCEDURES = ("weak-fwer-opt", "strong-fwer-opt", "fdr-opt")
@@ -120,6 +111,8 @@ def _cmd_allocate(args) -> int:
     alpha = args.alpha
     if not (0.0 <= alpha < 1.0):
         raise ValueError(f"--alpha must lie in [0, 1), got {alpha}")
+    if args.method == "clustered" and not args.input:
+        raise ValueError("--method clustered needs --input with a 'cluster' column")
 
     ids: list[str]
     gammas: np.ndarray | None = None
@@ -143,7 +136,15 @@ def _cmd_allocate(args) -> int:
 
     M = len(ids)
     method = args.method
-    if method == "optimal":
+    if method == "clustered":
+        # A cluster label promises one shared effect size; optimal_sizes
+        # already solves once per distinct gamma.
+        shared: dict[str, float] = {}
+        for label, gamma in zip(clusters, gammas):
+            if shared.setdefault(label, gamma) != gamma:
+                raise ValueError(f"cluster {label!r} mixes different gammas: "
+                                 f"{shared[label]} and {gamma}")
+    if method in ("optimal", "clustered"):
         if gammas is None:
             raise ValueError("--method optimal needs per-test gammas "
                              "(gamma column or --gamma-const)")
@@ -152,42 +153,13 @@ def _cmd_allocate(args) -> int:
         allocation = sidak_sizes(M, alpha)
     elif method == "bonferroni":
         allocation = bonferroni_sizes(M, alpha)
-    elif method == "clustered":
-        labels: list[str] = []
-        for c in clusters:
-            if c not in labels:
-                labels.append(c)
-        spec_gammas = []
-        counts = []
-        for label in labels:
-            members = [g for g, c in zip(gammas, clusters) if c == label]
-            if len(set(members)) > 1:
-                raise ValueError(f"cluster {label!r} mixes different gammas: {sorted(set(members))}")
-            spec_gammas.append(members[0])
-            counts.append(len(members))
-        clustered = optimal_sizes_clustered(
-            ClusterSpec(tuple(spec_gammas), tuple(counts)), alpha
-        )
-        # expand() orders by cluster; rebuild in input row order instead.
-        per_size = dict(zip(labels, clustered.cluster_sizes))
-        per_log1m = dict(zip(labels, clustered.cluster_log1m))
-        allocation = SizeAllocation(
-            alpha=alpha,
-            sizes=np.array([per_size[c] for c in clusters]),
-            log1m_sizes=np.array([per_log1m[c] for c in clusters]),
-            lagrange=clustered.lagrange,
-            constraint_residual=clustered.constraint_residual,
-            stationarity_residual=clustered.stationarity_residual,
-            method="clustered",
-        )
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown method {method!r}")
 
     sizes = allocation.sizes
     efficiency = None
     if gammas is not None and 0.0 < alpha < 1.0:
-        sidak = sidak_sizes(M, alpha).sizes
-        efficiency = 100.0 * roc(gammas, sizes).sum() / roc(gammas, sidak).sum()
+        efficiency = _power_vs_sidak(gammas, sizes, alpha)
 
     summary = {
         "alpha": alpha,
@@ -414,7 +386,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (AllocationError, ConvergenceError, BracketingError, SaturationError) as exc:
+    except (AllocationError, ConvergenceError, BracketingError) as exc:
         print(f"poweralloc: numerical failure: {exc}", file=sys.stderr)
         return 3
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:

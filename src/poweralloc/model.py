@@ -55,13 +55,6 @@ class RocModel:
     def M(self) -> int:
         return self.gammas.size
 
-    def __len__(self) -> int:
-        return self.gammas.size
-
-    @property
-    def exchangeable(self) -> bool:
-        return bool(np.all(self.gammas == self.gammas[0]))
-
 
 def _validate_eta(eta, open_interval: bool = False):
     eta = np.asarray(eta, dtype=float)

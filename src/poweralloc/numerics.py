@@ -1,14 +1,6 @@
-"""Scalar numerical kernels: standard-normal CDF/quantile/log-CDF and a
-safeguarded bracketed root finder.
+"""A safeguarded bracketed root finder.
 
-The normal functions are thin validated wrappers over scipy.special's
-erfc-based implementations (ndtr/ndtri/log_ndtr), which are accurate to
-better than 1e-15 relative in the body and carry a dedicated asymptotic
-expansion in the lower log-tail.  Everything downstream that can underflow
-(per-test sizes around 1e-12 and far smaller) works in log space through
-``log_norm_cdf``.
-
-The root finder is a hybrid: a Newton step (when a derivative is supplied)
+It is a hybrid: a Newton step (when a derivative is supplied)
 or a secant step is accepted only if it stays strictly inside the current
 sign-change bracket and keeps shrinking it; otherwise the step is replaced
 by a bisection.  Convergence is therefore guaranteed for any continuous
@@ -22,19 +14,12 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from scipy.special import log_ndtr as _log_ndtr
-from scipy.special import ndtr as _ndtr
-from scipy.special import ndtri as _ndtri
-
 __all__ = [
     "Bracket",
     "BracketingError",
     "ConvergenceError",
     "RootResult",
     "find_root",
-    "log_norm_cdf",
-    "norm_cdf",
-    "norm_quantile",
 ]
 
 DEFAULT_TOL = 1e-12
@@ -51,38 +36,6 @@ class ConvergenceError(RuntimeError):
     def __init__(self, message: str, best: "RootResult"):
         super().__init__(message)
         self.best = best
-
-
-def norm_cdf(z: float) -> float:
-    """Standard normal CDF Phi(z); z must be finite."""
-    z = float(z)
-    if not math.isfinite(z):
-        raise ValueError(f"norm_cdf requires finite input, got {z!r}")
-    return float(_ndtr(z))
-
-
-def norm_quantile(p: float) -> float:
-    """Standard normal quantile Phi^{-1}(p) for p in [0, 1].
-
-    p outside [0, 1] (or non-finite) is rejected; the endpoints return
-    -inf / +inf so that callers can apply their own boundary conventions.
-    """
-    p = float(p)
-    if not (0.0 <= p <= 1.0):
-        raise ValueError(f"norm_quantile requires p in [0, 1], got {p!r}")
-    if p == 0.0:
-        return -math.inf
-    if p == 1.0:
-        return math.inf
-    return float(_ndtri(p))
-
-
-def log_norm_cdf(z: float) -> float:
-    """log Phi(z), accurate deep into the lower tail (no underflow)."""
-    z = float(z)
-    if not math.isfinite(z):
-        raise ValueError(f"log_norm_cdf requires finite input, got {z!r}")
-    return float(_log_ndtr(z))
 
 
 @dataclass(frozen=True)

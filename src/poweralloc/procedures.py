@@ -159,14 +159,6 @@ class TruthAssignment:
     def n_alternatives(self) -> int:
         return int(self.theta.sum())
 
-    @property
-    def null_indices(self) -> np.ndarray:
-        return np.nonzero(self.theta == 0)[0]
-
-    @property
-    def alternative_indices(self) -> np.ndarray:
-        return np.nonzero(self.theta == 1)[0]
-
 
 def _validate_pvalues(s) -> np.ndarray:
     s = np.atleast_1d(np.asarray(s, dtype=float))
@@ -206,12 +198,12 @@ def generalized_pvalues(model: RocModel, s) -> PValuePanel:
     """Budget-scale p-values W_m: the smallest weak-FWER budget at which
     hypothesis m is rejected by the optimal allocation.
 
-    Satisfies S_m = eta_m(W_m); in an exchangeable model
+    Satisfies S_m = eta_m(W_m), that is
+    ``optimal_sizes(model, W_m).sizes[m] == S_m``; in an exchangeable model
     W_m = 1 - (1 - S_m)^M.  Anti-rank ties break by ascending index.
-    A hypothesis whose p-value exceeds every size it can ever be allocated
-    is rejected at no budget below 1, and its W_m is (numerically) 1: the
-    empty infimum resolves to 1 rather than an error, unlike the strict
-    inverse ``size_map_inverse``.
+    A hypothesis whose p-value exceeds every size it can be allocated at a
+    budget below 1 in floating point, a p-value of 1 included, gets
+    W_m = 1.
     """
     s = _validate_pvalues(s)
     if model.M != s.size:

@@ -217,10 +217,13 @@ def efficiency_vs_sidak(model: RocModel, alpha: float) -> float:
     percent: 100 * sum rho_m(eta_m_opt) / sum rho_m(eta_m_Sidak)."""
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-    gammas = model.gammas
-    opt = optimal_sizes(model, alpha).sizes
-    sid = sidak_sizes(model.M, alpha).sizes
-    return float(100.0 * roc(gammas, opt).sum() / roc(gammas, sid).sum())
+    return _power_vs_sidak(model.gammas, optimal_sizes(model, alpha).sizes, alpha)
+
+
+def _power_vs_sidak(gammas: np.ndarray, sizes: np.ndarray, alpha: float) -> float:
+    """100 * sum rho_m(sizes_m) / sum rho_m(eta_Sidak) at budget alpha."""
+    sidak = sidak_sizes(gammas.size, alpha).sizes
+    return float(100.0 * roc(gammas, sizes).sum() / roc(gammas, sidak).sum())
 
 
 def _decide(tag: str, model: RocModel, s: np.ndarray, budget: float) -> Decision:

@@ -1,5 +1,6 @@
-"""Size allocation: baselines, the Lagrange solve, the budget map and its
-inverse, and the step-up size-condition diagnostic."""
+"""Size allocation: baselines, the Lagrange solve and its compression to
+distinct effect sizes, the budget map and its inverse, and the step-up
+size-condition diagnostic."""
 
 import math
 
@@ -10,19 +11,16 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from poweralloc import (
-    ClusterSpec,
     RocModel,
-    SaturationError,
     bonferroni_sizes,
     check_size_condition,
+    generalized_pvalues,
     grid_optimal_sizes,
     optimal_sizes,
-    optimal_sizes_clustered,
     roc,
     sidak_sizes,
-    size_map,
-    size_map_inverse,
 )
+from poweralloc.allocate import _solve_system
 
 ALPHAS = (0.01, 0.05, 0.2)
 
@@ -151,6 +149,7 @@ class TestOptimalSizes:
         ([0.0, 1e-12], 1 - 2**-53),      # Sidak size within 1e-16 of 1
         ([0.0], 1e-323),                 # log(1 - alpha) below log Phi's underflow
         ([1e-320, 0.0], 5e-311),         # a subnormal effect at the underflow edge
+        ([0.0, 2.5], 5.29313632357417e-305),  # gamma = 0 where phi(v) underflows
     ])
     def test_extreme_budgets(self, gammas, alpha):
         alloc = optimal_sizes(RocModel.from_gammas(gammas), alpha)
@@ -170,97 +169,105 @@ class TestOptimalSizes:
 
 
 class TestClustered:
-    def test_expansion_matches_per_hypothesis_solve(self):
-        spec = ClusterSpec((0.5, 1.0, 4.0), (3, 5, 2))
-        clustered = optimal_sizes_clustered(spec, 0.05)
-        expanded = clustered.expand()
-        flat = RocModel.from_gammas(np.repeat(spec.cluster_gammas, spec.cluster_counts))
-        direct = optimal_sizes(flat, 0.05)
-        np.testing.assert_allclose(expanded.sizes, direct.sizes, atol=1e-9)
-        assert abs(clustered.constraint_residual) < 1e-10
-        assert clustered.stationarity_residual < 1e-6
+    @settings(max_examples=200, deadline=None)
+    @given(
+        gammas=st.integers(1, 200).flatmap(lambda m: arrays(
+            float, m, elements=st.sampled_from([0.0, 1e-3, 0.5, 1.0, 2.5, 7.0]))),
+        alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_expansion_matches_per_hypothesis_solve(self, gammas, alpha, seed):
+        # optimal_sizes solves once per distinct gamma, the direct solve once
+        # per hypothesis.  Their budget sums round differently, so a size
+        # holding a small share of the budget can move by more than 1e-12
+        # of itself, but not by more than 1e-12 of the budget.
+        model = RocModel.from_gammas(gammas)
+        alloc = optimal_sizes(model, alpha)
+        _, direct_log1m, _, _, _ = _solve_system(gammas, np.ones(gammas.size), alpha)
+        np.testing.assert_allclose(alloc.log1m_sizes, direct_log1m, rtol=1e-12,
+                                   atol=1e-12 * min(1.0, -math.log1p(-alpha)))
+        for g in np.unique(gammas):
+            tied = alloc.sizes[gammas == g]
+            assert np.array_equal(tied, np.full(tied.size, tied[0]))
+        perm = np.random.default_rng(seed).permutation(gammas.size)
+        permuted = optimal_sizes(RocModel.from_gammas(gammas[perm]), alpha)
+        assert np.array_equal(permuted.sizes, alloc.sizes[perm])
+        assert np.array_equal(permuted.log1m_sizes, alloc.log1m_sizes[perm])
 
     def test_single_cluster_is_sidak(self):
         for g in (0.2, 1.0, 5.0):
-            clustered = optimal_sizes_clustered(ClusterSpec((g,), (8,)), 0.05)
-            assert clustered.cluster_sizes[0] == pytest.approx(
-                sidak_sizes(8, 0.05).sizes[0], rel=1e-9
-            )
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ClusterSpec((), ())
-        with pytest.raises(ValueError):
-            ClusterSpec((1.0,), (0,))
-        with pytest.raises(ValueError):
-            ClusterSpec((1.0, 2.0), (3,))
+            sizes = optimal_sizes(RocModel.from_gammas(np.full(8, g)), 0.05).sizes
+            assert np.all(sizes == sizes[0])
+            assert sizes[0] == pytest.approx(sidak_sizes(8, 0.05).sizes[0], rel=1e-9)
 
 
 class TestSizeMap:
+    """eta_m(alpha) is coordinate m of optimal_sizes(model, alpha)."""
+
     def test_exchangeable_closed_form(self):
         model = RocModel.from_gammas(np.full(10, 2.0))
         for alpha in (0.01, 0.05, 0.3):
             expected = 1.0 - (1.0 - alpha) ** 0.1
+            sizes = optimal_sizes(model, alpha).sizes
             for m in (0, 5, 9):
-                assert size_map(model, alpha, m) == pytest.approx(expected, rel=1e-9)
+                assert sizes[m] == pytest.approx(expected, rel=1e-9)
 
     def test_zero_budget(self):
         model = RocModel.from_gammas([1.0, 3.0])
-        assert size_map(model, 0.0, 0) == 0.0
-
-    def test_index_check(self):
-        model = RocModel.from_gammas([1.0])
-        with pytest.raises(IndexError):
-            size_map(model, 0.05, 1)
+        assert optimal_sizes(model, 0.0).sizes[0] == 0.0
 
 
 class TestSizeMapInverse:
+    """The budget W_m at which test m first receives size s_m is the
+    budget-scale p-value of generalized_pvalues."""
+
     def test_exchangeable_closed_form(self):
         model = RocModel.from_gammas(np.full(10, 1.5))
-        w = size_map_inverse(model, 0, 0.01)
+        w = generalized_pvalues(model, np.full(10, 0.01)).w[0]
         assert w == pytest.approx(1.0 - 0.99 ** 10, rel=1e-10)
         assert w == pytest.approx(0.09562, abs=5e-6)
 
     def test_zero_size(self):
         model = RocModel.from_gammas([1.0, 2.0])
-        assert size_map_inverse(model, 1, 0.0) == 0.0
+        assert generalized_pvalues(model, [0.3, 0.0]).w[1] == 0.0
 
     def test_round_trip_heterogeneous(self):
         model = RocModel.from_gammas([1.0, 2.0])
-        w = size_map_inverse(model, 0, 0.02)
-        assert abs(size_map(model, w, 0) - 0.02) <= 1e-10
+        w = generalized_pvalues(model, [0.02, 0.5]).w[0]
+        assert abs(optimal_sizes(model, w).sizes[0] - 0.02) <= 1e-10
 
     def test_round_trip_random(self):
         # Stay inside each coordinate's attainable range: high-effect tests
         # keep small sizes at every budget, so their range can be narrow.
         rng = np.random.default_rng(404)
-        model = RocModel.from_gammas(rng.uniform(0.1, 8.0, 12))
-        caps = [size_map(model, 0.999, m) for m in range(12)]
-        for _ in range(50):
-            m = int(rng.integers(0, 12))
-            s = float(rng.uniform(1e-8, 0.9 * caps[m]))
-            w = size_map_inverse(model, m, s)
-            assert abs(size_map(model, w, m) - s) <= 1e-10
+        for _ in range(6):
+            M = int(rng.integers(1, 13))
+            model = RocModel.from_gammas(rng.uniform(0.1, 8.0, M))
+            caps = optimal_sizes(model, 0.999).sizes
+            s = rng.uniform(1e-8, 0.9 * caps)
+            w = generalized_pvalues(model, s).w
+            for m in range(M):
+                assert abs(optimal_sizes(model, w[m]).sizes[m] - s[m]) <= 1e-10
 
     def test_saturation(self):
+        # A p-value of 1 exceeds every size allocated below budget 1.
         model = RocModel.from_gammas([1.0, 1.0])
-        with pytest.raises(SaturationError):
-            size_map_inverse(model, 0, 1.0 - 1e-8)
+        assert generalized_pvalues(model, [0.3, 1.0]).w[1] == 1.0
 
     def test_saturation_narrow_range_coordinate(self):
         # A strong test in a mixed panel never gets a moderate size: the
         # rest of the panel exhausts the budget first.
         model = RocModel.from_gammas([0.5, 0.7, 1.0, 8.0])
-        with pytest.raises(SaturationError) as exc:
-            size_map_inverse(model, 3, 0.3)
-        assert "attainable" in str(exc.value)
+        assert optimal_sizes(model, math.nextafter(1.0, 0.0)).sizes[3] < 0.3
+        assert generalized_pvalues(model, [0.1, 0.2, 0.3, 0.3]).w[3] == 1.0
 
     def test_validation(self):
         model = RocModel.from_gammas([1.0])
+        for bad in (1.1, -0.1, math.nan):
+            with pytest.raises(ValueError):
+                generalized_pvalues(model, [bad])
         with pytest.raises(ValueError):
-            size_map_inverse(model, 0, 1.0)
-        with pytest.raises(IndexError):
-            size_map_inverse(model, 3, 0.1)
+            generalized_pvalues(model, [0.1, 0.2])
 
 
 class TestSizeCondition:

@@ -78,6 +78,32 @@ class TestAllocate:
         assert etas[0] == pytest.approx(0.0035, abs=5e-4)
         assert etas[19] == pytest.approx(0.0016, abs=5e-4)
 
+    def test_clustered_interleaved_labels_keep_input_order(self, tmp_path):
+        rows = [[f"g{i}", 1.0 if i % 2 == 0 else 5.0, "lo" if i % 2 == 0 else "hi"]
+                for i in range(8)]
+        path = tmp_path / "clusters.csv"
+        write_csv(path, ["id", "gamma", "cluster"], rows)
+        clustered = json.loads(run_cli("allocate", "--alpha", "0.05", "--method", "clustered",
+                                       "--input", str(path)).stdout)
+        optimal = json.loads(run_cli("allocate", "--alpha", "0.05", "--method", "optimal",
+                                     "--input", str(path)).stdout)
+        assert clustered["method"] == "clustered"
+        assert [r["id"] for r in clustered["records"]] == [r[0] for r in rows]
+        assert [r["cluster"] for r in clustered["records"]] == [r[2] for r in rows]
+        assert [r["eta"] for r in clustered["records"]] == [r["eta"] for r in optimal["records"]]
+        assert clustered["records"][0]["eta"] > clustered["records"][1]["eta"]
+
+    def test_clustered_label_with_two_gammas_is_usage_error(self, tmp_path):
+        path = tmp_path / "clusters.csv"
+        write_csv(path, ["id", "gamma", "cluster"],
+                  [["a", 1.0, "lo"], ["b", 5.0, "hi"], ["c", 1.5, "lo"]])
+        proc = run_cli("allocate", "--alpha", "0.05", "--method", "clustered",
+                       "--input", str(path), expect=2)
+        assert "'lo'" in proc.stderr
+        proc = run_cli("allocate", "--alpha", "0.05", "--M", "4", "--gamma-const", "1",
+                       "--method", "clustered", expect=2)
+        assert "cluster" in proc.stderr
+
     def test_deterministic_output(self):
         args = ("allocate", "--alpha", "0.05", "--M", "6", "--gamma-const", "1.5",
                 "--out", "csv")

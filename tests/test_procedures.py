@@ -64,6 +64,13 @@ class TestGeneralizedPvalues:
         panel = generalized_pvalues(model, [0.1, 0.2, 0.3, 0.4])
         assert panel.w[3] > 0.999999
 
+    def test_pvalue_one_gets_budget_one_at_zero_effect(self):
+        # gamma = 0 at a p-value of 1 once gave log d = 0 * (-inf) = NaN.
+        panel = generalized_pvalues(RocModel.from_gammas([0.0, 1.0]), [1.0, 0.5])
+        assert panel.w[0] == 1.0
+        assert panel.w[1] < 1.0
+        assert panel.antiranks.tolist() == [1, 0]
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             generalized_pvalues(RocModel.from_gammas([1.0]), [0.1, 0.2])
