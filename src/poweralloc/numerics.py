@@ -4,8 +4,9 @@ It is a hybrid: a Newton step (when a derivative is supplied)
 or a secant step is accepted only if it stays strictly inside the current
 sign-change bracket and keeps shrinking it; otherwise the step is replaced
 by a bisection.  Convergence is therefore guaranteed for any continuous
-function with a bracketed sign change, at no worse than twice the cost of
-pure bisection.
+function with a bracketed sign change, at no worse than three times the
+cost of pure bisection: a bisection is forced whenever two steps have not
+halved the bracket, so it halves at least once every three steps.
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.special import log_ndtr
 
 from poweralloc import (
     RocModel,
@@ -20,7 +21,9 @@ from poweralloc import (
     roc,
     sidak_sizes,
 )
-from poweralloc.allocate import _solve_system
+from poweralloc.allocate import LOG_PHI_FLUSH, SOLVE_BLOCK, V_HI, _solve_system, _solve_v
+
+from helpers import newton_solve_v
 
 ALPHAS = (0.01, 0.05, 0.2)
 
@@ -150,6 +153,8 @@ class TestOptimalSizes:
         ([0.0], 1e-323),                 # log(1 - alpha) below log Phi's underflow
         ([1e-320, 0.0], 5e-311),         # a subnormal effect at the underflow edge
         ([0.0, 2.5], 5.29313632357417e-305),  # gamma = 0 where phi(v) underflows
+        ([26.0, 27.0, 0.0], 1.175494351e-38),  # a gap flat on the Newton side
+        ([9.5e-301, 5e-301], 1e-300),    # a bracket born narrower than OUTER_TOL
     ])
     def test_extreme_budgets(self, gammas, alpha):
         alloc = optimal_sizes(RocModel.from_gammas(gammas), alpha)
@@ -166,6 +171,52 @@ class TestOptimalSizes:
     def test_any_valid_panel_meets_the_budget(self, gammas, alpha):
         alloc = optimal_sizes(RocModel.from_gammas(gammas), alpha)
         assert abs(alloc.constraint_residual) <= 1e-12
+
+
+class TestInnerSolve:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        head=st.integers(0, 64).flatmap(lambda k: st.tuples(
+            arrays(float, k, elements=st.one_of(st.just(0.0), st.floats(0.0, 100.0))),
+            arrays(float, k, elements=st.one_of(
+                st.floats(-5000.0, 5000.0), st.floats(-50.0, 5.0), st.floats(-1e-12, 0.0))))),
+        n=st.integers(1, 2 * SOLVE_BLOCK + 100),
+        seed=st.integers(0, 2**32 - 1),
+        cut=st.floats(0.0, 1.0),
+    )
+    def test_matches_newton_and_ignores_blocks(self, head, n, seed, cut):
+        # The drawn head, then random elements up to length n: gammas in
+        # [0, 100] with exact zeros, and targets c both spanning the two
+        # corner clamps and concentrated where the root is interior.
+        rng = np.random.default_rng(seed)
+        tail = max(0, n - head[0].size)
+        gamma = np.concatenate([head[0], np.where(
+            rng.random(tail) < 0.1, 0.0, rng.uniform(0.0, 100.0, tail))])
+        c = np.concatenate([head[1], np.where(
+            rng.random(tail) < 0.2, rng.uniform(-5000.0, 5000.0, tail),
+            rng.uniform(-50.0, 5.0, tail))])
+        v, log_phi = _solve_v(gamma, c)
+        assert np.array_equal(log_phi, log_ndtr(v))
+        v_ref = newton_solve_v(gamma, c)
+        reference = log_ndtr(v_ref)
+        # Where log Phi has flushed to 0 the Newton solve stops whatever its
+        # err, as r underflows in its relative test; there the new solve
+        # must leave no larger an error in the equation.
+        ref_err = np.abs(gamma * v_ref - c)
+        blind = (reference == 0.0) & (v_ref < V_HI) & (ref_err > LOG_PHI_FLUSH)
+        assert np.all(np.abs(log_phi + gamma * v - c)[blind] <= ref_err[blind])
+        # Either solve may stop on a bracket 1e-15 max(1, |v|) wide, across
+        # which log Phi moves by about 1e-15 v^2 of itself: more than 1e-13
+        # of itself far in the upper tail.
+        width = 2e-15 * np.maximum(1.0, np.abs(v_ref))
+        slack = (np.abs(log_ndtr(v_ref + width) - reference) + LOG_PHI_FLUSH)[~blind]
+        gap = np.abs(log_phi - reference)[~blind]
+        assert np.all(gap <= 2.5e-13 * np.abs(reference[~blind]) + slack)
+        k = int(cut * gamma.size)
+        v_a, log_phi_a = _solve_v(gamma[:k], c[:k])
+        v_b, log_phi_b = _solve_v(gamma[k:], c[k:])
+        assert np.array_equal(np.concatenate([v_a, v_b]), v)
+        assert np.array_equal(np.concatenate([log_phi_a, log_phi_b]), log_phi)
 
 
 class TestClustered:

@@ -2,12 +2,16 @@
 rules, their p-value-only baselines, and the structural invariants
 (prefix property, budget monotonicity, exchangeable reductions)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import log_ndtr, ndtr
 
 from poweralloc import (
     RocModel,
+    allocate,
     decide_bh,
     decide_bonferroni,
     decide_fdr_opt,
@@ -78,6 +82,42 @@ class TestGeneralizedPvalues:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             generalized_pvalues(RocModel.from_gammas([1.0]), [])
+
+
+class TestPanelCost:
+    """The work and memory of one M=1000 panel, counted rather than timed."""
+
+    @pytest.fixture(scope="class")
+    def panel(self):
+        # The paper's scenario (p = 0.2, nu = 2), drawn like the first panel
+        # of the benchmark's decide_m1000 workload at seed 0.
+        rng = np.random.default_rng([0, 0, 0])
+        theta = rng.random(1000) < 0.2
+        gammas = np.abs(rng.normal(2.0, 1.0, 1000))
+        x = gammas * theta + rng.standard_normal(1000)
+        return RocModel.from_gammas(gammas), ndtr(-x)
+
+    def test_log_ndtr_calls_per_pair(self, panel, monkeypatch):
+        model, s = panel
+        calls = []
+
+        def counting(v, *args, **kwargs):
+            calls.append(np.size(v))
+            return log_ndtr(v, *args, **kwargs)
+
+        monkeypatch.setattr(allocate, "log_ndtr", counting)
+        generalized_pvalues(model, s)
+        assert sum(calls) <= 3.5 * s.size ** 2
+
+    def test_allocation_peak(self, panel):
+        model, s = panel
+        tracemalloc.start()
+        try:
+            decide_fdr_opt(model, s, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * 2**20
 
 
 class TestWeakFwer:
