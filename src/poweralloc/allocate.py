@@ -346,8 +346,9 @@ def _solve_multiplier(gammas: np.ndarray, counts: np.ndarray, alpha: float) -> f
     eta_S (gap <= 0), and at max_m log g_m(eta_S) at most eta_S (gap >= 0).
     An end whose gap rounds to the wrong sign is itself the root.  Below 1,
     both the gap and log d are measured in units of the budget
-    |log(1 - alpha)| (floored where the scaled gap would overflow), so that
-    OUTER_TOL is relative for small budgets and absolute for large ones.
+    |log(1 - alpha)| (floored where the scaled gap would overflow), and
+    the tolerance shrinks below that floor, so that it is OUTER_TOL relative
+    for small budgets and absolute for large ones.
     """
     target = math.log1p(-alpha)
     log1m_s = target / counts.sum()
@@ -357,6 +358,9 @@ def _solve_multiplier(gammas: np.ndarray, counts: np.ndarray, alpha: float) -> f
     # precision: log Phi(v_S) = log(1 - eta_S) at v_S = Phi^{-1}(1 - eta_S).
     log_g = log1m_s + gammas * float(ndtri_exp(log1m_s)) - 0.5 * gammas * gammas
     scale = min(1.0, max(-target, 1e-200))
+    # Below the scale's floor the gap is no longer in units of the budget,
+    # so the tolerance shrinks with it to stay relative to |log(1 - alpha)|.
+    tol = OUTER_TOL * min(1.0, -target / scale)
     lo, hi = float(log_g.min()) / scale, float(log_g.max()) / scale
     evaluated: dict[float, tuple[float, float]] = {}
 
@@ -373,25 +377,25 @@ def _solve_multiplier(gammas: np.ndarray, counts: np.ndarray, alpha: float) -> f
         # The root finder takes Newton steps only from points it has
         # already evaluated, so each slope comes with its gap.  Its
         # stagnation guard halves the bracket at least once every three
-        # steps, so this many steps narrow any bracket to OUTER_TOL, however
+        # steps, so this many steps narrow any bracket to tol, however
         # flat the gap is on the side the Newton steps come from.
         bracket = Bracket(lo, hi, evaluated[lo][0], evaluated[hi][0])
-        halvings = max(0, math.ceil(math.log2(hi - lo) - math.log2(OUTER_TOL)))
+        halvings = max(0, math.ceil(math.log2(hi - lo) - math.log2(tol)))
         root = find_root(
             gap,
             bracket,
-            tol=OUTER_TOL,
+            tol=tol,
             max_iter=3 * halvings + 4,
             df=lambda t: evaluated[t][1],
         ).root
     # The Sidak multiplier of an exchangeable panel still carries the
     # rounding of the inner solves, and a bracket that narrows below
-    # OUTER_TOL can stop with a gap of slope * OUTER_TOL: one Newton step
-    # from the last point removes either.
+    # tol can stop with a gap of slope * tol: one Newton step from the last
+    # point removes either.
     if root not in evaluated:
         gap(root)
     value, slope = evaluated[root]
-    if abs(value) > OUTER_TOL and slope > 0.0:
+    if abs(value) > tol and slope > 0.0:
         root -= value / slope
     return root * scale
 

@@ -10,10 +10,16 @@ Three subcommands:
 * ``simulate`` - seeded Monte Carlo grid, written as a tidy CSV.
 
 I/O conventions: CSV inputs need a header row and are addressed by column
-name (``id``, ``gamma``, ``pvalue``, ``cluster``); outputs are UTF-8 with
-'.' decimals and probabilities printed to 12 significant digits; JSON
-reports carry schema_version "2".  Exit codes: 0 success, 2 on
-usage/validation problems, 3 on numerical failure.
+name (``id``, ``gamma``, ``pvalue``, ``cluster``).  They are read by
+column: each needed column becomes one list of fields, parsed into floats
+in one pass and validated with numpy, and an error names the first bad
+row by its physical line in the file (blank lines and the extra lines of a
+quoted multi-line field count).  Outputs are UTF-8 with '.' decimals and
+probabilities printed to 12 significant digits; JSON reports carry
+schema_version "2".  The per-hypothesis records of ``allocate`` and
+``decide`` are formatted and written RECORD_CHUNK at a time, with values
+that are the same on every CSV row formatted once.  Exit codes: 0 success,
+2 on usage/validation problems, 3 on numerical failure.
 """
 
 from __future__ import annotations
@@ -21,10 +27,12 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -57,50 +65,168 @@ def _jnum(x):
     return float(f"{x:.12g}")
 
 
-def _read_records(path: str, need: tuple[str, ...]) -> list[dict]:
+# ---------------------------------------------------------------------------
+# reading
+# ---------------------------------------------------------------------------
+
+def _read_columns(path: str, need: tuple[str, ...], also: tuple[str, ...] = ()):
+    """The columns ``need`` (all required) and those of ``also`` that the
+    header names, each a list of stripped fields with None where a short
+    row has no such field, and each record's physical line number.
+
+    Header names are stripped; a name that occurs twice resolves to the
+    field ``csv.DictReader`` would give.  Blank rows are skipped and extra
+    fields ignored.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise ValueError(f"{path}: empty input, a header row is required")
-        names = [n.strip() for n in reader.fieldnames]
+        names = [n.strip() for n in header]
         missing = [col for col in need if col not in names]
         if missing:
             raise ValueError(f"{path}: missing required column(s) {missing}; found {names}")
-        rows = []
-        for line, raw in enumerate(reader, start=2):
-            rec = {(k.strip() if k else k): (v.strip() if isinstance(v, str) else v)
-                   for k, v in raw.items()}
-            rec["_line"] = line
-            rows.append(rec)
-    if not rows:
+        # As csv.DictReader: a repeated name takes its last field, and of
+        # different names that strip alike, the one first seen last wins.
+        index = {raw.strip(): len(header) - 1 - header[::-1].index(raw)
+                 for raw in dict.fromkeys(header)}
+        columns = {name: (index[name], []) for name in need + also if name in index}
+        lines = []
+        for row in reader:
+            if row:
+                lines.append(reader.line_num)
+                for i, column in columns.values():
+                    column.append(row[i].strip() if i < len(row) else None)
+    if not lines:
         raise ValueError(f"{path}: no data rows")
-    return rows
+    return {name: column for name, (_, column) in columns.items()}, lines
 
 
-def _parse_prob(value: str, what: str, line: int) -> float:
+def _present(values: list, name: str, lines: list[int]) -> list:
+    if None in values:
+        raise ValueError(f"line {lines[values.index(None)]}: field {name!r} is missing")
+    return values
+
+
+def _floats(values: list, name: str, lines: list[int], ok, complaint) -> np.ndarray:
+    """The column as floats.  The first row that is missing, not a
+    number, or fails ``ok`` raises ValueError naming its line, with
+    ``complaint(x)`` for the last kind."""
     try:
-        x = float(value)
+        x = np.array([float(v) for v in values], dtype=float)
+        bad = len(values)
     except (TypeError, ValueError):
-        raise ValueError(f"line {line}: {what} {value!r} is not a number") from None
-    if not (0.0 <= x <= 1.0):
-        raise ValueError(f"line {line}: {what} {x} outside [0, 1]")
+        for bad, v in enumerate(values):
+            try:
+                float(v)
+            except (TypeError, ValueError):
+                break
+        x = np.array([float(v) for v in values[:bad]], dtype=float)
+    wrong = np.flatnonzero(~ok(x))
+    if wrong.size:
+        i = int(wrong[0])
+        raise ValueError(f"line {lines[i]}: {complaint(float(x[i]))}")
+    if bad < len(values):
+        _present(values[:bad + 1], name, lines)
+        raise ValueError(f"line {lines[bad]}: {name} {values[bad]!r} is not a number")
     return x
 
 
-def _parse_gamma(value: str, line: int) -> float:
-    try:
-        g = float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"line {line}: gamma {value!r} is not a number") from None
-    if not (math.isfinite(g) and g >= 0.0):
-        raise ValueError(f"line {line}: gamma must be finite and >= 0, got {g}")
-    return g
+def _gammas(values, lines) -> np.ndarray:
+    return _floats(values, "gamma", lines, lambda g: np.isfinite(g) & (g >= 0.0),
+                   lambda g: f"gamma must be finite and >= 0, got {g}")
 
 
-def _write_csv(stream, header: list[str], rows: list[list]) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+def _pvalues(values, lines) -> np.ndarray:
+    return _floats(values, "pvalue", lines, lambda x: (x >= 0.0) & (x <= 1.0),
+                   lambda x: f"pvalue {x} outside [0, 1]")
+
+
+# ---------------------------------------------------------------------------
+# writing
+# ---------------------------------------------------------------------------
+
+# Records formatted and written per chunk: one write call each, and only
+# one chunk's text alive at a time.
+RECORD_CHUNK = 4096
+# Where the records go in a JSON document: no other value can hold a NUL.
+_RECORDS = "\0records"
+
+
+def _csv_numbers(x: np.ndarray) -> list[str]:
+    """``_fmt`` of each element."""
+    return ["" if v != v else f"{v:.12g}" for v in (x + 0.0).tolist()]  # -0.0 + 0.0 is 0.0
+
+
+def _json_numbers(x: np.ndarray) -> list[str]:
+    """``json.dumps(_jnum(v))``, that is ``repr(float(f"{v + 0.0:.12g}"))``,
+    of each element, with null for NaN and +-Infinity for +-inf.
+
+    Two decimals of at most 12 significant digits lie more than a double's
+    spacing apart wherever that spacing is below 1e-12 relative (every
+    normal double), so there repr gives back the digits of ``.12g`` and
+    the texts differ only in layout: repr adds ".0" to an integral value
+    and writes 1e12 <= |v| < 1e16 without an exponent.  Those magnitudes,
+    subnormals and non-finite values take the definition itself.
+    """
+    cells = [c if "." in c or "e" in c else c + ".0" for c in _csv_numbers(x)]
+    a = np.abs(x)
+    slow = ~np.isfinite(a) | ((a >= 9e11) & (a < 2e16)) | ((a > 0.0) & (a < 3e-308))
+    for i in np.flatnonzero(slow).tolist():
+        cells[i] = json.dumps(_jnum(x[i]))
+    return cells
+
+
+def _cells(values, as_json: bool) -> list:
+    """One chunk of a column as text: a list holds text (or anything
+    ``csv.writer`` prints as it is), a float array numbers and a bool or
+    int array integers."""
+    if isinstance(values, list):
+        return [encode_basestring_ascii(v) for v in values] if as_json else values
+    if values.dtype.kind == "f":
+        return _json_numbers(values) if as_json else _csv_numbers(values)
+    return [str(v) for v in values.astype(np.int64).tolist()]
+
+
+def _write_json(stream, doc: dict) -> None:
+    """``json.dump(doc, stream, indent=2)`` and a newline, where
+    ``doc["records"]`` maps each record field to a column (see ``_cells``)
+    and stands for the list of per-row records."""
+    head, tail = json.dumps({**doc, "records": _RECORDS}, indent=2).split(
+        json.dumps(_RECORDS))
+    columns = list(doc["records"].values())
+    n = len(columns[0])
+    if not n:
+        stream.write(f"{head}[]{tail}\n")
+        return
+    template = "    {\n" + ",\n".join(
+        f"      {json.dumps(key)}: %s" for key in doc["records"]) + "\n    }"
+    text = head + "[\n"
+    for lo in range(0, n, RECORD_CHUNK):
+        rows = zip(*[_cells(col[lo:lo + RECORD_CHUNK], True) for col in columns])
+        stream.write(text + ",\n".join([template % row for row in rows]))
+        text = ",\n"
+    stream.write(f"\n  ]{tail}\n")
+
+
+def _write_csv(stream, columns: dict) -> None:
+    """A header row of the keys of ``columns``, then one row per record.
+    A ``str`` column is the same on every row and is formatted once; any
+    other column is as in ``_cells``."""
+    n = next(len(col) for col in columns.values() if not isinstance(col, str))
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(list(columns))
+    for lo in range(0, max(n, 1), RECORD_CHUNK):  # once at least, for the header
+        hi = min(n, lo + RECORD_CHUNK)
+        writer.writerows(zip(*[
+            itertools.repeat(col, hi - lo) if isinstance(col, str) else _cells(col[lo:hi], False)
+            for col in columns.values()
+        ]))
+        stream.write(buffer.getvalue())
+        buffer.seek(0)
+        buffer.truncate()
 
 
 # ---------------------------------------------------------------------------
@@ -119,18 +245,18 @@ def _cmd_allocate(args) -> int:
     clusters: list[str] | None = None
     if args.input:
         need = ("id", "gamma") if args.method in ("optimal", "clustered") else ("id",)
-        rows = _read_records(args.input, need)
-        ids = [r["id"] for r in rows]
-        if "gamma" in rows[0]:
-            gammas = np.array([_parse_gamma(r["gamma"], r["_line"]) for r in rows])
+        columns, lines = _read_columns(args.input, need, ("gamma", "cluster"))
+        ids = _present(columns["id"], "id", lines)
+        if "gamma" in columns:
+            gammas = _gammas(columns.pop("gamma"), lines)
         if args.method == "clustered":
-            if "cluster" not in rows[0] or any(not r.get("cluster") for r in rows):
+            clusters = columns.get("cluster")
+            if clusters is None or not all(clusters):
                 raise ValueError("--method clustered needs a 'cluster' column on every row")
-            clusters = [r["cluster"] for r in rows]
     elif args.M:
         ids = [f"h{i + 1}" for i in range(args.M)]
         if args.gamma_const is not None:
-            gammas = np.full(args.M, _parse_gamma(args.gamma_const, 0))
+            gammas = np.full(args.M, _gammas([args.gamma_const], [0])[0])
     else:
         raise ValueError("provide --input or --M")
 
@@ -156,54 +282,45 @@ def _cmd_allocate(args) -> int:
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown method {method!r}")
 
-    sizes = allocation.sizes
     efficiency = None
     if gammas is not None and 0.0 < alpha < 1.0:
-        efficiency = _power_vs_sidak(gammas, sizes, alpha)
+        efficiency = _power_vs_sidak(gammas, allocation.sizes, alpha)
+    _print_allocation(args.out, alpha, method, ids, gammas, clusters, allocation, efficiency)
+    return 0
 
+
+def _print_allocation(out, alpha, method, ids, gammas, clusters, allocation, efficiency):
+    """Write the allocation report to stdout as ``out`` ("json" or "csv")."""
     summary = {
         "alpha": alpha,
         "method": method,
-        "M": M,
+        "M": len(ids),
         "lagrange": _jnum(allocation.lagrange),
         "constraint_residual": _jnum(allocation.constraint_residual),
         "stationarity_residual": _jnum(allocation.stationarity_residual),
         "efficiency_vs_sidak": _jnum(efficiency),
     }
-    if args.out == "json":
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "allocate",
-            **summary,
-            "records": [
-                {
-                    "id": ids[i],
-                    **({"gamma": _jnum(gammas[i])} if gammas is not None else {}),
-                    **({"cluster": clusters[i]} if clusters else {}),
-                    "eta": _jnum(sizes[i]),
-                }
-                for i in range(M)
-            ],
+    if out == "json":
+        records = {
+            "id": ids,
+            **({"gamma": gammas} if gammas is not None else {}),
+            **({"cluster": clusters} if clusters else {}),
+            "eta": allocation.sizes,
         }
-        json.dump(doc, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        _write_json(sys.stdout, {"schema_version": SCHEMA_VERSION, "command": "allocate",
+                                 **summary, "records": records})
     else:
-        header = ["id", "gamma", "eta", "alpha", "method", "lagrange",
-                  "constraint_residual", "stationarity_residual", "efficiency_vs_sidak"]
-        if clusters:
-            header.insert(2, "cluster")
-        rows_out = []
-        for i in range(M):
-            row = [ids[i], _fmt(gammas[i]) if gammas is not None else "", _fmt(sizes[i]),
-                   _fmt(alpha), method, _fmt(summary["lagrange"]),
-                   _fmt(summary["constraint_residual"]),
-                   _fmt(summary["stationarity_residual"]),
-                   _fmt(summary["efficiency_vs_sidak"])]
-            if clusters:
-                row.insert(2, clusters[i])
-            rows_out.append(row)
-        _write_csv(sys.stdout, header, rows_out)
-    return 0
+        _write_csv(sys.stdout, {
+            "id": ids,
+            "gamma": gammas if gammas is not None else "",
+            **({"cluster": clusters} if clusters else {}),
+            "eta": allocation.sizes,
+            "alpha": _fmt(alpha),
+            "method": method,
+            **{key: _fmt(summary[key]) for key in (
+                "lagrange", "constraint_residual", "stationarity_residual",
+                "efficiency_vs_sidak")},
+        })
 
 
 # ---------------------------------------------------------------------------
@@ -223,27 +340,36 @@ def _cmd_decide(args) -> int:
     if not (0.0 <= budget <= 1.0):
         raise ValueError(f"budget must lie in [0, 1], got {budget}")
 
-    rows = _read_records(args.input, ("id", "pvalue"))
-    ids = [r["id"] for r in rows]
-    pvalues = np.array([_parse_prob(r["pvalue"], "pvalue", r["_line"]) for r in rows])
+    columns, lines = _read_columns(args.input, ("id", "pvalue"), ("gamma",))
+    ids = _present(columns["id"], "id", lines)
+    pvalues = _pvalues(columns.pop("pvalue"), lines)
 
     model = None
     gammas = None
     if procedure in _MODEL_PROCEDURES:
-        if "gamma" not in rows[0] or any(not r.get("gamma") for r in rows):
+        if "gamma" not in columns or not all(columns["gamma"]):
             raise ValueError(
                 f"--procedure {procedure} uses the power-optimal allocation and "
                 f"needs a 'gamma' column on every input row"
             )
-        gammas = np.array([_parse_gamma(r["gamma"], r["_line"]) for r in rows])
+        gammas = _gammas(columns.pop("gamma"), lines)
         model = RocModel.from_gammas(gammas)
 
     decision = _decide(procedure, model, pvalues, budget)
     # The stepwise model rules return the W they ordered by; the weak rule
     # compares sizes directly, so its W takes a panel solve of its own.
     w = generalized_pvalues(model, pvalues).w if procedure == "weak-fwer-opt" else decision.w
+    if args.trace and args.out != "json":
+        raise ValueError("--trace is only available with --out json")
+    _print_decision(args.out, args.trace, procedure, budget, ids, pvalues, gammas, w, decision)
+    return 0
 
-    if args.out == "json":
+
+def _print_decision(out, trace, procedure, budget, ids, pvalues, gammas, w, decision):
+    """Write the decision report to stdout as ``out`` ("json" or "csv"),
+    with the scan trace when ``trace`` is set and the rule kept one."""
+    condition = decision.size_condition
+    if out == "json":
         doc = {
             "schema_version": SCHEMA_VERSION,
             "command": "decide",
@@ -251,52 +377,41 @@ def _cmd_decide(args) -> int:
             ("alpha" if procedure in _ALPHA_PROCEDURES else "q"): budget,
             "cutoff_index": decision.cutoff_index,
             "alpha_threshold": _jnum(decision.alpha_threshold),
-            "records": [
-                {
-                    "id": ids[i],
-                    "pvalue": _jnum(pvalues[i]),
-                    **({"gamma": _jnum(gammas[i])} if gammas is not None else {}),
-                    **({"w": _jnum(w[i])} if w is not None else {}),
-                    "reject": int(decision.reject[i]),
-                }
-                for i in range(len(ids))
-            ],
+            "records": {
+                "id": ids,
+                "pvalue": pvalues,
+                **({"gamma": gammas} if gammas is not None else {}),
+                **({"w": w} if w is not None else {}),
+                "reject": decision.reject,
+            },
         }
-        if decision.size_condition is not None:
+        if condition is not None:
             doc["size_condition"] = {
-                "satisfied": decision.size_condition.satisfied,
-                "worst_alpha": _jnum(decision.size_condition.worst_alpha),
-                "worst_ratio": _jnum(decision.size_condition.worst_ratio),
+                "satisfied": condition.satisfied,
+                "worst_alpha": _jnum(condition.worst_alpha),
+                "worst_ratio": _jnum(condition.worst_ratio),
             }
-        if args.trace and decision.trace is not None:
+        if trace and decision.trace is not None:
             doc["trace"] = {
-                "order_stats": [_jnum(x) for x in decision.trace.order_stats],
-                "survival_product": [_jnum(x) for x in decision.trace.survival_product],
-                "size_sum": [_jnum(x) for x in decision.trace.size_sum],
-                "threshold": [_jnum(x) for x in decision.trace.threshold],
+                key: [_jnum(x) for x in getattr(decision.trace, key)]
+                for key in ("order_stats", "survival_product", "size_sum", "threshold")
             }
-        json.dump(doc, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        _write_json(sys.stdout, doc)
     else:
-        if args.trace:
-            raise ValueError("--trace is only available with --out json")
-        header = ["id", "pvalue", "gamma", "w", "reject", "procedure", "budget",
-                  "cutoff_index", "alpha_threshold"]
-        rows_out = [
-            [ids[i], _fmt(pvalues[i]),
-             _fmt(gammas[i]) if gammas is not None else "",
-             _fmt(w[i]) if w is not None else "",
-             int(decision.reject[i]), procedure, _fmt(budget),
-             decision.cutoff_index, _fmt(decision.alpha_threshold)]
-            for i in range(len(ids))
-        ]
-        if decision.size_condition is not None:
-            header += ["size_condition_ok", "size_condition_worst_ratio"]
-            for row in rows_out:
-                row += [int(decision.size_condition.satisfied),
-                        _fmt(decision.size_condition.worst_ratio)]
-        _write_csv(sys.stdout, header, rows_out)
-    return 0
+        _write_csv(sys.stdout, {
+            "id": ids,
+            "pvalue": pvalues,
+            "gamma": gammas if gammas is not None else "",
+            "w": w if w is not None else "",
+            "reject": decision.reject,
+            "procedure": procedure,
+            "budget": _fmt(budget),
+            "cutoff_index": str(decision.cutoff_index),
+            "alpha_threshold": _fmt(decision.alpha_threshold),
+            **({"size_condition_ok": str(int(condition.satisfied)),
+                "size_condition_worst_ratio": _fmt(condition.worst_ratio)}
+               if condition is not None else {}),
+        })
 
 
 # ---------------------------------------------------------------------------
@@ -332,10 +447,8 @@ def _cmd_simulate(args) -> int:
                 _fmt(est.fdr), _fmt(est.se_fdr), _fmt(est.mdr_std), _fmt(est.se_mdr_std),
                 _fmt(est.fwer), _fmt(est.etp), _fmt(est.efp),
             ])
-    buffer = io.StringIO()
-    _write_csv(buffer, header, rows_out)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write(buffer.getvalue())
+        _write_csv(fh, {name: [row[k] for row in rows_out] for k, name in enumerate(header)})
     return 0
 
 

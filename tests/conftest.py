@@ -1,14 +1,19 @@
-"""Shared fixtures.
+"""Shared fixtures and the hypothesis profiles.
 
 The full simulation grid (27 cells at 2000 replicates) is expensive, so it
 is computed once per session and shared by the FDR-control and
 MDR-dominance acceptance tests.
+
+Property tests draw the same examples on every run (the ``tier1`` profile),
+so a failure replays; ``pytest --hypothesis-profile explore`` draws fresh
+ones and keeps failures in the example database.
 """
 
 import time
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from poweralloc import run_table
 from poweralloc.sim import ScenarioConfig, run_cell
@@ -16,6 +21,10 @@ from poweralloc.sim import ScenarioConfig, run_cell
 GRID_SEED = 20260809
 GRID_QSTAR = 0.1
 GRID_REPS = 2000
+
+settings.register_profile("tier1", derandomize=True, print_blob=True)
+settings.register_profile("explore", derandomize=False, print_blob=True)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,9 @@
 """Small shared test oracles."""
 
+import csv
+import json
 import math
+import sys
 
 import numpy as np
 from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
@@ -113,3 +116,137 @@ def newton_solve_v(gamma, c, tol: float = INNER_TOL) -> np.ndarray:
             f"inner size solve did not converge for {idx.size} of {g.size} elements"
         )
     return v.reshape(shape)
+
+
+# The per-record output of the ``allocate`` and ``decide`` commands that the
+# columnar, chunked writers in ``cli`` replaced, kept as their differential
+# reference.  Same arguments as ``cli._print_allocation`` and
+# ``cli._print_decision``; writes to sys.stdout.
+_ALPHA_PROCEDURES = ("weak-fwer-opt", "bonferroni")
+
+
+def _fmt(x) -> str:
+    if x is None:
+        return ""
+    x = float(x) + 0.0  # -0.0 + 0.0 is 0.0
+    if math.isnan(x):
+        return ""
+    return f"{x:.12g}"
+
+
+def _jnum(x):
+    if x is None:
+        return None
+    x = float(x) + 0.0
+    if math.isnan(x):
+        return None
+    return float(f"{x:.12g}")
+
+
+def _write_csv(stream, header: list[str], rows: list[list]) -> None:
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+
+
+def reference_print_allocation(out, alpha, method, ids, gammas, clusters, allocation,
+                               efficiency):
+    M = len(ids)
+    sizes = allocation.sizes
+    summary = {
+        "alpha": alpha,
+        "method": method,
+        "M": M,
+        "lagrange": _jnum(allocation.lagrange),
+        "constraint_residual": _jnum(allocation.constraint_residual),
+        "stationarity_residual": _jnum(allocation.stationarity_residual),
+        "efficiency_vs_sidak": _jnum(efficiency),
+    }
+    if out == "json":
+        doc = {
+            "schema_version": "2",
+            "command": "allocate",
+            **summary,
+            "records": [
+                {
+                    "id": ids[i],
+                    **({"gamma": _jnum(gammas[i])} if gammas is not None else {}),
+                    **({"cluster": clusters[i]} if clusters else {}),
+                    "eta": _jnum(sizes[i]),
+                }
+                for i in range(M)
+            ],
+        }
+        json.dump(doc, sys.stdout, indent=2)
+        sys.stdout.write("\n")
+    else:
+        header = ["id", "gamma", "eta", "alpha", "method", "lagrange",
+                  "constraint_residual", "stationarity_residual", "efficiency_vs_sidak"]
+        if clusters:
+            header.insert(2, "cluster")
+        rows_out = []
+        for i in range(M):
+            row = [ids[i], _fmt(gammas[i]) if gammas is not None else "", _fmt(sizes[i]),
+                   _fmt(alpha), method, _fmt(summary["lagrange"]),
+                   _fmt(summary["constraint_residual"]),
+                   _fmt(summary["stationarity_residual"]),
+                   _fmt(summary["efficiency_vs_sidak"])]
+            if clusters:
+                row.insert(2, clusters[i])
+            rows_out.append(row)
+        _write_csv(sys.stdout, header, rows_out)
+
+
+def reference_print_decision(out, trace, procedure, budget, ids, pvalues, gammas, w,
+                             decision):
+    if out == "json":
+        doc = {
+            "schema_version": "2",
+            "command": "decide",
+            "procedure": procedure,
+            ("alpha" if procedure in _ALPHA_PROCEDURES else "q"): budget,
+            "cutoff_index": decision.cutoff_index,
+            "alpha_threshold": _jnum(decision.alpha_threshold),
+            "records": [
+                {
+                    "id": ids[i],
+                    "pvalue": _jnum(pvalues[i]),
+                    **({"gamma": _jnum(gammas[i])} if gammas is not None else {}),
+                    **({"w": _jnum(w[i])} if w is not None else {}),
+                    "reject": int(decision.reject[i]),
+                }
+                for i in range(len(ids))
+            ],
+        }
+        if decision.size_condition is not None:
+            doc["size_condition"] = {
+                "satisfied": decision.size_condition.satisfied,
+                "worst_alpha": _jnum(decision.size_condition.worst_alpha),
+                "worst_ratio": _jnum(decision.size_condition.worst_ratio),
+            }
+        if trace and decision.trace is not None:
+            doc["trace"] = {
+                "order_stats": [_jnum(x) for x in decision.trace.order_stats],
+                "survival_product": [_jnum(x) for x in decision.trace.survival_product],
+                "size_sum": [_jnum(x) for x in decision.trace.size_sum],
+                "threshold": [_jnum(x) for x in decision.trace.threshold],
+            }
+        json.dump(doc, sys.stdout, indent=2)
+        sys.stdout.write("\n")
+    else:
+        header = ["id", "pvalue", "gamma", "w", "reject", "procedure", "budget",
+                  "cutoff_index", "alpha_threshold"]
+        rows_out = [
+            [ids[i], _fmt(pvalues[i]),
+             _fmt(gammas[i]) if gammas is not None else "",
+             _fmt(w[i]) if w is not None else "",
+             int(decision.reject[i]), procedure, _fmt(budget),
+             decision.cutoff_index, _fmt(decision.alpha_threshold)]
+            for i in range(len(ids))
+        ]
+        if decision.size_condition is not None:
+            header += ["size_condition_ok", "size_condition_worst_ratio"]
+            for row in rows_out:
+                row += [int(decision.size_condition.satisfied),
+                        _fmt(decision.size_condition.worst_ratio)]
+        _write_csv(sys.stdout, header, rows_out)

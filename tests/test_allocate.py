@@ -155,11 +155,15 @@ class TestOptimalSizes:
         ([0.0, 2.5], 5.29313632357417e-305),  # gamma = 0 where phi(v) underflows
         ([26.0, 27.0, 0.0], 1.175494351e-38),  # a gap flat on the Newton side
         ([9.5e-301, 5e-301], 1e-300),    # a bracket born narrower than OUTER_TOL
+        ([1.0, 2.0], 1e-250),            # budgets below the scale floor of 1e-200,
+        ([0.5, 0.5, 0.5, 3.0], 1e-220),  # where an absolute tolerance is wider
+        ([1.0, 2.0], 1e-300),            # than the whole bracket
     ])
     def test_extreme_budgets(self, gammas, alpha):
         alloc = optimal_sizes(RocModel.from_gammas(gammas), alpha)
         assert abs(alloc.constraint_residual) <= 1e-12
-        if alpha >= 1e-200:
+        # Relative to the budget down to where LOG_PHI_FLUSH still allows it.
+        if alpha >= 1e-297:
             assert abs(alloc.constraint_residual) <= 1e-12 * -math.log1p(-alpha)
 
     @settings(max_examples=200, deadline=None)

@@ -1,15 +1,24 @@
 """Command-line interface: flags, file formats, exit codes, determinism."""
 
+import contextlib
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import reference_print_allocation, reference_print_decision
 from poweralloc import RocModel, cli, decide_weak_fwer, generalized_pvalues, procedures
+from poweralloc.allocate import SizeConditionReport
+from poweralloc.sim import PROCEDURE_TAGS
 
 
 def run_cli(*args, expect=0):
@@ -262,6 +271,170 @@ class TestDecide:
         np.testing.assert_array_equal(cli_flags, np.array(pvals) <= etas)
         library = decide_weak_fwer(RocModel.from_gammas(gammas), pvals, 0.05)
         np.testing.assert_array_equal(cli_flags, library.reject)
+
+
+class TestInputErrors:
+    """A bad field is reported at its physical line of the file."""
+
+    def error(self, capsys, tmp_path, text, *argv):
+        path = tmp_path / "in.csv"
+        path.write_text(text, encoding="utf-8")
+        assert cli.main([*argv, "--input", str(path)]) == 2
+        return capsys.readouterr().err
+
+    def test_blank_line_counts(self, capsys, tmp_path):
+        err = self.error(capsys, tmp_path, "id,pvalue\na,0.5\n\nb,abc",
+                         "decide", "--procedure", "bh", "--q", "0.1")
+        assert "line 4: pvalue 'abc' is not a number" in err
+
+    def test_quoted_two_line_id_counts_both_lines(self, capsys, tmp_path):
+        err = self.error(capsys, tmp_path, 'id,pvalue\n"x\ny",0.5\nb,abc\n',
+                         "decide", "--procedure", "bh", "--q", "0.1")
+        assert "line 4: pvalue 'abc' is not a number" in err
+
+    def test_short_row_names_the_missing_field(self, capsys, tmp_path):
+        err = self.error(capsys, tmp_path, "id,gamma\na,1\nb",
+                         "allocate", "--alpha", "0.05")
+        assert "line 3: field 'gamma' is missing" in err
+
+
+def _column(rng, pool, n, draw):
+    """n values: the drawn pool first, then random picks from it and
+    ``draw(rng, k)`` extras."""
+    pool = list(pool)
+    extra = list(draw(rng, n))
+    picks = [pool[i] for i in rng.integers(0, len(pool), n)] if pool else extra
+    return (pool + [p if rng.random() < 0.5 else e for p, e in zip(picks, extra)])[:n]
+
+
+_SPECIAL = [0.0, -0.0, 1.0, 1e-300, 5e-324, 2.2250738585072014e-308, 1e12, 1e16,
+            math.nan, math.inf, -math.inf]
+
+
+def _random_floats(rng, n):
+    x = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.integers(-323, 309, n)
+    return np.where(rng.random(n) < 0.05, rng.choice(_SPECIAL, n), x).tolist()
+
+
+_floats = st.one_of(
+    st.floats(),
+    st.floats(1e12, 1e16),
+    st.integers(-10**6, 10**6).map(float),
+    st.sampled_from(_SPECIAL),
+)
+
+
+class TestWriters:
+    """The columnar writers print byte for byte what the per-record
+    writers they replaced printed (``helpers.reference_print_*``)."""
+
+    @staticmethod
+    def printed(fn, *args):
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            fn(*args)
+        return out.getvalue()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ids=st.lists(st.text(), max_size=12),
+        numbers=st.lists(_floats, max_size=24),
+        chunk=st.sampled_from([1, 7, cli.RECORD_CHUNK]),
+        blocks=st.integers(0, 3),
+        offset=st.integers(-1, 1),
+        seed=st.integers(0, 2**32 - 1),
+        optional=st.tuples(*[st.booleans()] * 6),
+        method=st.sampled_from(["optimal", "sidak", "bonferroni", "clustered"]),
+        procedure=st.sampled_from(PROCEDURE_TAGS),
+        out=st.sampled_from(["json", "csv"]),
+    )
+    def test_match_the_per_record_writers(self, ids, numbers, chunk, blocks, offset, seed,
+                                          optional, method, procedure, out):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "RECORD_CHUNK", chunk)
+            self.check(ids, numbers, max(0, blocks * chunk + offset), seed, optional, method,
+                       procedure, out)
+
+    def check(self, ids, numbers, n, seed, optional, method, procedure, out):
+        rng = np.random.default_rng(seed)
+
+        def floats():
+            return np.array(_column(rng, numbers, n, _random_floats), dtype=float)
+
+        def scalar():
+            return numbers[rng.integers(len(numbers))] if numbers else float(rng.random())
+
+        def text(draw=lambda rng, k: (f"h{i}" for i in rng.integers(0, 10**6, k))):
+            return _column(rng, ids, n, draw)
+
+        with_gammas, with_clusters, with_w, with_condition, with_trace, trace_flag = optional
+        gammas = floats() if with_gammas else None
+        allocation = SimpleNamespace(
+            sizes=floats(), lagrange=scalar() if with_w else None,
+            constraint_residual=scalar(), stationarity_residual=scalar())
+        clusters = text() if with_clusters else None
+        args = (out, scalar(), method, text(), gammas, clusters, allocation,
+                scalar() if with_condition else None)
+        assert self.printed(cli._print_allocation, *args) == \
+            self.printed(reference_print_allocation, *args)
+
+        trace = SimpleNamespace(order_stats=floats(), survival_product=floats(),
+                                size_sum=floats(), threshold=floats())
+        decision = SimpleNamespace(
+            reject=rng.random(n) < 0.5, cutoff_index=int(rng.integers(0, n + 1)),
+            alpha_threshold=scalar(), trace=trace if with_trace else None,
+            size_condition=SizeConditionReport(bool(seed & 1), scalar(), scalar())
+            if with_condition else None)
+        args = (out, trace_flag, procedure, scalar(), text(), floats(), gammas,
+                floats() if with_w else None, decision)
+        assert self.printed(cli._print_decision, *args) == \
+            self.printed(reference_print_decision, *args)
+
+
+class _CountingStream(io.TextIOBase):
+    """Counts write calls and keeps nothing."""
+
+    def __init__(self):
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return len(text)
+
+
+class TestOutputCost:
+    """``allocate`` on a fixed M=20,000 file streams its records in chunks:
+    few write calls and no whole-document copy in memory."""
+
+    M = 20_000
+
+    @pytest.fixture(scope="class")
+    def panel(self, tmp_path_factory):
+        gamma = np.abs(np.random.default_rng(20_000).normal(2.0, 1.0, self.M))
+        path = tmp_path_factory.mktemp("cost") / "panel.csv"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("id,gamma\n")
+            fh.writelines(f"h{i},{g!r}\n" for i, g in enumerate(gamma.tolist()))
+        return str(path)
+
+    def run(self, monkeypatch, panel, out):
+        stream = _CountingStream()
+        monkeypatch.setattr(sys, "stdout", stream)
+        assert cli.main(["allocate", "--alpha", "0.05", "--input", panel, "--out", out]) == 0
+        return stream.writes
+
+    @pytest.mark.parametrize("out", ["json", "csv"])
+    def test_few_write_calls(self, monkeypatch, panel, out):
+        assert self.run(monkeypatch, panel, out) <= 64
+
+    def test_json_allocation_peak(self, monkeypatch, panel):
+        self.run(monkeypatch, panel, "json")  # imports and caches outside the count
+        tracemalloc.start()
+        try:
+            self.run(monkeypatch, panel, "json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * 2**20
 
 
 class TestSimulate:
