@@ -35,7 +35,6 @@ from .oracle import (
 )
 from .procedures import (
     Decision,
-    PValuePanel,
     ProcedureTrace,
     TruthAssignment,
     decide_bh,
@@ -51,13 +50,11 @@ from .sim import (
     PROCEDURE_TAGS,
     CellResult,
     Panel,
-    ReplicateLosses,
     ReplicateTable,
     RiskEstimates,
     ScenarioConfig,
     efficiency_vs_sidak,
     generate_panel,
-    risk_metrics,
     run_cell,
     run_table,
 )

@@ -256,7 +256,9 @@ def _cmd_allocate(args) -> int:
     elif args.M:
         ids = [f"h{i + 1}" for i in range(args.M)]
         if args.gamma_const is not None:
-            gammas = np.full(args.M, _gammas([args.gamma_const], [0])[0])
+            if not (math.isfinite(args.gamma_const) and args.gamma_const >= 0.0):
+                raise ValueError(f"--gamma-const must be finite and >= 0, got {args.gamma_const}")
+            gammas = np.full(args.M, args.gamma_const)
     else:
         raise ValueError("provide --input or --M")
 
@@ -339,6 +341,8 @@ def _cmd_decide(args) -> int:
         budget = args.q
     if not (0.0 <= budget <= 1.0):
         raise ValueError(f"budget must lie in [0, 1], got {budget}")
+    if args.trace and args.out != "json":
+        raise ValueError("--trace is only available with --out json")
 
     columns, lines = _read_columns(args.input, ("id", "pvalue"), ("gamma",))
     ids = _present(columns["id"], "id", lines)
@@ -358,9 +362,7 @@ def _cmd_decide(args) -> int:
     decision = _decide(procedure, model, pvalues, budget)
     # The stepwise model rules return the W they ordered by; the weak rule
     # compares sizes directly, so its W takes a panel solve of its own.
-    w = generalized_pvalues(model, pvalues).w if procedure == "weak-fwer-opt" else decision.w
-    if args.trace and args.out != "json":
-        raise ValueError("--trace is only available with --out json")
+    w = generalized_pvalues(model, pvalues) if procedure == "weak-fwer-opt" else decision.w
     _print_decision(args.out, args.trace, procedure, budget, ids, pvalues, gammas, w, decision)
     return 0
 

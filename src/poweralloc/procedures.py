@@ -1,10 +1,12 @@
 """Multiple-decision procedures on a panel of p-values and a ``RocModel``.
 
-The model-based stepwise rules share one engine: a single panel solve
+The model-based stepwise rules share one engine.  A single panel solve
 (``_solve_panel``) pins, for each hypothesis, the multiplier d_m = g_m(S_m)
-at its p-value and sizes every hypothesis at every such multiplier.  That
-one (M, M) array of log(1 - eta) gives the budget-scale p-values W, their
-ordering, the step-down products and the step-up size sums.  The rules:
+at its p-value and sizes every hypothesis at every such multiplier.  The
+column sums of that (M, M) array of log(1 - eta) give the budget-scale
+p-values W and their ordering; the array is then gathered once into scan
+order, where the step-down rule reads its survival products off the lower
+triangle and the step-up rule its size sums off the columns.  The rules:
 
 * ``decide_weak_fwer`` - fixed-budget rule: reject m iff its p-value is at
   most its optimally allocated size (a weighted-p-value rule; rejections
@@ -20,10 +22,13 @@ ordering, the step-down products and the step-up size sums.  The rules:
   p-value-only baselines; the first two are exactly what the model-based
   rules collapse to when all hypotheses share one ROC function.
 
-All stepwise computations run on the M order statistics (never a continuum
-search), and products of survival sizes are accumulated in log space.
-The step-up rule also reports the size condition on its candidate budgets
-through the same ratio check as ``allocate.check_size_condition``.
+Each stepwise rule computes its own statistic and pass/fail comparison
+along its ordering; one scan (``_scan``) turns those into the cutoff, the
+rejected prefix, the realized threshold and the trace.  All stepwise
+computations run on the M order statistics (never a continuum search), and
+products of survival sizes are accumulated in log space.  The step-up rule
+also reports the size condition on its candidate budgets through the same
+ratio check as ``allocate.check_size_condition``.
 """
 
 from __future__ import annotations
@@ -44,7 +49,6 @@ from .model import RocModel
 
 __all__ = [
     "Decision",
-    "PValuePanel",
     "ProcedureTrace",
     "TruthAssignment",
     "decide_bh",
@@ -56,29 +60,6 @@ __all__ = [
     "fdr_null_bounds",
     "generalized_pvalues",
 ]
-
-
-@dataclass(frozen=True)
-class PValuePanel:
-    """Ordinary p-values S, budget-scale p-values W, and the anti-rank
-    permutation sorting W ascending (ties broken by original index)."""
-
-    s: np.ndarray
-    w: np.ndarray
-    antiranks: np.ndarray
-
-    def __post_init__(self):
-        for name in ("s", "w"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        ranks = np.asarray(self.antiranks, dtype=np.intp)
-        ranks.setflags(write=False)
-        object.__setattr__(self, "antiranks", ranks)
-
-    @property
-    def M(self) -> int:
-        return self.s.size
 
 
 @dataclass(frozen=True)
@@ -116,7 +97,6 @@ class Decision:
     reject: np.ndarray
     cutoff_index: int
     alpha_threshold: float
-    procedure_tag: str
     trace: ProcedureTrace | None = None
     size_condition: SizeConditionReport | None = None
     w: np.ndarray | None = None
@@ -160,63 +140,87 @@ class TruthAssignment:
         return int(self.theta.sum())
 
 
-def _validate_pvalues(s) -> np.ndarray:
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    if s.ndim != 1 or s.size < 1:
-        raise ValueError("need a nonempty 1-d p-value sequence")
-    if not np.all(np.isfinite(s)) or np.any(s < 0.0) or np.any(s > 1.0):
-        raise ValueError("p-values must lie in [0, 1]")
-    return s
-
-
-def _validate_budget(q: float, name: str = "q") -> float:
+def _budget(q: float, name: str) -> float:
     q = float(q)
     if not (0.0 <= q <= 1.0):
         raise ValueError(f"{name} must lie in [0, 1], got {q!r}")
     return q
 
 
-@dataclass(frozen=True)
-class _PanelSolution:
-    """One shared solve per panel: the budget-scale p-values, their
-    ordering, and the size profile at every candidate cutoff."""
+def _inputs(model: RocModel | None, s, budget: float = 0.0,
+            name: str = "q") -> tuple[np.ndarray, float]:
+    """The p-values as a float array and the budget as a float, checked:
+    a nonempty 1-d sequence in [0, 1], one per hypothesis of ``model``
+    when there is one, and a budget in [0, 1]."""
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    if s.ndim != 1 or s.size < 1:
+        raise ValueError("need a nonempty 1-d p-value sequence")
+    if not np.all(np.isfinite(s)) or np.any(s < 0.0) or np.any(s > 1.0):
+        raise ValueError("p-values must lie in [0, 1]")
+    budget = _budget(budget, name)
+    if model is not None and model.M != s.size:
+        raise ValueError(f"model has M={model.M} but got {s.size} p-values")
+    return s, budget
 
-    w: np.ndarray          # budget-scale p-values, per hypothesis
-    order: np.ndarray      # anti-ranks: w[order] is nondecreasing
-    log1m: np.ndarray      # (M, M): log(1 - eta_j) at the multiplier of hypothesis m
 
+def _solve_panel(model: RocModel, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One shared solve per panel: ``(w, order, L)``.
 
-def _solve_panel(model: RocModel, s: np.ndarray) -> _PanelSolution:
+    ``w`` holds the budget-scale p-values and ``order`` their anti-ranks
+    (``w[order]`` is nondecreasing, ties by index).  ``L[r, i]`` is
+    log(1 - eta) of the hypothesis with anti-rank r sized at budget W_(i):
+    rows and columns are both in scan order.
+    """
     gammas = model.gammas
-    log_d = _log_marginal_value(gammas, s)
-    _, log1m = _size_profile(gammas, log_d)
+    log1m = _size_profile(gammas, _log_marginal_value(gammas, s))[1]
     w = -np.expm1(log1m.sum(axis=0))
-    return _PanelSolution(w=w, order=np.argsort(w, kind="stable"), log1m=log1m)
+    order = np.argsort(w, kind="stable")
+    return w, order, log1m[np.ix_(order, order)]
 
 
-def generalized_pvalues(model: RocModel, s) -> PValuePanel:
+def _scan(order: np.ndarray, order_stats: np.ndarray, passing: np.ndarray,
+          statistic: np.ndarray, threshold: np.ndarray, *, step_up: bool,
+          **extra) -> Decision:
+    """The decision of a stepwise rule from its per-step ``passing`` along
+    ``order``.
+
+    Step-up rejects through the last passing step, step-down through the
+    step before the first failing one.  ``statistic`` is the step-up size
+    sum or the step-down log survival product, traced against
+    ``threshold``; ``extra`` passes on to ``Decision``.
+    """
+    M = order.size
+    if step_up:
+        hits = np.flatnonzero(passing)
+        j = int(hits[-1]) + 1 if hits.size else 0
+    else:
+        j = int(np.argmin(passing)) if not passing.all() else M
+    reject = np.zeros(M, dtype=bool)
+    reject[order[:j]] = True
+    unevaluated = np.full(M, np.nan)
+    trace = ProcedureTrace(
+        order_stats=order_stats,
+        survival_product=unevaluated if step_up else np.exp(statistic),
+        size_sum=statistic if step_up else unevaluated,
+        threshold=threshold,
+    )
+    return Decision(reject=reject, cutoff_index=j,
+                    alpha_threshold=float(order_stats[j - 1]) if j > 0 else 0.0,
+                    trace=trace, **extra)
+
+
+def generalized_pvalues(model: RocModel, s) -> np.ndarray:
     """Budget-scale p-values W_m: the smallest weak-FWER budget at which
     hypothesis m is rejected by the optimal allocation.
 
     Satisfies S_m = eta_m(W_m), that is
     ``optimal_sizes(model, W_m).sizes[m] == S_m``; in an exchangeable model
-    W_m = 1 - (1 - S_m)^M.  Anti-rank ties break by ascending index.
-    A hypothesis whose p-value exceeds every size it can be allocated at a
-    budget below 1 in floating point, a p-value of 1 included, gets
-    W_m = 1.
+    W_m = 1 - (1 - S_m)^M.  A hypothesis whose p-value exceeds every size
+    it can be allocated at a budget below 1 in floating point, a p-value
+    of 1 included, gets W_m = 1.
     """
-    s = _validate_pvalues(s)
-    if model.M != s.size:
-        raise ValueError(f"model has M={model.M} but got {s.size} p-values")
-    sol = _solve_panel(model, s)
-    return PValuePanel(s=s, w=sol.w, antiranks=sol.order)
-
-
-def _prefix_decision(order: np.ndarray, j: int) -> np.ndarray:
-    reject = np.zeros(order.size, dtype=bool)
-    if j > 0:
-        reject[order[:j]] = True
-    return reject
+    s, _ = _inputs(model, s)
+    return _solve_panel(model, s)[0]
 
 
 def decide_weak_fwer(model: RocModel, s, alpha: float) -> Decision:
@@ -225,20 +229,11 @@ def decide_weak_fwer(model: RocModel, s, alpha: float) -> Decision:
     Controls the FWER at alpha under the joint null; not a stepwise rule
     (cutoff_index simply counts rejections, which still form a prefix of
     the budget-scale ordering)."""
-    s = _validate_pvalues(s)
-    alpha = _validate_budget(alpha, "alpha")
-    if model.M != s.size:
-        raise ValueError(f"model has M={model.M} but got {s.size} p-values")
+    s, alpha = _inputs(model, s, alpha, "alpha")
     if alpha >= 1.0:
         raise ValueError("alpha must be < 1")
-    sizes = optimal_sizes(model, alpha).sizes
-    reject = s <= sizes
-    return Decision(
-        reject=reject,
-        cutoff_index=int(reject.sum()),
-        alpha_threshold=alpha,
-        procedure_tag="weak-fwer-opt",
-    )
+    reject = s <= optimal_sizes(model, alpha).sizes
+    return Decision(reject=reject, cutoff_index=int(reject.sum()), alpha_threshold=alpha)
 
 
 def decide_strong_fwer(model: RocModel, s, qstar: float) -> Decision:
@@ -250,35 +245,14 @@ def decide_strong_fwer(model: RocModel, s, qstar: float) -> Decision:
     surviving prefix.  With identical ROC functions this is exactly the
     step-down Sidak procedure.
     """
-    s = _validate_pvalues(s)
-    qstar = _validate_budget(qstar)
-    if model.M != s.size:
-        raise ValueError(f"model has M={model.M} but got {s.size} p-values")
-    sol = _solve_panel(model, s)
-    M = s.size
-    # Row r / column i: hypothesis with anti-rank r, sized at budget W_(i).
-    log1m_ord = sol.log1m[sol.order][:, sol.order]
-    suffix = np.cumsum(log1m_ord[::-1, :], axis=0)[::-1, :]
-    log_products = np.diagonal(suffix).copy()
+    s, qstar = _inputs(model, s, qstar)
+    w, order, L = _solve_panel(model, s)
+    # Column i summed over the rows r >= i not yet rejected, from the last
+    # row up.
+    log_products = np.tril(L)[::-1].sum(axis=0)
     bound = math.log1p(-qstar) if qstar < 1.0 else -math.inf
-    passing = log_products >= bound
-    j = int(np.argmin(passing)) if not passing.all() else M
-
-    w_sorted = sol.w[sol.order]
-    trace = ProcedureTrace(
-        order_stats=w_sorted,
-        survival_product=np.exp(log_products),
-        size_sum=np.full(M, np.nan),
-        threshold=np.full(M, 1.0 - qstar),
-    )
-    return Decision(
-        reject=_prefix_decision(sol.order, j),
-        cutoff_index=j,
-        alpha_threshold=float(w_sorted[j - 1]) if j > 0 else 0.0,
-        procedure_tag="strong-fwer-opt",
-        trace=trace,
-        w=sol.w,
-    )
+    return _scan(order, w[order], log_products >= bound, log_products,
+                 np.full(s.size, 1.0 - qstar), step_up=False, w=w)
 
 
 def decide_fdr_opt(model: RocModel, s, qstar: float) -> Decision:
@@ -291,101 +265,49 @@ def decide_fdr_opt(model: RocModel, s, qstar: float) -> Decision:
     realized candidate budgets (the W order statistics) is attached; a
     failing condition annotates but never refuses the decision.
     """
-    s = _validate_pvalues(s)
-    qstar = _validate_budget(qstar)
-    if model.M != s.size:
-        raise ValueError(f"model has M={model.M} but got {s.size} p-values")
-    sol = _solve_panel(model, s)
-    M = s.size
-    # Column i: every hypothesis sized at budget W_(i).
-    eta_ordered = -np.expm1(sol.log1m[:, sol.order])
-    size_sums = eta_ordered.sum(axis=0)
-    bounds = qstar * np.arange(1, M + 1)
-    passing = np.nonzero(size_sums <= bounds)[0]
-    j = int(passing[-1]) + 1 if passing.size else 0
-
-    w_sorted = sol.w[sol.order]
-    trace = ProcedureTrace(
-        order_stats=w_sorted,
-        survival_product=np.full(M, np.nan),
-        size_sum=size_sums,
-        threshold=bounds,
-    )
-    return Decision(
-        reject=_prefix_decision(sol.order, j),
-        cutoff_index=j,
-        alpha_threshold=float(w_sorted[j - 1]) if j > 0 else 0.0,
-        procedure_tag="fdr-opt",
-        trace=trace,
-        size_condition=_size_condition_report(w_sorted, eta_ordered),
-        w=sol.w,
-    )
+    s, qstar = _inputs(model, s, qstar)
+    w, order, L = _solve_panel(model, s)
+    w_sorted = w[order]
+    eta = -np.expm1(L)
+    size_sums = eta.sum(axis=0)
+    bounds = qstar * np.arange(1, s.size + 1)
+    return _scan(order, w_sorted, size_sums <= bounds, size_sums, bounds, step_up=True, w=w,
+                 size_condition=_size_condition_report(w_sorted, eta))
 
 
 def decide_bh(s, qstar: float) -> Decision:
     """Benjamini-Hochberg step-up on raw p-values: reject the J smallest
     with J = max{m : S_(m) <= qstar * m / M}."""
-    s = _validate_pvalues(s)
-    qstar = _validate_budget(qstar)
+    s, qstar = _inputs(None, s, qstar)
     M = s.size
     order = np.argsort(s, kind="stable")
     s_sorted = s[order]
-    bounds = qstar * np.arange(1, M + 1) / M
-    passing = np.nonzero(s_sorted <= bounds)[0]
-    j = int(passing[-1]) + 1 if passing.size else 0
-    trace = ProcedureTrace(
-        order_stats=s_sorted,
-        survival_product=np.full(M, np.nan),
-        size_sum=M * s_sorted,
-        threshold=qstar * np.arange(1, M + 1),
-    )
-    return Decision(
-        reject=_prefix_decision(order, j),
-        cutoff_index=j,
-        alpha_threshold=float(s_sorted[j - 1]) if j > 0 else 0.0,
-        procedure_tag="bh",
-        trace=trace,
-    )
+    steps = np.arange(1, M + 1)
+    return _scan(order, s_sorted, s_sorted <= qstar * steps / M, M * s_sorted, qstar * steps,
+                 step_up=True)
 
 
 def decide_stepdown_sidak(s, qstar: float) -> Decision:
     """Step-down Sidak on raw p-values: step i requires
     S_(i) <= 1 - (1 - qstar)^(1/(M - i + 1)); rejects the longest passing
     prefix."""
-    s = _validate_pvalues(s)
-    qstar = _validate_budget(qstar)
+    s, qstar = _inputs(None, s, qstar)
     M = s.size
     order = np.argsort(s, kind="stable")
     s_sorted = s[order]
-    thresholds = -np.expm1(np.log1p(-qstar) / (M - np.arange(M))) if qstar < 1.0 else np.ones(M)
-    passing = s_sorted <= thresholds
-    j = int(np.argmin(passing)) if not passing.all() else M
-    trace = ProcedureTrace(
-        order_stats=s_sorted,
-        survival_product=np.exp((M - np.arange(M)) * np.log1p(-np.minimum(s_sorted, 1.0 - 1e-300))),
-        size_sum=np.full(M, np.nan),
-        threshold=thresholds,
-    )
-    return Decision(
-        reject=_prefix_decision(order, j),
-        cutoff_index=j,
-        alpha_threshold=float(s_sorted[j - 1]) if j > 0 else 0.0,
-        procedure_tag="stepdown-sidak",
-        trace=trace,
-    )
+    remaining = M - np.arange(M)
+    thresholds = -np.expm1(np.log1p(-qstar) / remaining) if qstar < 1.0 else np.ones(M)
+    # log(1 - S) is -inf at a p-value of 1, where the product is 0.
+    log_survival = np.log1p(-s_sorted, out=np.full(M, -np.inf), where=s_sorted < 1.0)
+    return _scan(order, s_sorted, s_sorted <= thresholds, remaining * log_survival, thresholds,
+                 step_up=False)
 
 
 def decide_bonferroni(s, alpha: float) -> Decision:
     """Fixed-threshold Bonferroni baseline: reject m iff S_m <= alpha / M."""
-    s = _validate_pvalues(s)
-    alpha = _validate_budget(alpha, "alpha")
+    s, alpha = _inputs(None, s, alpha, "alpha")
     reject = s <= alpha / s.size
-    return Decision(
-        reject=reject,
-        cutoff_index=int(reject.sum()),
-        alpha_threshold=alpha,
-        procedure_tag="bonferroni",
-    )
+    return Decision(reject=reject, cutoff_index=int(reject.sum()), alpha_threshold=alpha)
 
 
 def fdr_null_bounds(M: int, qstar: float) -> tuple[float, float]:
@@ -393,6 +315,6 @@ def fdr_null_bounds(M: int, qstar: float) -> tuple[float, float]:
     true: [1 - (1 - qstar/M)^M, qstar]."""
     if int(M) != M or M < 1:
         raise ValueError(f"M must be a positive integer, got {M!r}")
-    qstar = _validate_budget(qstar)
+    qstar = _budget(qstar, "q")
     lower = float(-np.expm1(M * np.log1p(-qstar / M)))
     return lower, qstar

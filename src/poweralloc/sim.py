@@ -6,6 +6,12 @@ with unit variance and a null mean of zero, and p-values are upper-tail.
 The allocator-driven procedures receive the generated effect sizes for
 every hypothesis (nulls included) as their effect-size inputs.
 
+Loss accounting is by array: a cell keeps one (reps, M) rejection matrix
+per procedure next to the (reps, M) truth matrix, and the per-replicate
+false and true positives, misses, false discovery proportions and
+standardized missed-discovery rates come from a few column reductions of
+those matrices, with 0/0 = 0 for both rates.
+
 Reproducibility: each replicate draws from three dedicated Philox
 (counter-based) streams keyed by (seed, M, p, nu, replicate, stream), so a
 cell's results are bit-identical however replicates or cells are
@@ -18,7 +24,7 @@ import math
 import struct
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 from scipy.special import ndtr
@@ -40,13 +46,11 @@ __all__ = [
     "PROCEDURE_TAGS",
     "CellResult",
     "Panel",
-    "ReplicateLosses",
     "ReplicateTable",
     "RiskEstimates",
     "ScenarioConfig",
     "efficiency_vs_sidak",
     "generate_panel",
-    "risk_metrics",
     "run_cell",
     "run_table",
 ]
@@ -75,7 +79,6 @@ class ScenarioConfig:
     reps: int
     seed: int
     procedures: tuple[str, ...] = ("fdr-opt", "bh")
-    kfwer_levels: tuple[int, ...] = (1,)
 
     def __post_init__(self):
         if int(self.M) != self.M or self.M < 1:
@@ -89,12 +92,9 @@ class ScenarioConfig:
         if int(self.reps) != self.reps or self.reps < 1:
             raise ValueError(f"reps must be a positive integer, got {self.reps!r}")
         object.__setattr__(self, "procedures", tuple(self.procedures))
-        object.__setattr__(self, "kfwer_levels", tuple(int(k) for k in self.kfwer_levels))
         unknown = [t for t in self.procedures if t not in PROCEDURE_TAGS]
         if unknown:
             raise ValueError(f"unknown procedure tags {unknown}; known: {PROCEDURE_TAGS}")
-        if any(k < 1 for k in self.kfwer_levels):
-            raise ValueError("kfwer levels must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -105,18 +105,6 @@ class Panel:
     xi: np.ndarray
     x: np.ndarray
     s: np.ndarray
-
-
-@dataclass(frozen=True)
-class ReplicateLosses:
-    """Losses realized by one decision on one panel."""
-
-    false_positives: int
-    true_positives: int
-    missed: int
-    n_alternatives: int
-    fdp: float
-    mdr_std: float
 
 
 @dataclass(frozen=True)
@@ -141,7 +129,6 @@ class RiskEstimates:
     se_mdr_std: float
     fwer: float
     se_fwer: float
-    kfwer: Mapping[int, float]
     etp: float
     se_etp: float
     efp: float
@@ -189,29 +176,6 @@ def generate_panel(config: ScenarioConfig, rep_index: int) -> Panel:
     return Panel(theta=TruthAssignment(theta), xi=xi, x=x, s=s)
 
 
-def risk_metrics(decision: Decision, truth: TruthAssignment) -> ReplicateLosses:
-    """Single-replicate losses for one decision, with the 0/0 = 0
-    convention for the false discovery proportion and for the standardized
-    missed-discovery rate when no alternative is true."""
-    reject = decision.reject
-    theta = truth.theta
-    if reject.size != theta.size:
-        raise ValueError(f"decision has M={reject.size} but truth has M={theta.size}")
-    n_rej = int(reject.sum())
-    fp = int((reject & (theta == 0)).sum())
-    tp = n_rej - fp
-    n_alt = int(theta.sum())
-    missed = n_alt - tp
-    return ReplicateLosses(
-        false_positives=fp,
-        true_positives=tp,
-        missed=missed,
-        n_alternatives=n_alt,
-        fdp=fp / n_rej if n_rej > 0 else 0.0,
-        mdr_std=missed / n_alt if n_alt > 0 else 0.0,
-    )
-
-
 def efficiency_vs_sidak(model: RocModel, alpha: float) -> float:
     """Average power of the optimal allocation relative to Sidak's, in
     percent: 100 * sum rho_m(eta_m_opt) / sum rho_m(eta_m_Sidak)."""
@@ -248,16 +212,38 @@ def _mean_se(values: np.ndarray, reps: int) -> tuple[float, float]:
     return mean, se
 
 
-def _estimates(table: ReplicateTable, levels: tuple[int, ...], reps: int) -> RiskEstimates:
+def _replicate_table(reject: np.ndarray, theta: np.ndarray) -> ReplicateTable:
+    """Per-replicate losses of the (reps, M) rejection matrix against the
+    (reps, M) 0/1 truth matrix, with the 0/0 = 0 convention for the false
+    discovery proportion and for the standardized missed-discovery rate
+    when no alternative is true."""
+    if reject.shape != theta.shape:
+        raise ValueError(f"rejections have shape {reject.shape} but truth has {theta.shape}")
+    alternative = theta.astype(bool)
+    n_rejected = reject.sum(axis=1)
+    false_positives = (reject & ~alternative).sum(axis=1)
+    true_positives = n_rejected - false_positives
+    n_alternatives = alternative.sum(axis=1)
+    missed = n_alternatives - true_positives
+    return ReplicateTable(
+        fdp=false_positives / np.maximum(n_rejected, 1),
+        mdr_std=missed / np.maximum(n_alternatives, 1),
+        false_positives=false_positives,
+        true_positives=true_positives,
+        missed=missed,
+        n_alternatives=n_alternatives,
+    )
+
+
+def _estimates(table: ReplicateTable, reps: int) -> RiskEstimates:
     fdr, se_fdr = _mean_se(table.fdp, reps)
     mdr, se_mdr = _mean_se(table.mdr_std, reps)
     fwer, se_fwer = _mean_se((table.false_positives >= 1).astype(float), reps)
     etp, se_etp = _mean_se(table.true_positives.astype(float), reps)
     efp, se_efp = _mean_se(table.false_positives.astype(float), reps)
-    kfwer = {k: float((table.false_positives >= k).mean()) for k in levels}
     return RiskEstimates(
         fdr=fdr, se_fdr=se_fdr, mdr_std=mdr, se_mdr_std=se_mdr,
-        fwer=fwer, se_fwer=se_fwer, kfwer=kfwer,
+        fwer=fwer, se_fwer=se_fwer,
         etp=etp, se_etp=se_etp, efp=efp, se_efp=se_efp, reps=reps,
     )
 
@@ -267,32 +253,16 @@ def run_cell(config: ScenarioConfig) -> CellResult:
     the replicate losses.  Identical configs give identical results."""
     reps = config.reps
     tags = config.procedures
-    acc = {
-        tag: {
-            "fdp": np.empty(reps), "mdr_std": np.empty(reps),
-            "false_positives": np.empty(reps, dtype=np.int64),
-            "true_positives": np.empty(reps, dtype=np.int64),
-            "missed": np.empty(reps, dtype=np.int64),
-            "n_alternatives": np.empty(reps, dtype=np.int64),
-        }
-        for tag in tags
-    }
+    theta = np.empty((reps, config.M), dtype=np.int8)
+    rejects = {tag: np.empty((reps, config.M), dtype=bool) for tag in tags}
     for rep in range(reps):
         panel = generate_panel(config, rep)
+        theta[rep] = panel.theta.theta
         model = RocModel.from_gammas(panel.xi)
         for tag in tags:
-            losses = risk_metrics(_decide(tag, model, panel.s, config.qstar), panel.theta)
-            slot = acc[tag]
-            slot["fdp"][rep] = losses.fdp
-            slot["mdr_std"][rep] = losses.mdr_std
-            slot["false_positives"][rep] = losses.false_positives
-            slot["true_positives"][rep] = losses.true_positives
-            slot["missed"][rep] = losses.missed
-            slot["n_alternatives"][rep] = losses.n_alternatives
-    replicates = {tag: ReplicateTable(**acc[tag]) for tag in tags}
-    estimates = {
-        tag: _estimates(replicates[tag], config.kfwer_levels, reps) for tag in tags
-    }
+            rejects[tag][rep] = _decide(tag, model, panel.s, config.qstar).reject
+    replicates = {tag: _replicate_table(rejects[tag], theta) for tag in tags}
+    estimates = {tag: _estimates(replicates[tag], reps) for tag in tags}
     return CellResult(config=config, estimates=estimates, replicates=replicates)
 
 

@@ -278,17 +278,17 @@ class TestSizeMapInverse:
 
     def test_exchangeable_closed_form(self):
         model = RocModel.from_gammas(np.full(10, 1.5))
-        w = generalized_pvalues(model, np.full(10, 0.01)).w[0]
+        w = generalized_pvalues(model, np.full(10, 0.01))[0]
         assert w == pytest.approx(1.0 - 0.99 ** 10, rel=1e-10)
         assert w == pytest.approx(0.09562, abs=5e-6)
 
     def test_zero_size(self):
         model = RocModel.from_gammas([1.0, 2.0])
-        assert generalized_pvalues(model, [0.3, 0.0]).w[1] == 0.0
+        assert generalized_pvalues(model, [0.3, 0.0])[1] == 0.0
 
     def test_round_trip_heterogeneous(self):
         model = RocModel.from_gammas([1.0, 2.0])
-        w = generalized_pvalues(model, [0.02, 0.5]).w[0]
+        w = generalized_pvalues(model, [0.02, 0.5])[0]
         assert abs(optimal_sizes(model, w).sizes[0] - 0.02) <= 1e-10
 
     def test_round_trip_random(self):
@@ -300,21 +300,21 @@ class TestSizeMapInverse:
             model = RocModel.from_gammas(rng.uniform(0.1, 8.0, M))
             caps = optimal_sizes(model, 0.999).sizes
             s = rng.uniform(1e-8, 0.9 * caps)
-            w = generalized_pvalues(model, s).w
+            w = generalized_pvalues(model, s)
             for m in range(M):
                 assert abs(optimal_sizes(model, w[m]).sizes[m] - s[m]) <= 1e-10
 
     def test_saturation(self):
         # A p-value of 1 exceeds every size allocated below budget 1.
         model = RocModel.from_gammas([1.0, 1.0])
-        assert generalized_pvalues(model, [0.3, 1.0]).w[1] == 1.0
+        assert generalized_pvalues(model, [0.3, 1.0])[1] == 1.0
 
     def test_saturation_narrow_range_coordinate(self):
         # A strong test in a mixed panel never gets a moderate size: the
         # rest of the panel exhausts the budget first.
         model = RocModel.from_gammas([0.5, 0.7, 1.0, 8.0])
         assert optimal_sizes(model, math.nextafter(1.0, 0.0)).sizes[3] < 0.3
-        assert generalized_pvalues(model, [0.1, 0.2, 0.3, 0.3]).w[3] == 1.0
+        assert generalized_pvalues(model, [0.1, 0.2, 0.3, 0.3])[3] == 1.0
 
     def test_validation(self):
         model = RocModel.from_gammas([1.0])

@@ -118,6 +118,13 @@ class TestAllocate:
                 "--out", "csv")
         assert run_cli(*args).stdout == run_cli(*args).stdout
 
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+    def test_bad_gamma_const_names_the_flag(self, value):
+        proc = run_cli("allocate", "--alpha", "0.05", "--M", "4", "--gamma-const", value,
+                       expect=2)
+        assert "--gamma-const" in proc.stderr
+        assert "line 0" not in proc.stderr
+
     def test_missing_gamma_is_usage_error(self):
         proc = run_cli("allocate", "--alpha", "0.05", "--M", "4",
                        "--method", "optimal", expect=2)
@@ -213,7 +220,7 @@ class TestDecide:
         assert len(calls) == 1
         doc = json.loads(capsys.readouterr().out)
         assert "seed" not in doc
-        expected = generalized_pvalues(RocModel.from_gammas(gammas), pvals).w
+        expected = generalized_pvalues(RocModel.from_gammas(gammas), pvals)
         assert [r["w"] for r in doc["records"]] == [cli._jnum(w) for w in expected]
 
     def test_trace_marks_the_unevaluated_path_null(self, tmp_path):
@@ -224,11 +231,36 @@ class TestDecide:
         assert doc["trace"]["survival_product"] == [None, None]
         assert all(x is not None for x in doc["trace"]["size_sum"])
 
-    def test_trace_requires_json(self, tmp_path):
+    def test_trace_requires_json(self, tmp_path, monkeypatch, capsys):
         path = tmp_path / "p.csv"
         write_csv(path, ["id", "pvalue"], [["a", 0.01]])
         run_cli("decide", "--procedure", "bh", "--q", "0.05", "--input", str(path),
                 "--trace", "--out", "csv", expect=2)
+        # Refused before the file is read or the panel solved.
+        write_csv(path, ["id", "pvalue", "gamma"], [["a", 0.01, 1.0], ["b", 0.3, 2.0]])
+        calls = []
+        solve = procedures._solve_panel
+        monkeypatch.setattr(procedures, "_solve_panel",
+                            lambda *a: calls.append(a) or solve(*a))
+        assert cli.main(["decide", "--procedure", "fdr-opt", "--q", "0.1", "--input",
+                         str(path), "--trace", "--out", "csv"]) == 2
+        assert "--trace" in capsys.readouterr().err
+        assert calls == []
+
+    @pytest.mark.parametrize("out", ["json", "csv"])
+    def test_stepdown_sidak_pvalue_one_warns_nothing(self, tmp_path, capsys, out):
+        # Runs in-process, under the suite's error::RuntimeWarning filter.
+        path = tmp_path / "p.csv"
+        write_csv(path, ["id", "pvalue"], [["a", "1"], ["b", "1.0"], ["c", "0.001"]])
+        assert cli.main(["decide", "--procedure", "stepdown-sidak", "--q", "0.05",
+                         "--input", str(path), "--out", out,
+                         *(["--trace"] if out == "json" else [])]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        if out == "json":
+            doc = json.loads(captured.out)
+            assert [r["reject"] for r in doc["records"]] == [0, 0, 1]
+            assert doc["trace"]["survival_product"][1:] == [0.0, 0.0]
 
     def test_missing_gamma_for_model_procedure(self, tmp_path):
         path = tmp_path / "p.csv"

@@ -6,8 +6,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import log_ndtr, ndtr
+
+import helpers
 
 from poweralloc import (
     RocModel,
@@ -21,6 +25,7 @@ from poweralloc import (
     fdr_null_bounds,
     generalized_pvalues,
     optimal_sizes,
+    procedures,
     sidak_sizes,
 )
 
@@ -39,41 +44,40 @@ def random_panel(rng, exchangeable=False, max_m=15):
 class TestGeneralizedPvalues:
     def test_exchangeable_closed_form(self):
         model = RocModel.from_gammas([1.0, 1.0])
-        panel = generalized_pvalues(model, [0.01, 0.05])
-        np.testing.assert_allclose(panel.w, [0.0199, 0.0975], atol=1e-10)
+        w = generalized_pvalues(model, [0.01, 0.05])
+        np.testing.assert_allclose(w, [0.0199, 0.0975], atol=1e-10)
 
     def test_zero_pvalues(self):
         model = RocModel.from_gammas([0.5, 2.0, 4.0])
-        panel = generalized_pvalues(model, [0.0, 0.0, 0.0])
-        assert np.all(panel.w == 0.0)
+        assert np.all(generalized_pvalues(model, [0.0, 0.0, 0.0]) == 0.0)
 
     def test_round_trip_heterogeneous(self):
         # S_m = eta_m(W_m) at the allocation with budget W_m.
         model = RocModel.from_gammas([0.5, 0.5, 1.0, 1.0])
         s = np.array([0.0005, 0.01, 0.02, 0.3])
-        panel = generalized_pvalues(model, s)
+        w = generalized_pvalues(model, s)
         for m in range(4):
-            recovered = optimal_sizes(model, float(panel.w[m])).sizes[m]
+            recovered = optimal_sizes(model, float(w[m])).sizes[m]
             assert abs(recovered - s[m]) <= 1e-8
 
     def test_antiranks_sort_w_with_stable_ties(self):
         model = RocModel.from_gammas([2.0, 2.0, 2.0])
-        panel = generalized_pvalues(model, [0.5, 0.2, 0.5])
-        assert panel.antiranks.tolist() == [1, 0, 2]
-        assert np.all(np.diff(panel.w[panel.antiranks]) >= 0.0)
+        w, order, _ = procedures._solve_panel(model, np.array([0.5, 0.2, 0.5]))
+        assert order.tolist() == [1, 0, 2]
+        assert np.all(np.diff(w[order]) >= 0.0)
 
     def test_unattainable_size_maps_to_budget_one(self):
         # gamma=8 with a mid-range p-value: rejected at no budget below 1.
         model = RocModel.from_gammas([0.5, 0.7, 1.0, 8.0])
-        panel = generalized_pvalues(model, [0.1, 0.2, 0.3, 0.4])
-        assert panel.w[3] > 0.999999
+        assert generalized_pvalues(model, [0.1, 0.2, 0.3, 0.4])[3] > 0.999999
 
     def test_pvalue_one_gets_budget_one_at_zero_effect(self):
         # gamma = 0 at a p-value of 1 once gave log d = 0 * (-inf) = NaN.
-        panel = generalized_pvalues(RocModel.from_gammas([0.0, 1.0]), [1.0, 0.5])
-        assert panel.w[0] == 1.0
-        assert panel.w[1] < 1.0
-        assert panel.antiranks.tolist() == [1, 0]
+        w, order, _ = procedures._solve_panel(RocModel.from_gammas([0.0, 1.0]),
+                                              np.array([1.0, 0.5]))
+        assert w[0] == 1.0
+        assert w[1] < 1.0
+        assert order.tolist() == [1, 0]
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -198,8 +202,7 @@ class TestFdrOpt:
         # the full allocation at each candidate budget W_(m).
         model = RocModel.from_gammas([1.0, 2.0])
         for s, q in (([0.01, 0.3], 0.1), ([0.2, 0.4], 0.3), ([0.004, 0.009], 0.05)):
-            panel = generalized_pvalues(model, s)
-            w_sorted = panel.w[panel.antiranks]
+            w_sorted = np.sort(generalized_pvalues(model, s))
             j_oracle = 0
             for m in (1, 2):
                 total = optimal_sizes(model, float(w_sorted[m - 1])).sizes.sum()
@@ -253,14 +256,14 @@ class TestInvariants:
         rng = np.random.default_rng(8)
         for _ in range(100):
             model, s = random_panel(rng)
-            panel = generalized_pvalues(model, s)
+            order = np.argsort(generalized_pvalues(model, s), kind="stable")
             for decision in (
                 decide_strong_fwer(model, s, 0.1),
                 decide_fdr_opt(model, s, 0.1),
                 decide_weak_fwer(model, s, 0.1),
             ):
                 expected = np.zeros(model.M, dtype=bool)
-                expected[panel.antiranks[: decision.cutoff_index]] = True
+                expected[order[: decision.cutoff_index]] = True
                 np.testing.assert_array_equal(decision.reject, expected)
             for decision in (decide_bh(s, 0.1), decide_stepdown_sidak(s, 0.1)):
                 order = np.argsort(s, kind="stable")
@@ -285,8 +288,7 @@ class TestInvariants:
         for _ in range(50):
             model, s = random_panel(rng)
             decision = decide_fdr_opt(model, s, 0.2)
-            panel = generalized_pvalues(model, s)
-            w_sorted = np.concatenate(([0.0], panel.w[panel.antiranks], [1.0]))
+            w_sorted = np.concatenate(([0.0], np.sort(generalized_pvalues(model, s)), [1.0]))
             j = decision.cutoff_index
             assert decision.alpha_threshold == pytest.approx(w_sorted[j])
             assert w_sorted[j] <= decision.alpha_threshold <= w_sorted[j + 1]
@@ -297,8 +299,7 @@ class TestInvariants:
         model = RocModel.from_gammas([0.3, 0.7, 1.1, 1.9, 2.6, 3.4, 4.1, 5.0, 6.2, 7.5])
         w1 = np.empty(2000)
         for i in range(2000):
-            panel = generalized_pvalues(model, rng.uniform(0, 1, 10))
-            w1[i] = panel.w[panel.antiranks[0]]
+            w1[i] = generalized_pvalues(model, rng.uniform(0, 1, 10)).min()
         assert stats.kstest(w1, "uniform").pvalue > 0.01
 
     def test_deterministic_under_ties(self):
@@ -317,3 +318,70 @@ class TestInvariants:
             decide_bh([0.1, 0.2], 1.5)
         with pytest.raises(ValueError):
             decide_strong_fwer(model, [0.1], 0.1)
+
+
+def _float_tie(ref, new, step_up: bool) -> bool:
+    """Whether the steps at which the two cutoffs disagree are a float tie:
+    the reference's deciding statistic within 1e-12 relative of its bound.
+    Step-up cutoffs j < k disagree at step k (index k - 1), step-down ones
+    at step j + 1 (index j)."""
+    j, k = sorted((ref.cutoff_index, new.cutoff_index))
+    i = k - 1 if step_up else j
+    stat = (ref.trace.size_sum if step_up else ref.trace.survival_product)[i]
+    bound = ref.trace.threshold[i]
+    return abs(stat - bound) <= 1e-12 * abs(bound)
+
+
+_unit = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+
+
+class TestAgainstReference:
+    """The rules on the shared scan and scan-ordered panel give what the
+    per-rule references in ``helpers`` give, on the whole input space."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        panel=st.integers(1, 60).flatmap(lambda m: st.tuples(
+            st.lists(_unit, min_size=m, max_size=m),
+            st.lists(st.one_of(st.just(0.0), st.floats(0.0, 100.0)), min_size=m, max_size=m))),
+        q=_unit,
+    )
+    def test_rules_match(self, panel, q):
+        s, gammas = (np.array(x) for x in panel)
+        model = RocModel.from_gammas(gammas)
+        with np.errstate(divide="ignore"):  # the reference Sidak trace takes log(0)
+            ref_w = helpers.reference_generalized_pvalues(model, s).w
+            refs = {
+                "fdr": helpers.reference_decide_fdr_opt(model, s, q),
+                "strong": helpers.reference_decide_strong_fwer(model, s, q),
+                "bh": helpers.reference_decide_bh(s, q),
+                "sidak": helpers.reference_decide_stepdown_sidak(s, q),
+            }
+        np.testing.assert_array_equal(generalized_pvalues(model, s), ref_w)
+        news = {
+            "fdr": decide_fdr_opt(model, s, q),
+            "strong": decide_strong_fwer(model, s, q),
+            "bh": decide_bh(s, q),
+            "sidak": decide_stepdown_sidak(s, q),
+        }
+        for rule, new in news.items():
+            ref, step_up = refs[rule], rule in ("fdr", "bh")
+            if new.cutoff_index != ref.cutoff_index:
+                assert _float_tie(ref, new, step_up), rule
+            else:
+                np.testing.assert_array_equal(new.reject, ref.reject)
+                assert new.alpha_threshold == ref.alpha_threshold
+            for field in ("order_stats", "survival_product", "threshold"):
+                np.testing.assert_array_equal(getattr(new.trace, field),
+                                              getattr(ref.trace, field))
+            if rule == "fdr":
+                np.testing.assert_allclose(new.trace.size_sum, ref.trace.size_sum,
+                                           rtol=1e-13, atol=0.0)
+                assert new.size_condition.worst_ratio == pytest.approx(
+                    ref.size_condition.worst_ratio, rel=1e-13, abs=0.0)
+            else:
+                np.testing.assert_array_equal(new.trace.size_sum, ref.trace.size_sum)
+            if rule in ("fdr", "strong"):
+                np.testing.assert_array_equal(new.w, ref.w)
+            else:
+                assert new.w is None

@@ -5,17 +5,15 @@ import numpy as np
 import pytest
 
 from poweralloc import (
-    Decision,
     RocModel,
     ScenarioConfig,
-    TruthAssignment,
     efficiency_vs_sidak,
     fdr_null_bounds,
     generate_panel,
-    risk_metrics,
     run_cell,
     run_table,
 )
+from poweralloc.sim import _replicate_table
 
 
 def make_config(**overrides):
@@ -66,39 +64,35 @@ class TestGeneratePanel:
 
 
 class TestRiskMetrics:
+    """The per-replicate losses that ``run_cell`` builds from its (reps, M)
+    rejection and truth matrices, one row per replicate."""
+
     def test_mixed_counts(self):
-        decision = Decision(reject=np.array([1, 1, 0, 0], dtype=bool),
-                            cutoff_index=2, alpha_threshold=0.1, procedure_tag="t")
-        truth = TruthAssignment(np.array([0, 1, 1, 0]))
-        losses = risk_metrics(decision, truth)
-        assert losses.fdp == 0.5
-        assert losses.missed == 1
-        assert losses.false_positives == 1
-        assert losses.true_positives == 1
-        assert losses.mdr_std == 0.5
+        table = _replicate_table(np.array([[1, 1, 0, 0]], dtype=bool),
+                                 np.array([[0, 1, 1, 0]], dtype=np.int8))
+        assert table.fdp.tolist() == [0.5]
+        assert table.missed.tolist() == [1]
+        assert table.false_positives.tolist() == [1]
+        assert table.true_positives.tolist() == [1]
+        assert table.n_alternatives.tolist() == [2]
+        assert table.mdr_std.tolist() == [0.5]
 
     def test_no_rejections_convention(self):
-        decision = Decision(reject=np.zeros(3, dtype=bool), cutoff_index=0,
-                            alpha_threshold=0.0, procedure_tag="t")
-        truth = TruthAssignment(np.array([1, 0, 1]))
-        losses = risk_metrics(decision, truth)
-        assert losses.fdp == 0.0
-        assert losses.missed == 2
-        assert losses.mdr_std == 1.0
+        table = _replicate_table(np.zeros((1, 3), dtype=bool),
+                                 np.array([[1, 0, 1]], dtype=np.int8))
+        assert table.fdp.tolist() == [0.0]
+        assert table.missed.tolist() == [2]
+        assert table.mdr_std.tolist() == [1.0]
 
     def test_all_null_any_rejection_is_false(self):
-        decision = Decision(reject=np.array([0, 1, 0], dtype=bool), cutoff_index=1,
-                            alpha_threshold=0.1, procedure_tag="t")
-        truth = TruthAssignment(np.zeros(3, dtype=int))
-        losses = risk_metrics(decision, truth)
-        assert losses.fdp == 1.0
-        assert losses.mdr_std == 0.0
+        table = _replicate_table(np.array([[0, 1, 0], [0, 0, 0]], dtype=bool),
+                                 np.zeros((2, 3), dtype=np.int8))
+        assert table.fdp.tolist() == [1.0, 0.0]
+        assert table.mdr_std.tolist() == [0.0, 0.0]
 
     def test_length_mismatch(self):
-        decision = Decision(reject=np.zeros(2, dtype=bool), cutoff_index=0,
-                            alpha_threshold=0.0, procedure_tag="t")
         with pytest.raises(ValueError):
-            risk_metrics(decision, TruthAssignment(np.array([0, 1, 0])))
+            _replicate_table(np.zeros((1, 2), dtype=bool), np.array([[0, 1, 0]], dtype=np.int8))
 
 
 class TestEfficiency:
@@ -146,12 +140,6 @@ class TestRunCell:
         est = run_cell(config).estimates["fdr-opt"]
         lower, upper = fdr_null_bounds(20, 0.1)
         assert lower - 3.0 * est.se_fdr <= est.fdr <= upper + 3.0 * est.se_fdr
-
-    def test_kfwer_levels(self):
-        config = make_config(reps=40, kfwer_levels=(1, 2))
-        est = run_cell(config).estimates["fdr-opt"]
-        assert set(est.kfwer) == {1, 2}
-        assert est.kfwer[2] <= est.kfwer[1] == est.fwer
 
 
 class TestRunTable:
