@@ -14,13 +14,17 @@ For the Gaussian family this reduces, per test, to the scalar equation
 
 in v_m = Phi^{-1}(1 - eta_m), solved by a blocked, safeguarded Halley
 iteration on v in [-40, 40] that hands back log Phi(v_m) = log(1 - eta_m)
-from its last evaluation; the budget equation in d is then solved by a
-bracketed root find on log d (the constraint gap is monotone in d because
-every g_m is nonincreasing).  The Sidak size eta_S = 1 - (1-alpha)^(1/M)
-brackets that root in closed form: at d = min_m g_m(eta_S) every size is
-at least eta_S, and at d = max_m g_m(eta_S) at most eta_S.  All
-aggregation happens on log(1 - eta), so allocations with sizes near 1e-12
-or far smaller lose no precision.
+from its last evaluation.  The budget equation in d is then solved by a
+safeguarded Newton iteration on log d (the constraint gap is monotone in d
+because every g_m is nonincreasing).  It works on the log budget ratio
+log(sum_m log(1 - eta_m) / log(1 - alpha)), which is close to linear in
+log d, and starts each size profile from the previous profile's v, so an
+allocation costs about five profiles.  The Sidak size
+eta_S = 1 - (1-alpha)^(1/M) brackets the root in closed form: at
+d = min_m g_m(eta_S) every size is at least eta_S, and at
+d = max_m g_m(eta_S) at most eta_S.  All aggregation happens on
+log(1 - eta), so allocations with sizes near 1e-12 or far smaller lose no
+precision.
 
 Hypotheses that share an effect size share their size, so the system is
 solved once per distinct gamma, each weighted by its count in the budget
@@ -166,7 +170,7 @@ def _validate_count(M: int) -> int:
 # Gaussian inner solve: log Phi(v) + gamma v = c, elementwise on arrays.
 # ---------------------------------------------------------------------------
 
-def _solve_v(gamma, c, tol: float = INNER_TOL) -> tuple[np.ndarray, np.ndarray]:
+def _solve_v(gamma, c, tol: float = INNER_TOL, guess=None) -> tuple[np.ndarray, np.ndarray]:
     """Solve log Phi(v) + gamma*v = c for each element, v in [V_LO, V_HI];
     returns v and log Phi(v), the latter from the solve's last evaluation.
 
@@ -181,8 +185,10 @@ def _solve_v(gamma, c, tol: float = INNER_TOL) -> tuple[np.ndarray, np.ndarray]:
     eta ~ 1 (v at V_LO).  An element stops once the error it leaves in
     log Phi(v) = log(1 - eta) is below tol relative to that log, so sizes
     far below tol keep their precision; it keeps the v at which that log
-    was measured.  Far in the upper tail the steps creep by about 1/v,
-    hence the generous iteration cap.
+    was measured.  ``guess``, broadcast like ``c``, is each element's
+    starting v (clipped to [V_LO, V_HI]); an element whose guess is not
+    finite, or every element when there is none, starts from a guess of
+    its own.
     """
     shape = np.broadcast_shapes(np.shape(gamma), np.shape(c))
     # A 2-d view whose row blocks copy only their own rows of a broadcast
@@ -190,6 +196,8 @@ def _solve_v(gamma, c, tol: float = INNER_TOL) -> tuple[np.ndarray, np.ndarray]:
     rows = (-1, shape[-1]) if len(shape) > 1 else (-1, 1)
     g = np.broadcast_to(np.asarray(gamma, dtype=float), shape).reshape(rows)
     cc = np.broadcast_to(np.asarray(c, dtype=float), shape).reshape(rows)
+    if guess is not None:
+        guess = np.broadcast_to(np.asarray(guess, dtype=float), shape).reshape(rows)
     v = np.empty(g.shape)
     log_phi = np.empty(g.shape)
     per_block = max(1, SOLVE_BLOCK // g.shape[1])
@@ -199,8 +207,9 @@ def _solve_v(gamma, c, tol: float = INNER_TOL) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for r0 in range(0, g.shape[0], per_block):
             rs = slice(r0, r0 + per_block)
-            unconverged += _solve_block(g[rs].ravel(), cc[rs].ravel(),
-                                        v[rs].reshape(-1), log_phi[rs].reshape(-1), tol)
+            unconverged += _solve_block(
+                g[rs].ravel(), cc[rs].ravel(), None if guess is None else guess[rs].ravel(),
+                v[rs].reshape(-1), log_phi[rs].reshape(-1), tol)
     if unconverged:
         raise AllocationError(
             f"inner size solve did not converge for {unconverged} of {g.size} elements"
@@ -208,7 +217,18 @@ def _solve_v(gamma, c, tol: float = INNER_TOL) -> tuple[np.ndarray, np.ndarray]:
     return v.reshape(shape), log_phi.reshape(shape)
 
 
-def _solve_block(g, c, v_out, log_phi_out, tol: float) -> int:
+def _cold_guess(g, c) -> np.ndarray:
+    """A starting v for log Phi(v) + g v = c from c alone: the linear regime
+    log Phi ~ 0 for c >= log(1/2), else the quadratic tail approximation
+    log Phi(v) ~ -v^2/2; gamma = 0 inverts log Phi directly."""
+    v = np.where(c >= -math.log(2.0), c / g, g - np.sqrt(np.maximum(g * g - 2.0 * c, 0.0)))
+    zero = g <= 0.0
+    if zero.any():
+        v[zero] = ndtri_exp(np.minimum(c[zero], -1e-300))
+    return v
+
+
+def _solve_block(g, c, guess, v_out, log_phi_out, tol: float) -> int:
     """One block of ``_solve_v``: writes v and log Phi(v) into the output
     views and returns the number of elements left unconverged."""
     below = (LOG_PHI_HI + g * V_HI) <= c  # root beyond V_HI
@@ -218,13 +238,15 @@ def _solve_block(g, c, v_out, log_phi_out, tol: float) -> int:
     pos = np.flatnonzero(~(below | above))
     if pos.size < g.size:
         g, c = g[pos], c[pos]
-    # Initial guess: linear regime log Phi ~ 0 for c >= log(1/2), else the
-    # quadratic tail approximation log Phi(v) ~ -v^2/2; gamma = 0 inverts
-    # log Phi directly.
-    v = np.where(c >= -math.log(2.0), c / g, g - np.sqrt(np.maximum(g * g - 2.0 * c, 0.0)))
-    zero = g <= 0.0
-    if zero.any():
-        v[zero] = ndtri_exp(np.minimum(c[zero], -1e-300))
+        if guess is not None:
+            guess = guess[pos]
+    if guess is None:
+        v = _cold_guess(g, c)
+    else:
+        v = guess.copy()
+        cold = ~np.isfinite(v)
+        if cold.any():
+            v[cold] = _cold_guess(g[cold], c[cold])
     v = np.clip(np.nan_to_num(v, nan=0.0), V_LO, V_HI)
 
     lo = np.full(v.shape, V_LO)
@@ -252,6 +274,10 @@ def _solve_block(g, c, v_out, log_phi_out, tol: float) -> int:
         newton = err * inv_slope
         log1m_err = np.abs(newton)
         log1m_err *= r
+        # Where the step would move log Phi by half its own size or more,
+        # log Phi is exponentially small in v^2 and far from its target:
+        # the step creeps by about 1/v there, and one on log(-log Phi) jumps.
+        tail = np.flatnonzero(log1m_err >= -0.5 * li)
         threshold = np.maximum(li, -1.0)  # -min(1, |log Phi|), as log Phi <= 0
         threshold *= -tol
         above_tol = log1m_err > threshold
@@ -267,7 +293,7 @@ def _solve_block(g, c, v_out, log_phi_out, tol: float) -> int:
         neg = err < 0.0
         lo = np.where(neg, v, lo)
         hi = np.where(neg, hi, v)
-        del err, neg
+        del err
         active &= hi - lo > 1e-15 * np.maximum(1.0, np.abs(v))
         # Halley: v - n / (1 - n f'' / (2 f')) with the Newton step n and
         # f'' = -r (v + r).
@@ -279,9 +305,28 @@ def _solve_block(g, c, v_out, log_phi_out, tol: float) -> int:
         step += 1.0
         np.divide(newton, step, out=step)
         np.subtract(v, step, out=step)
+        if tail.size:
+            # Newton on log(-log Phi(v)) = log(gamma v - c), whose slope is
+            # r / log Phi + gamma / (c - gamma v), replaces the step where
+            # it stays in the bracket and goes further, or the step leaves
+            # it.  Near gamma v = c, as from the cold guess c / gamma, that
+            # log is steep and its step short, so the step stands there.
+            vt, lt, ht = v[tail], li[tail], step[tail]
+            lo_t, hi_t = lo[tail], hi[tail]
+            target = c[tail] - g[tail] * vt
+            jump = vt - np.log(lt / target) / (r[tail] / lt + g[tail] / target)
+            halley_in = (ht > lo_t) & (ht < hi_t)
+            ok = (jump > lo_t) & (jump < hi_t) & (~halley_in | (np.abs(jump - vt) > np.abs(ht - vt)))
+            step[tail[ok]] = jump[ok]
         bisect = ~((step > lo) & (step < hi))  # true for a step that is not finite
         if bisect.any():
-            step[bisect] = 0.5 * (lo[bisect] + hi[bisect])
+            # A step below v's resolution (v is an end of the bracket) moves
+            # it by one ulp instead, so that the bracket closes around v
+            # rather than bisecting from far away.
+            b = np.flatnonzero(bisect)
+            still = step[b] == v[b]
+            step[b] = np.where(still, np.nextafter(v[b], np.where(neg[b], hi[b], lo[b])),
+                               0.5 * (lo[b] + hi[b]))
         if not active.all():
             done = ~active
             v_out[pos[done]] = v[done]
@@ -311,93 +356,163 @@ def _log_marginal_value(gammas, s) -> np.ndarray:
     return out.reshape(shape)
 
 
-def _size_profile(gammas, log_d) -> tuple[np.ndarray, np.ndarray]:
+def _size_profile(gammas, log_d, guess=None) -> tuple[np.ndarray, np.ndarray]:
     """(v, log(1-eta)) for every (hypothesis, multiplier) pair.
 
     ``log_d`` may be scalar or a K-vector; the result has shape (M,) or
     (M, K).  Infinite multipliers yield zero sizes (log(1-eta) = 0).
+    ``guess`` is an optional starting v per pair, as for ``_solve_v``.
     """
     gammas = np.asarray(gammas, dtype=float)
     log_d = np.asarray(log_d, dtype=float)
     if log_d.ndim == 0:
-        return _solve_v(gammas, log_d + 0.5 * gammas * gammas)
+        return _solve_v(gammas, log_d + 0.5 * gammas * gammas, guess=guess)
     c = log_d[np.newaxis, :] + 0.5 * (gammas * gammas)[:, np.newaxis]
-    return _solve_v(gammas[:, np.newaxis], c)
+    return _solve_v(gammas[:, np.newaxis], c, guess=guess)
 
 
-def _constraint_gap(gammas, counts, log_d: float, target: float) -> tuple[float, float]:
-    """The budget gap sum_m counts_m log(1 - eta_m(d)) - target at log d,
-    and its derivative in log d, from one size profile."""
-    v, log1m = _size_profile(gammas, log_d)
+def _tail_ratio(v, log1m) -> np.ndarray:
+    """r = phi(v) / Phi(v) from v and log Phi(v) = log(1 - eta)."""
+    return np.exp(-0.5 * v * v - LOG_SQRT_2PI - log1m)
+
+
+def _warm_guess(gammas, profile, log_d: float) -> np.ndarray:
+    """Starting v for the profile at ``log_d`` from the ``profile``
+    (log d, v, log Phi(v)) at a nearby multiplier: one Newton step in log d,
+    along dv / d(log d) = 1 / (r + gamma).  Where that slope is 0 the guess
+    is not finite, and ``_solve_v`` starts the element cold."""
+    prev_log_d, v, log1m = profile
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return v + (log_d - prev_log_d) / (_tail_ratio(v, log1m) + gammas)
+
+
+def _constraint_gap(gammas, counts, v, log1m) -> tuple[float, float]:
+    """sum_m counts_m log(1 - eta_m) of a size profile, and its derivative
+    in log d."""
     # d(sum log(1-eta)) / d(log d) = sum r/(r+gamma), r = phi(v)/Phi(v).
     # Corner coordinates (r and gamma both ~0) contribute nothing.
-    r = np.exp(-0.5 * v * v - LOG_SQRT_2PI - log1m)
+    r = _tail_ratio(v, log1m)
     with np.errstate(invalid="ignore"):
         ratio = r / (r + gammas)
     slope = float(counts @ np.where(np.isnan(ratio), 0.0, ratio))
-    return float(counts @ log1m) - target, slope
+    return float(counts @ log1m), slope
 
 
-def _solve_multiplier(gammas: np.ndarray, counts: np.ndarray, alpha: float) -> float:
-    """Root of sum_m counts_m log(1 - eta_m(d)) = log(1 - alpha) in log d.
+def _solve_multiplier(gammas: np.ndarray, counts: np.ndarray, alpha: float):
+    """Root of sum_m counts_m log(1 - eta_m(d)) = log(1 - alpha) in log d;
+    returns it with the size profile (log d, v, log Phi(v)) of the evaluated
+    point it was taken from, one Newton step away at most, or None where
+    no profile was needed.
 
-    The gap is monotone increasing in log d.  Every g_m is nonincreasing,
-    so at log d = min_m log g_m(eta_S) each size is at least the Sidak size
-    eta_S (gap <= 0), and at max_m log g_m(eta_S) at most eta_S (gap >= 0).
-    An end whose gap rounds to the wrong sign is itself the root.  Below 1,
-    both the gap and log d are measured in units of the budget
-    |log(1 - alpha)| (floored where the scaled gap would overflow), and
-    the tolerance shrinks below that floor, so that it is OUTER_TOL relative
-    for small budgets and absolute for large ones.
+    With L(d) = sum_m counts_m log(1 - eta_m(d)), the search solves the log
+    budget ratio -log(L / log(1 - alpha)) = 0 by Newton steps of slope
+    L' / L, taken from the slope of L that each size profile gives.  The
+    ratio is close to linear in log d where the gap L - log(1 - alpha) is
+    not: on a panel of 10^5 effect sizes |N(2, 1)| at alpha = 0.05 the
+    gap's slope spans 0.003 to 1.6e4 over the bracket.  Each profile
+    starts from the last one's v, moved along dv / d(log d).
+
+    Both increase in log d.  Every g_m is nonincreasing, so at
+    log d = min_m log g_m(eta_S) each size is at least the Sidak size eta_S
+    (ratio <= 0), and at max_m log g_m(eta_S) at most eta_S (ratio >= 0).
+    These ends bracket the root by their signs alone; the search starts
+    from the count-weighted mean of the log g_m(eta_S) and evaluates an end
+    only once a step would leave the bracket through it.  Where zero
+    effects take the budget, L = log d is linear and the ratio convex, so
+    its step from below overshoots the upper end; from that end the gap's
+    own Newton step is exact, and the search takes it there.
+
+    Below 1, log d is measured in units t of the budget |log(1 - alpha)|
+    (floored where the scaled gap would overflow).  The ratio is scaled so
+    that near the root it equals the gap in those units, and the search
+    stops at |ratio| <= tol as it did on the gap: OUTER_TOL relative for
+    small budgets and absolute for large ones.
     """
     target = math.log1p(-alpha)
     log1m_s = target / counts.sum()
     if log1m_s == 0.0:  # a budget this small gives every test size 0
-        return math.inf
+        return math.inf, None
     # log g_m(eta_S) from log(1 - eta_S), so that eta_S near 1 keeps its
     # precision: log Phi(v_S) = log(1 - eta_S) at v_S = Phi^{-1}(1 - eta_S).
     log_g = log1m_s + gammas * float(ndtri_exp(log1m_s)) - 0.5 * gammas * gammas
     scale = min(1.0, max(-target, 1e-200))
+    # The ratio's unit: the gap of a ratio near 0 is ratio * scale.
+    unit = -target / scale
     # Below the scale's floor the gap is no longer in units of the budget,
     # so the tolerance shrinks with it to stay relative to |log(1 - alpha)|.
-    tol = OUTER_TOL * min(1.0, -target / scale)
+    tol = OUTER_TOL * min(1.0, unit)
     lo, hi = float(log_g.min()) / scale, float(log_g.max()) / scale
     evaluated: dict[float, tuple[float, float]] = {}
+    # The last size profile, the warm start of the next, and the one of
+    # least |ratio| with its t; often the same one.
+    last = best = best_t = None
 
-    def gap(t: float) -> float:  # t = log d / scale
-        value, slope = _constraint_gap(gammas, counts, t * scale, target)
-        evaluated[t] = (value / scale, slope)
+    def ratio(t: float) -> float:  # t = log d / scale
+        nonlocal last, best, best_t
+        log_d = t * scale
+        guess = None if last is None else _warm_guess(gammas, last, log_d)
+        v, log1m = _size_profile(gammas, log_d, guess)
+        last = (log_d, v, log1m)
+        total, slope = _constraint_gap(gammas, counts, v, log1m)
+        if total == 0.0:  # every size rounds to 0: far above the root
+            evaluated[t] = (math.inf, math.nan)
+        else:
+            # -log(L / target) through log1p of the relative gap, which
+            # keeps its precision near the root and overflows only far
+            # from it, where the difference of the two logs is exact enough.
+            rel = (total - target) / target
+            value = unit * (-math.log1p(rel) if abs(rel) < 0.5
+                            else math.log(-target) - math.log(-total))
+            # d/dt of -unit * log(L / target) is -unit * scale * L' / L;
+            # unit * scale = -target, and scale itself cancels.
+            d_value = slope * (target / total)
+            if t == hi and total != target:
+                # The search evaluates the upper Sidak end only when a step
+                # of the ratio overshot it, as where zero effects take the
+                # budget and L = log d is linear: the gap's own Newton step
+                # is exact there.
+                d_value = value * slope / ((total - target) / scale)
+            evaluated[t] = (value, d_value)
+        if best is None or abs(evaluated[t][0]) < abs(evaluated[best_t][0]):
+            best_t, best = t, last
         return evaluated[t][0]
 
-    if lo == hi or gap(lo) >= 0.0:
+    if lo == hi:
         root = lo
-    elif gap(hi) <= 0.0:
-        root = hi
     else:
         # The root finder takes Newton steps only from points it has
-        # already evaluated, so each slope comes with its gap.  Its
-        # stagnation guard halves the bracket at least once every three
-        # steps, so this many steps narrow any bracket to tol, however
-        # flat the gap is on the side the Newton steps come from.
-        bracket = Bracket(lo, hi, evaluated[lo][0], evaluated[hi][0])
+        # already evaluated, so each slope comes with its value.  At most
+        # `halvings` bisections narrow the bracket to tol; the cap leaves
+        # twice that again for Newton steps and the two ends.
+        start = float(counts @ log_g) / counts.sum() / scale
+        bracket = Bracket(lo, hi, -math.inf, math.inf)
         halvings = max(0, math.ceil(math.log2(hi - lo) - math.log2(tol)))
         root = find_root(
-            gap,
+            ratio,
             bracket,
             tol=tol,
             max_iter=3 * halvings + 4,
             df=lambda t: evaluated[t][1],
+            x0=start,
         ).root
+    if root not in evaluated:
+        ratio(root)
+    # Far in the upper tail a size is resolved to about v^2 1e-15 of
+    # itself, so profiles warm-started from different v can differ by more
+    # than tol in the ratio at the same t: the root is the point of least
+    # finite |ratio| evaluated, whose profile is kept.
+    if math.isfinite(evaluated[best_t][0]):
+        root = best_t
+    profile = best if root == best_t else last
     # The Sidak multiplier of an exchangeable panel still carries the
     # rounding of the inner solves, and a bracket that narrows below
-    # tol can stop with a gap of slope * tol: one Newton step from the last
-    # point removes either.
-    if root not in evaluated:
-        gap(root)
+    # tol can stop with a ratio of slope * tol: one Newton step from the
+    # root removes either.  Where the bracket has closed to adjacent
+    # floats, that step rounds onto the other end, which is no better.
     value, slope = evaluated[root]
-    if abs(value) > tol and slope > 0.0:
+    if abs(value) > tol and slope > 0.0 and root - value / slope not in evaluated:
         root -= value / slope
-    return root * scale
+    return root * scale, profile
 
 
 def _solve_system(gammas, counts, alpha):
@@ -408,8 +523,12 @@ def _solve_system(gammas, counts, alpha):
     inf.  Raises AllocationError when the sizes miss the budget by more
     than BUDGET_TOL, which happens once gamma^2/2 is so large that log d
     has no precision left (gamma ~ 1e8)."""
-    log_d = _solve_multiplier(gammas, counts, alpha)
-    v, log1m = _size_profile(gammas, log_d)
+    log_d, profile = _solve_multiplier(gammas, counts, alpha)
+    if profile is not None and profile[0] == log_d:
+        _, v, log1m = profile
+    else:
+        guess = None if profile is None else _warm_guess(gammas, profile, log_d)
+        v, log1m = _size_profile(gammas, log_d, guess)
     sizes = -np.expm1(log1m)
     constraint = float(counts @ log1m) - math.log1p(-alpha)
     if not abs(constraint) <= BUDGET_TOL:

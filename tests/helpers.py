@@ -5,6 +5,7 @@ import json
 import math
 import sys
 from types import SimpleNamespace
+from typing import Callable
 
 import numpy as np
 from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
@@ -15,12 +16,20 @@ from poweralloc.allocate import (
     INNER_TOL,
     LOG_PHI_FLUSH,
     LOG_SQRT_2PI,
+    OUTER_TOL,
     V_HI,
     V_LO,
     AllocationError,
     _log_marginal_value,
     _size_condition_report,
     _size_profile,
+)
+from poweralloc.numerics import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
+    Bracket,
+    ConvergenceError,
+    RootResult,
 )
 
 
@@ -121,6 +130,147 @@ def newton_solve_v(gamma, c, tol: float = INNER_TOL) -> np.ndarray:
             f"inner size solve did not converge for {idx.size} of {g.size} elements"
         )
     return v.reshape(shape)
+
+
+# The multiplier solve and root finder that the warm-started solve of the
+# log budget ratio replaced, kept as their differential reference: the
+# solve brackets the budget gap at the two Sidak ends, evaluates both, and
+# finds the root with a forced first bisection and a guard that halves the
+# bracket at least once every three steps.
+def reference_find_root(
+    f: Callable[[float], float],
+    bracket: Bracket,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+    df: Callable[[float], float] | None = None,
+) -> RootResult:
+    """Find a root of ``f`` inside ``bracket``.
+
+    Terminates when |f(x)| <= tol, when the bracket width falls below tol,
+    or when no float lies strictly inside the bracket any more.
+    Newton (if ``df`` given) or secant candidates are used only while they
+    remain inside the bracket and the bracket keeps halving every other
+    iteration; otherwise bisection steps are forced.  Deterministic for
+    identical inputs.
+    """
+    if tol <= 0.0:
+        raise ValueError("tol must be positive")
+    a, b = bracket.lo, bracket.hi
+    fa, fb = bracket.f_lo, bracket.f_hi
+    if fa == 0.0:
+        return RootResult(a, 0.0, 0)
+    if fb == 0.0:
+        return RootResult(b, 0.0, 0)
+
+    x, fx = (a, fa) if abs(fa) <= abs(fb) else (b, fb)
+    width_two_ago, width_one_ago = b - a, b - a
+    for iteration in range(1, max_iter + 1):
+        if abs(fx) <= tol or (b - a) <= tol or not a < 0.5 * (a + b) < b:
+            return RootResult(x, fx, iteration - 1)
+
+        cand = math.nan
+        if df is not None:
+            slope = df(x)
+            if slope != 0.0 and math.isfinite(slope):
+                cand = x - fx / slope
+        if not (a < cand < b) and fb != fa:
+            cand = b - fb * (b - a) / (fb - fa)
+        # Stagnation guard: if two iterations have not halved the bracket,
+        # or the candidate left it, fall back to the midpoint.
+        if not (a < cand < b) or (b - a) > 0.5 * width_two_ago:
+            cand = 0.5 * (a + b)
+        width_two_ago, width_one_ago = width_one_ago, b - a
+
+        fc = f(cand)
+        if fc == 0.0:
+            return RootResult(cand, 0.0, iteration)
+        if (fc < 0.0) == (fa < 0.0):
+            a, fa = cand, fc
+        else:
+            b, fb = cand, fc
+        x, fx = (a, fa) if abs(fa) <= abs(fb) else (b, fb)
+
+    best = RootResult(x, fx, max_iter)
+    raise ConvergenceError(
+        f"no convergence in {max_iter} iterations: "
+        f"x={x:.17g}, residual={fx:.6g}, bracket width={b - a:.6g}",
+        best,
+    )
+
+
+def _reference_constraint_gap(gammas, counts, log_d: float, target: float) -> tuple[float, float]:
+    """The budget gap sum_m counts_m log(1 - eta_m(d)) - target at log d,
+    and its derivative in log d, from one size profile."""
+    v, log1m = _size_profile(gammas, log_d)
+    # d(sum log(1-eta)) / d(log d) = sum r/(r+gamma), r = phi(v)/Phi(v).
+    # Corner coordinates (r and gamma both ~0) contribute nothing.
+    r = np.exp(-0.5 * v * v - LOG_SQRT_2PI - log1m)
+    with np.errstate(invalid="ignore"):
+        ratio = r / (r + gammas)
+    slope = float(counts @ np.where(np.isnan(ratio), 0.0, ratio))
+    return float(counts @ log1m) - target, slope
+
+
+def reference_solve_multiplier(gammas: np.ndarray, counts: np.ndarray, alpha: float) -> float:
+    """Root of sum_m counts_m log(1 - eta_m(d)) = log(1 - alpha) in log d.
+
+    The gap is monotone increasing in log d.  Every g_m is nonincreasing,
+    so at log d = min_m log g_m(eta_S) each size is at least the Sidak size
+    eta_S (gap <= 0), and at max_m log g_m(eta_S) at most eta_S (gap >= 0).
+    An end whose gap rounds to the wrong sign is itself the root.  Below 1,
+    both the gap and log d are measured in units of the budget
+    |log(1 - alpha)| (floored where the scaled gap would overflow), and
+    the tolerance shrinks below that floor, so that it is OUTER_TOL relative
+    for small budgets and absolute for large ones.
+    """
+    target = math.log1p(-alpha)
+    log1m_s = target / counts.sum()
+    if log1m_s == 0.0:  # a budget this small gives every test size 0
+        return math.inf
+    # log g_m(eta_S) from log(1 - eta_S), so that eta_S near 1 keeps its
+    # precision: log Phi(v_S) = log(1 - eta_S) at v_S = Phi^{-1}(1 - eta_S).
+    log_g = log1m_s + gammas * float(ndtri_exp(log1m_s)) - 0.5 * gammas * gammas
+    scale = min(1.0, max(-target, 1e-200))
+    # Below the scale's floor the gap is no longer in units of the budget,
+    # so the tolerance shrinks with it to stay relative to |log(1 - alpha)|.
+    tol = OUTER_TOL * min(1.0, -target / scale)
+    lo, hi = float(log_g.min()) / scale, float(log_g.max()) / scale
+    evaluated: dict[float, tuple[float, float]] = {}
+
+    def gap(t: float) -> float:  # t = log d / scale
+        value, slope = _reference_constraint_gap(gammas, counts, t * scale, target)
+        evaluated[t] = (value / scale, slope)
+        return evaluated[t][0]
+
+    if lo == hi or gap(lo) >= 0.0:
+        root = lo
+    elif gap(hi) <= 0.0:
+        root = hi
+    else:
+        # The root finder takes Newton steps only from points it has
+        # already evaluated, so each slope comes with its gap.  Its
+        # stagnation guard halves the bracket at least once every three
+        # steps, so this many steps narrow any bracket to tol, however
+        # flat the gap is on the side the Newton steps come from.
+        bracket = Bracket(lo, hi, evaluated[lo][0], evaluated[hi][0])
+        halvings = max(0, math.ceil(math.log2(hi - lo) - math.log2(tol)))
+        root = reference_find_root(
+            gap,
+            bracket,
+            tol=tol,
+            max_iter=3 * halvings + 4,
+            df=lambda t: evaluated[t][1],
+        ).root
+    # The Sidak multiplier of an exchangeable panel still carries the
+    # rounding of the inner solves, and a bracket that narrows below
+    # tol can stop with a gap of slope * tol: one Newton step from the last
+    # point removes either.
+    if root not in evaluated:
+        gap(root)
+    value, slope = evaluated[root]
+    if abs(value) > tol and slope > 0.0:
+        root -= value / slope
+    return root * scale
 
 
 # The per-record output of the ``allocate`` and ``decide`` commands that the

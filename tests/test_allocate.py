@@ -21,11 +21,29 @@ from poweralloc import (
     roc,
     sidak_sizes,
 )
-from poweralloc.allocate import LOG_PHI_FLUSH, SOLVE_BLOCK, V_HI, _solve_system, _solve_v
+from poweralloc import allocate
+from poweralloc.allocate import (
+    LOG_PHI_FLUSH,
+    SOLVE_BLOCK,
+    V_HI,
+    V_LO,
+    _size_profile,
+    _solve_system,
+    _solve_v,
+)
 
-from helpers import newton_solve_v
+from helpers import newton_solve_v, reference_solve_multiplier
 
 ALPHAS = (0.01, 0.05, 0.2)
+
+# Budgets on both scales: uniform on (0, 1) almost never draws one below
+# 1e-3, so half the draws are 10^U(-300, 0).
+ANY_ALPHA = st.one_of(
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    st.floats(-300.0, 0.0).map(lambda e: 10.0 ** e).filter(lambda a: a < 1.0),
+)
+ANY_GAMMAS = st.integers(1, 200).flatmap(lambda m: arrays(
+    float, m, elements=st.one_of(st.just(0.0), st.floats(0.0, 100.0))))
 
 
 def total_power(model, sizes):
@@ -158,6 +176,7 @@ class TestOptimalSizes:
         ([1.0, 2.0], 1e-250),            # budgets below the scale floor of 1e-200,
         ([0.5, 0.5, 0.5, 3.0], 1e-220),  # where an absolute tolerance is wider
         ([1.0, 2.0], 1e-300),            # than the whole bracket
+        ([2.2e-313, 1.0], 0.05),         # a warm start across phi(v) = 0
     ])
     def test_extreme_budgets(self, gammas, alpha):
         alloc = optimal_sizes(RocModel.from_gammas(gammas), alpha)
@@ -168,13 +187,86 @@ class TestOptimalSizes:
 
     @settings(max_examples=200, deadline=None)
     @given(
-        gammas=st.integers(1, 200).flatmap(lambda m: arrays(
-            float, m, elements=st.one_of(st.just(0.0), st.floats(0.0, 100.0)))),
+        gammas=ANY_GAMMAS,
         alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
     )
     def test_any_valid_panel_meets_the_budget(self, gammas, alpha):
         alloc = optimal_sizes(RocModel.from_gammas(gammas), alpha)
         assert abs(alloc.constraint_residual) <= 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(gammas=ANY_GAMMAS, alpha=ANY_ALPHA)
+    def test_matches_the_previous_multiplier_solve(self, gammas, alpha):
+        alloc = optimal_sizes(RocModel.from_gammas(gammas), alpha)
+        budget = -math.log1p(-alpha)
+        assert abs(alloc.constraint_residual) <= 1e-12
+        if alpha >= 1e-297:
+            assert abs(alloc.constraint_residual) <= 1e-12 * budget
+        gs, inverse, counts = np.unique(gammas, return_inverse=True, return_counts=True)
+        log_d = reference_solve_multiplier(gs, counts.astype(float), alpha)
+        _, log1m = _size_profile(gs, log_d)
+        # Both multipliers meet the budget to OUTER_TOL, not exactly: a
+        # size far below the budget can be steep in log d (gamma = 0.044
+        # with a size of 2.8e-89 at a budget of 0.34 moves by 454 times the
+        # relative change of d), so it agrees to 1e-12 of the budget.  Where
+        # log Phi flushes to 0, each solve stops within LOG_PHI_FLUSH of it.
+        np.testing.assert_allclose(alloc.log1m_sizes, log1m[inverse], rtol=1e-12,
+                                   atol=1e-12 * min(1.0, budget) + 2.0 * LOG_PHI_FLUSH)
+
+    @pytest.mark.parametrize("gammas, alpha", [
+        ([61.35550278619238, 50.060125298535276, 76.55427061599703, 0.0],
+         1.320761950674299e-65),
+        ([0.0, 73.11323811174559, 0.0, 98.12836673137328, 76.76640304089433,
+          85.38354591536633, 64.66747927211915, 95.9680073065687, 65.53215992298738, 0.0],
+         3.387590886215028e-113),
+    ])
+    def test_zero_effects_taking_the_budget_solve_in_few_profiles(
+            self, gammas, alpha, monkeypatch):
+        # The zero effects take the budget, so L = log d is linear and
+        # the root lies a few budget units below the upper Sidak end,
+        # 10^68 and more of those units above the start; over most of the
+        # bracket the other sizes round to 0.
+        calls = []
+        monkeypatch.setattr(allocate, "_size_profile",
+                            lambda *a, **k: calls.append(1) or _size_profile(*a, **k))
+        alloc = optimal_sizes(RocModel.from_gammas(gammas), alpha)
+        assert len(calls) <= 7
+        assert abs(alloc.constraint_residual) <= 1e-12 * -math.log1p(-alpha)
+
+    def test_far_tail_sizes_do_not_creep(self, monkeypatch):
+        # Both effects are ~1e-300, so each v sits near 37, where log Phi(v)
+        # is about -1e-300: from a start in the body the Halley step on the
+        # equation advances v by about 2/v.
+        evaluated = []
+
+        def counting_log_ndtr(x, *args, **kwargs):
+            evaluated.append(np.size(x))
+            return log_ndtr(x, *args, **kwargs)
+
+        monkeypatch.setattr(allocate, "log_ndtr", counting_log_ndtr)
+        alloc = optimal_sizes(RocModel.from_gammas([9.5e-301, 5e-301]), 1e-300)
+        assert sum(evaluated) <= 100
+        assert abs(alloc.constraint_residual) <= 1e-12
+
+
+def assert_matches_newton(gamma, c, v, log_phi):
+    """(v, log Phi(v)) from ``_solve_v`` against the Newton reference."""
+    assert np.array_equal(log_phi, log_ndtr(v))
+    v_ref = newton_solve_v(gamma, c)
+    reference = log_ndtr(v_ref)
+    # Where log Phi has flushed to 0 the Newton solve stops whatever its
+    # err, as r underflows in its relative test; there the new solve
+    # must leave no larger an error in the equation.
+    ref_err = np.abs(gamma * v_ref - c)
+    blind = (reference == 0.0) & (v_ref < V_HI) & (ref_err > LOG_PHI_FLUSH)
+    assert np.all(np.abs(log_phi + gamma * v - c)[blind] <= ref_err[blind])
+    # Either solve may stop on a bracket 1e-15 max(1, |v|) wide, across
+    # which log Phi moves by about 1e-15 v^2 of itself: more than 1e-13
+    # of itself far in the upper tail.
+    width = 2e-15 * np.maximum(1.0, np.abs(v_ref))
+    slack = (np.abs(log_ndtr(v_ref + width) - reference) + LOG_PHI_FLUSH)[~blind]
+    gap = np.abs(log_phi - reference)[~blind]
+    assert np.all(gap <= 2.5e-13 * np.abs(reference[~blind]) + slack)
 
 
 class TestInnerSolve:
@@ -200,27 +292,55 @@ class TestInnerSolve:
             rng.random(tail) < 0.2, rng.uniform(-5000.0, 5000.0, tail),
             rng.uniform(-50.0, 5.0, tail))])
         v, log_phi = _solve_v(gamma, c)
-        assert np.array_equal(log_phi, log_ndtr(v))
-        v_ref = newton_solve_v(gamma, c)
-        reference = log_ndtr(v_ref)
-        # Where log Phi has flushed to 0 the Newton solve stops whatever its
-        # err, as r underflows in its relative test; there the new solve
-        # must leave no larger an error in the equation.
-        ref_err = np.abs(gamma * v_ref - c)
-        blind = (reference == 0.0) & (v_ref < V_HI) & (ref_err > LOG_PHI_FLUSH)
-        assert np.all(np.abs(log_phi + gamma * v - c)[blind] <= ref_err[blind])
-        # Either solve may stop on a bracket 1e-15 max(1, |v|) wide, across
-        # which log Phi moves by about 1e-15 v^2 of itself: more than 1e-13
-        # of itself far in the upper tail.
-        width = 2e-15 * np.maximum(1.0, np.abs(v_ref))
-        slack = (np.abs(log_ndtr(v_ref + width) - reference) + LOG_PHI_FLUSH)[~blind]
-        gap = np.abs(log_phi - reference)[~blind]
-        assert np.all(gap <= 2.5e-13 * np.abs(reference[~blind]) + slack)
+        assert_matches_newton(gamma, c, v, log_phi)
         k = int(cut * gamma.size)
         v_a, log_phi_a = _solve_v(gamma[:k], c[:k])
         v_b, log_phi_b = _solve_v(gamma[k:], c[k:])
         assert np.array_equal(np.concatenate([v_a, v_b]), v)
         assert np.array_equal(np.concatenate([log_phi_a, log_phi_b]), log_phi)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        cases=st.integers(1, 300).flatmap(lambda k: st.tuples(
+            arrays(float, k, elements=st.one_of(st.just(0.0), st.floats(0.0, 100.0))),
+            arrays(float, k, elements=st.one_of(
+                st.floats(-5000.0, 5000.0), st.floats(-50.0, 5.0), st.floats(-1e-12, 0.0))),
+            arrays(float, k, elements=st.one_of(
+                st.floats(-40.0, 40.0), st.floats(-1e6, 1e6),
+                st.sampled_from([math.inf, -math.inf, math.nan]))))),
+    )
+    def test_any_guess_matches_newton(self, cases):
+        # A guess, finite inside or far outside [V_LO, V_HI], infinite or
+        # NaN, changes where the solve starts, not what it returns.
+        gamma, c, guess = cases
+        v, log_phi = _solve_v(gamma, c, guess=guess)
+        assert_matches_newton(gamma, c, v, log_phi)
+        v_cold, _ = _solve_v(gamma, c)
+        for end in (V_LO, V_HI):
+            assert np.array_equal(v == end, v_cold == end)
+
+
+class TestSolveCost:
+    def test_warm_started_profiles_on_a_large_panel(self, monkeypatch):
+        # The count of size profiles and of log Phi evaluations that an
+        # allocation costs, on the paper's effect-size model at M = 20,000.
+        gammas = np.abs(np.random.default_rng(20260809).normal(2.0, 1.0, 20_000))
+        profiles, evaluated = [], []
+
+        def counting_profile(*args, **kwargs):
+            profiles.append(1)
+            return _size_profile(*args, **kwargs)
+
+        def counting_log_ndtr(x, *args, **kwargs):
+            evaluated.append(np.size(x))
+            return log_ndtr(x, *args, **kwargs)
+
+        monkeypatch.setattr(allocate, "_size_profile", counting_profile)
+        monkeypatch.setattr(allocate, "log_ndtr", counting_log_ndtr)
+        alloc = optimal_sizes(RocModel.from_gammas(gammas), 0.05)
+        assert abs(alloc.constraint_residual) <= 1e-12 * -math.log1p(-0.05)
+        assert len(profiles) <= 6
+        assert sum(evaluated) / gammas.size <= 10.0
 
 
 class TestClustered:

@@ -183,8 +183,76 @@ class TestFindRoot:
         assert best.iterations == 3
         assert 0.0 < best.root < 1.0
 
+    def test_one_sided_newton_from_an_interior_start(self):
+        # e^x - 2 is convex: Newton from x0 = 0 overshoots once, then
+        # approaches ln 2 from above with steps that shrink quadratically,
+        # which a guard on the bracket width would interrupt by bisecting.
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return math.exp(x) - 2.0
+
+        res = find_root(f, Bracket(-10.0, 10.0, math.exp(-10.0) - 2.0, math.exp(10.0) - 2.0),
+                        df=math.exp, x0=0.0)
+        assert res.root == pytest.approx(math.log(2.0), abs=1e-12)
+        assert len(calls) <= 6
+        assert calls[0] == 0.0
+        assert all(x > math.log(2.0) for x in calls[1:-1])
+        assert calls[1:] == sorted(calls[1:], reverse=True)
+
+    def test_first_step_is_not_a_bisection(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x - 0.1
+
+        res = find_root(f, Bracket.from_function(lambda x: x - 0.1, -1.0, 1.0))
+        assert calls[0] == pytest.approx(0.1, abs=1e-15)
+        assert res.root == pytest.approx(0.1, abs=1e-15)
+
+    def test_iteration_cap_with_newton_carries_best(self):
+        f = lambda x: math.exp(x) - 2.0
+        with pytest.raises(ConvergenceError) as exc:
+            find_root(f, Bracket.from_function(f, -10.0, 10.0), tol=5e-324,
+                      max_iter=2, df=math.exp, x0=0.0)
+        best = exc.value.best
+        assert best.iterations == 2
+        assert best.root == 1.0 and best.residual == math.exp(1.0) - 2.0
+
+    def test_unevaluated_end_is_evaluated_once_a_step_leaves_through_it(self):
+        # Ends of known sign carry infinite values; Newton from x0 = -5
+        # on the convex e^x - 2 overshoots past hi = 1, so hi is evaluated
+        # instead of bisecting, and the search goes on from there.
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return math.exp(x) - 2.0
+
+        res = find_root(f, Bracket(-10.0, 1.0, -math.inf, math.inf), df=math.exp, x0=-5.0)
+        assert calls[:2] == [-5.0, 1.0]
+        assert res.root == pytest.approx(math.log(2.0), abs=1e-12)
+        assert all(x > math.log(2.0) for x in calls[1:-1])
+
+    def test_an_unevaluated_end_of_the_other_sign_is_the_root(self):
+        # The upper end was given as positive, but f rounds below 0 there:
+        # the sign change lies at that end.
+        f = lambda x: x - 1.0 - 1e-16
+        res = find_root(f, Bracket(0.0, 1.0, -math.inf, math.inf), df=lambda x: 1.0, x0=0.5)
+        assert res.root == 1.0 and res.residual == f(1.0)
+        assert res.iterations == 2
+
     def test_bracket_validation(self):
         with pytest.raises(BracketingError):
             Bracket(2.0, 1.0, -1.0, 1.0)
         with pytest.raises(BracketingError):
             Bracket(0.0, 1.0, math.nan, 1.0)
+
+    def test_bracket_ends_of_known_sign(self):
+        assert Bracket(0.0, 1.0, -math.inf, math.inf).f_hi == math.inf
+        with pytest.raises(BracketingError):
+            Bracket(-math.inf, 1.0, -1.0, 1.0)
+        with pytest.raises(BracketingError):
+            Bracket(0.0, 1.0, math.inf, math.inf)
