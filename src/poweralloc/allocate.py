@@ -19,7 +19,7 @@ safeguarded Newton iteration on log d (the constraint gap is monotone in d
 because every g_m is nonincreasing).  It works on the log budget ratio
 log(sum_m log(1 - eta_m) / log(1 - alpha)), which is close to linear in
 log d, and starts each size profile from the previous profile's v, so an
-allocation costs about five profiles.  The Sidak size
+allocation costs about four profiles.  The Sidak size
 eta_S = 1 - (1-alpha)^(1/M) brackets the root in closed form: at
 d = min_m g_m(eta_S) every size is at least eta_S, and at
 d = max_m g_m(eta_S) at most eta_S.  All aggregation happens on
@@ -43,7 +43,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
+from scipy.special import log_ndtr, ndtri, ndtri_exp
 
 from .model import RocModel
 from .numerics import Bracket, find_root
@@ -103,10 +103,6 @@ class SizeAllocation:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    @property
-    def M(self) -> int:
-        return self.sizes.size
-
 
 @dataclass(frozen=True)
 class SizeConditionReport:
@@ -118,46 +114,11 @@ class SizeConditionReport:
     worst_ratio: float
 
 
-def _validate_alpha(alpha: float, *, allow_zero: bool = True) -> float:
+def _validate_alpha(alpha: float) -> float:
     alpha = float(alpha)
-    lo_ok = (alpha >= 0.0) if allow_zero else (alpha > 0.0)
-    if not (lo_ok and alpha < 1.0 and math.isfinite(alpha)):
-        bound = "[0, 1)" if allow_zero else "(0, 1)"
-        raise ValueError(f"alpha must lie in {bound}, got {alpha!r}")
+    if not 0.0 <= alpha < 1.0:
+        raise ValueError(f"alpha must lie in [0, 1), got {alpha!r}")
     return alpha
-
-
-def sidak_sizes(M: int, alpha: float) -> SizeAllocation:
-    """Equal sizes 1 - (1-alpha)^(1/M); meets the budget with equality."""
-    M = _validate_count(M)
-    alpha = _validate_alpha(alpha)
-    log1m = np.full(M, np.log1p(-alpha) / M)
-    return SizeAllocation(
-        alpha=alpha,
-        sizes=-np.expm1(log1m),
-        log1m_sizes=log1m,
-        lagrange=None,
-        constraint_residual=float(log1m.sum() - np.log1p(-alpha)),
-        stationarity_residual=None,
-        method="sidak",
-    )
-
-
-def bonferroni_sizes(M: int, alpha: float) -> SizeAllocation:
-    """Equal sizes alpha/M; conservative (constraint residual >= 0)."""
-    M = _validate_count(M)
-    alpha = _validate_alpha(alpha)
-    sizes = np.full(M, alpha / M)
-    log1m = np.log1p(-sizes)
-    return SizeAllocation(
-        alpha=alpha,
-        sizes=sizes,
-        log1m_sizes=log1m,
-        lagrange=None,
-        constraint_residual=float(log1m.sum() - np.log1p(-alpha)),
-        stationarity_residual=None,
-        method="bonferroni",
-    )
 
 
 def _validate_count(M: int) -> int:
@@ -166,11 +127,38 @@ def _validate_count(M: int) -> int:
     return int(M)
 
 
+def _baseline(alpha: float, sizes, log1m, method: str) -> SizeAllocation:
+    """A closed-form allocation, with no stationarity system solved."""
+    return SizeAllocation(
+        alpha=alpha,
+        sizes=sizes,
+        log1m_sizes=log1m,
+        lagrange=None,
+        constraint_residual=float(log1m.sum() - np.log1p(-alpha)),
+        stationarity_residual=None,
+        method=method,
+    )
+
+
+def sidak_sizes(M: int, alpha: float) -> SizeAllocation:
+    """Equal sizes 1 - (1-alpha)^(1/M); meets the budget with equality."""
+    M, alpha = _validate_count(M), _validate_alpha(alpha)
+    log1m = np.full(M, np.log1p(-alpha) / M)
+    return _baseline(alpha, -np.expm1(log1m), log1m, "sidak")
+
+
+def bonferroni_sizes(M: int, alpha: float) -> SizeAllocation:
+    """Equal sizes alpha/M; conservative (constraint residual >= 0)."""
+    M, alpha = _validate_count(M), _validate_alpha(alpha)
+    sizes = np.full(M, alpha / M)
+    return _baseline(alpha, sizes, np.log1p(-sizes), "bonferroni")
+
+
 # ---------------------------------------------------------------------------
 # Gaussian inner solve: log Phi(v) + gamma v = c, elementwise on arrays.
 # ---------------------------------------------------------------------------
 
-def _solve_v(gamma, c, tol: float = INNER_TOL, guess=None) -> tuple[np.ndarray, np.ndarray]:
+def _solve_v(gamma, c, guess=None) -> tuple[np.ndarray, np.ndarray]:
     """Solve log Phi(v) + gamma*v = c for each element, v in [V_LO, V_HI];
     returns v and log Phi(v), the latter from the solve's last evaluation.
 
@@ -183,9 +171,9 @@ def _solve_v(gamma, c, tol: float = INNER_TOL, guess=None) -> tuple[np.ndarray, 
     Elements whose root lies outside [V_LO, V_HI] are clamped to the
     endpoint, which encodes the corner cases eta ~ 0 (v at V_HI) and
     eta ~ 1 (v at V_LO).  An element stops once the error it leaves in
-    log Phi(v) = log(1 - eta) is below tol relative to that log, so sizes
-    far below tol keep their precision; it keeps the v at which that log
-    was measured.  ``guess``, broadcast like ``c``, is each element's
+    log Phi(v) = log(1 - eta) is below INNER_TOL relative to that log, so
+    sizes far below INNER_TOL keep their precision; it keeps the v at which
+    that log was measured.  ``guess``, broadcast like ``c``, is each element's
     starting v (clipped to [V_LO, V_HI]); an element whose guess is not
     finite, or every element when there is none, starts from a guess of
     its own.
@@ -209,7 +197,7 @@ def _solve_v(gamma, c, tol: float = INNER_TOL, guess=None) -> tuple[np.ndarray, 
             rs = slice(r0, r0 + per_block)
             unconverged += _solve_block(
                 g[rs].ravel(), cc[rs].ravel(), None if guess is None else guess[rs].ravel(),
-                v[rs].reshape(-1), log_phi[rs].reshape(-1), tol)
+                v[rs].reshape(-1), log_phi[rs].reshape(-1))
     if unconverged:
         raise AllocationError(
             f"inner size solve did not converge for {unconverged} of {g.size} elements"
@@ -228,7 +216,7 @@ def _cold_guess(g, c) -> np.ndarray:
     return v
 
 
-def _solve_block(g, c, guess, v_out, log_phi_out, tol: float) -> int:
+def _solve_block(g, c, guess, v_out, log_phi_out) -> int:
     """One block of ``_solve_v``: writes v and log Phi(v) into the output
     views and returns the number of elements left unconverged."""
     below = (LOG_PHI_HI + g * V_HI) <= c  # root beyond V_HI
@@ -260,9 +248,9 @@ def _solve_block(g, c, guess, v_out, log_phi_out, tol: float) -> int:
         err -= c
         abs_err = np.abs(err)
         # Still active while err is above the rounding of c, the error
-        # err * r / slope it leaves in log Phi(v) = log(1 - eta) exceeds tol
-        # relative to that log (absolute past magnitude 1), and the bracket
-        # is wider than a few ulp.
+        # err * r / slope it leaves in log Phi(v) = log(1 - eta) exceeds
+        # INNER_TOL relative to that log (absolute past magnitude 1), and
+        # the bracket is wider than a few ulp.
         active = abs_err > 4.0 * EPS * np.abs(c)
         r = v * v
         r *= -0.5
@@ -279,7 +267,7 @@ def _solve_block(g, c, guess, v_out, log_phi_out, tol: float) -> int:
         # the step creeps by about 1/v there, and one on log(-log Phi) jumps.
         tail = np.flatnonzero(log1m_err >= -0.5 * li)
         threshold = np.maximum(li, -1.0)  # -min(1, |log Phi|), as log Phi <= 0
-        threshold *= -tol
+        threshold *= -INNER_TOL
         above_tol = log1m_err > threshold
         if li.max() == 0.0:
             # Where log Phi has flushed to 0, r underflows and the relative
@@ -337,6 +325,12 @@ def _solve_block(g, c, guess, v_out, log_phi_out, tol: float) -> int:
     return pos.size
 
 
+def _log_g(gammas, v, log_phi):
+    """log g(eta) = log Phi(v) + gamma v - gamma^2 / 2 at v = Phi^{-1}(1 - eta),
+    given log Phi(v) = log(1 - eta)."""
+    return log_phi + gammas * v - 0.5 * gammas * gammas
+
+
 def _log_marginal_value(gammas, s) -> np.ndarray:
     """log g_m(s) = log[rho_m'(s) (1 - s)] at sizes s, elementwise.
 
@@ -351,8 +345,7 @@ def _log_marginal_value(gammas, s) -> np.ndarray:
     out = np.where(sv < 1.0, np.inf, -np.inf)
     interior = (sv > 0.0) & (sv < 1.0)
     v = -ndtri(sv[interior])
-    gi = gv[interior]
-    out[interior] = log_ndtr(v) + gi * v - 0.5 * gi * gi
+    out[interior] = _log_g(gv[interior], v, log_ndtr(v))
     return out.reshape(shape)
 
 
@@ -365,10 +358,8 @@ def _size_profile(gammas, log_d, guess=None) -> tuple[np.ndarray, np.ndarray]:
     """
     gammas = np.asarray(gammas, dtype=float)
     log_d = np.asarray(log_d, dtype=float)
-    if log_d.ndim == 0:
-        return _solve_v(gammas, log_d + 0.5 * gammas * gammas, guess=guess)
-    c = log_d[np.newaxis, :] + 0.5 * (gammas * gammas)[:, np.newaxis]
-    return _solve_v(gammas[:, np.newaxis], c, guess=guess)
+    g = gammas.reshape(gammas.shape + (1,) * log_d.ndim)
+    return _solve_v(g, log_d + 0.5 * g * g, guess=guess)
 
 
 def _tail_ratio(v, log1m) -> np.ndarray:
@@ -400,9 +391,9 @@ def _constraint_gap(gammas, counts, v, log1m) -> tuple[float, float]:
 
 def _solve_multiplier(gammas: np.ndarray, counts: np.ndarray, alpha: float):
     """Root of sum_m counts_m log(1 - eta_m(d)) = log(1 - alpha) in log d;
-    returns it with the size profile (log d, v, log Phi(v)) of the evaluated
-    point it was taken from, one Newton step away at most, or None where
-    no profile was needed.
+    returns the size profile (log d, v, log Phi(v)) at the root, one entry
+    of v and log Phi(v) per gamma.  A multiplier beyond the float range, as
+    at a zero budget, is returned as inf.
 
     With L(d) = sum_m counts_m log(1 - eta_m(d)), the search solves the log
     budget ratio -log(L / log(1 - alpha)) = 0 by Newton steps of slope
@@ -431,10 +422,10 @@ def _solve_multiplier(gammas: np.ndarray, counts: np.ndarray, alpha: float):
     target = math.log1p(-alpha)
     log1m_s = target / counts.sum()
     if log1m_s == 0.0:  # a budget this small gives every test size 0
-        return math.inf, None
+        return (math.inf, *_size_profile(gammas, math.inf))
     # log g_m(eta_S) from log(1 - eta_S), so that eta_S near 1 keeps its
     # precision: log Phi(v_S) = log(1 - eta_S) at v_S = Phi^{-1}(1 - eta_S).
-    log_g = log1m_s + gammas * float(ndtri_exp(log1m_s)) - 0.5 * gammas * gammas
+    log_g = _log_g(gammas, float(ndtri_exp(log1m_s)), log1m_s)
     scale = min(1.0, max(-target, 1e-200))
     # The ratio's unit: the gap of a ratio near 0 is ratio * scale.
     unit = -target / scale
@@ -512,24 +503,28 @@ def _solve_multiplier(gammas: np.ndarray, counts: np.ndarray, alpha: float):
     value, slope = evaluated[root]
     if abs(value) > tol and slope > 0.0 and root - value / slope not in evaluated:
         root -= value / slope
-    return root * scale, profile
+    log_d = root * scale
+    if profile[0] == log_d:
+        return profile
+    return (log_d, *_size_profile(gammas, log_d, _warm_guess(gammas, profile, log_d)))
 
 
-def _solve_system(gammas, counts, alpha):
-    """Optimal allocation for effect sizes ``gammas`` that occur ``counts``
-    times each; returns (lagrange, log1m, sizes, constraint_residual,
-    stationarity_residual), log1m and sizes with one entry per gamma.  A
-    multiplier beyond the float range, as at a zero budget, is reported as
-    inf.  Raises AllocationError when the sizes miss the budget by more
-    than BUDGET_TOL, which happens once gamma^2/2 is so large that log d
-    has no precision left (gamma ~ 1e8)."""
-    log_d, profile = _solve_multiplier(gammas, counts, alpha)
-    if profile is not None and profile[0] == log_d:
-        _, v, log1m = profile
-    else:
-        guess = None if profile is None else _warm_guess(gammas, profile, log_d)
-        v, log1m = _size_profile(gammas, log_d, guess)
-    sizes = -np.expm1(log1m)
+def optimal_sizes(model: RocModel, alpha: float) -> SizeAllocation:
+    """Power-optimal size vector under weak FWER budget alpha.
+
+    Satisfies rho_m'(eta_m)(1 - eta_m) = d for a common d and
+    sum log(1 - eta_m) = log(1 - alpha); for an exchangeable model this is
+    exactly the Sidak allocation.  Equal effect sizes get bitwise-equal
+    sizes, and a zero budget gives every test size 0 (and multiplier inf).
+    The system is solved once per distinct gamma.  Raises AllocationError
+    when the sizes miss the budget by more than BUDGET_TOL, which happens
+    once gamma^2/2 is so large that log d has no precision left
+    (gamma ~ 1e8).
+    """
+    alpha = _validate_alpha(alpha)
+    gammas, inverse, counts = np.unique(model.gammas, return_inverse=True, return_counts=True)
+    counts = counts.astype(float)
+    log_d, v, log1m = _solve_multiplier(gammas, counts, alpha)
     constraint = float(counts @ log1m) - math.log1p(-alpha)
     if not abs(constraint) <= BUDGET_TOL:
         raise AllocationError(
@@ -539,29 +534,14 @@ def _solve_system(gammas, counts, alpha):
     # Stationarity in log space at the solved v; endpoint-clamped
     # coordinates are corner solutions (eta pinned at ~0 or ~1) where the
     # multiplier condition holds as an inequality, so they are excluded.
-    err = log1m + gammas * v - 0.5 * gammas * gammas - log_d
+    err = _log_g(gammas, v, log1m) - log_d
     interior = (v > V_LO) & (v < V_HI)
     stationarity = float(np.abs(np.expm1(err[interior])).max()) if interior.any() else 0.0
     with np.errstate(over="ignore"):
         lagrange = float(np.exp(log_d))
-    return lagrange, log1m, sizes, constraint, stationarity
-
-
-def optimal_sizes(model: RocModel, alpha: float) -> SizeAllocation:
-    """Power-optimal size vector under weak FWER budget alpha.
-
-    Satisfies rho_m'(eta_m)(1 - eta_m) = d for a common d and
-    sum log(1 - eta_m) = log(1 - alpha); for an exchangeable model this is
-    exactly the Sidak allocation.  Equal effect sizes get bitwise-equal
-    sizes, and a zero budget gives every test size 0.
-    """
-    alpha = _validate_alpha(alpha)
-    gammas, inverse, counts = np.unique(model.gammas, return_inverse=True, return_counts=True)
-    lagrange, log1m, sizes, constraint, stationarity = _solve_system(
-        gammas, counts.astype(float), alpha)
     return SizeAllocation(
         alpha=alpha,
-        sizes=sizes[inverse],
+        sizes=-np.expm1(log1m)[inverse],
         log1m_sizes=log1m[inverse],
         lagrange=lagrange,
         constraint_residual=constraint,

@@ -76,9 +76,10 @@ def _read_columns(path: str, need: tuple[str, ...], also: tuple[str, ...] = ()):
 
     Header names are stripped; a name that occurs twice resolves to the
     field ``csv.DictReader`` would give.  Blank rows are skipped and extra
-    fields ignored.
+    fields ignored.  A leading UTF-8 byte-order mark, as Excel writes, is
+    dropped.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -253,7 +254,9 @@ def _cmd_allocate(args) -> int:
             clusters = columns.get("cluster")
             if clusters is None or not all(clusters):
                 raise ValueError("--method clustered needs a 'cluster' column on every row")
-    elif args.M:
+    elif args.M is not None:
+        if args.M < 1:
+            raise ValueError(f"--M must be a positive integer, got {args.M}")
         ids = [f"h{i + 1}" for i in range(args.M)]
         if args.gamma_const is not None:
             if not (math.isfinite(args.gamma_const) and args.gamma_const >= 0.0):
@@ -433,7 +436,13 @@ def _cmd_simulate(args) -> int:
     reps = int(args.reps if args.reps is not None else spec.get("reps", 1000))
     seed = int(args.seed if args.seed is not None else spec.get("seed", 0))
     procedures = tuple(spec.get("procedures", ["fdr-opt", "bh"]))
-    workers = int(os.environ.get("POWERALLOC_THREADS", "1"))
+    threads = os.environ.get("POWERALLOC_THREADS", "1")
+    try:
+        workers = int(threads)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"POWERALLOC_THREADS must be a positive integer, got {threads!r}")
 
     results = run_table(Ms, ps, nus, qstar, reps, seed, procedures, workers=workers)
 

@@ -110,10 +110,6 @@ class Decision:
             w.setflags(write=False)
             object.__setattr__(self, "w", w)
 
-    @property
-    def n_rejected(self) -> int:
-        return int(self.reject.sum())
-
 
 @dataclass(frozen=True)
 class TruthAssignment:
@@ -130,10 +126,6 @@ class TruthAssignment:
         arr = arr.astype(np.int8)
         arr.setflags(write=False)
         object.__setattr__(self, "theta", arr)
-
-    @property
-    def M(self) -> int:
-        return self.theta.size
 
     @property
     def n_alternatives(self) -> int:

@@ -133,6 +133,15 @@ class TestAllocate:
     def test_bad_alpha_is_usage_error(self):
         run_cli("allocate", "--alpha", "1.0", "--M", "4", "--method", "sidak", expect=2)
 
+    @pytest.mark.parametrize("argv", [
+        ["--M", "0", "--gamma-const", "1"],
+        ["--M", "-3", "--gamma-const", "1"],
+        ["--M", "-3", "--method", "sidak"],
+    ])
+    def test_count_below_one_names_the_flag(self, capsys, argv):
+        assert cli.main(["allocate", "--alpha", "0.05", *argv]) == 2
+        assert "--M must be a positive integer" in capsys.readouterr().err
+
     def test_unsolvable_panel_is_numerical_error(self, tmp_path):
         path = tmp_path / "extreme.csv"
         write_csv(path, ["id", "gamma"], [["a", 1e8], ["b", 1e8]])
@@ -330,6 +339,24 @@ class TestInputErrors:
         assert "line 3: field 'gamma' is missing" in err
 
 
+class TestInputEncoding:
+    @pytest.mark.parametrize("argv, text", [
+        (["allocate", "--alpha", "0.05"], "id,gamma\na,1.5\nb,0.25\nc,3\n"),
+        (["decide", "--procedure", "fdr-opt", "--q", "0.1"],
+         "id,pvalue,gamma\na,0.001,2\nb,0.2,1\nc,0.04,3\n"),
+    ])
+    def test_byte_order_mark_is_ignored(self, capsys, tmp_path, argv, text):
+        # Excel writes UTF-8 CSV files with a leading byte-order mark.
+        outputs = []
+        for name, encoding in (("plain.csv", "utf-8"), ("bom.csv", "utf-8-sig")):
+            path = tmp_path / name
+            path.write_text(text, encoding=encoding)
+            assert cli.main([*argv, "--input", str(path)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert (tmp_path / "bom.csv").read_bytes().startswith(b"\xef\xbb\xbf")
+        assert outputs[0] == outputs[1]
+
+
 def _column(rng, pool, n, draw):
     """n values: the drawn pool first, then random picks from it and
     ``draw(rng, k)`` extras."""
@@ -519,6 +546,16 @@ class TestSimulate:
         run_cli("simulate", "--config", str(config), "--reps", "12", "--seed", "5",
                 "--out", str(out))
         assert parse_csv(out.read_text())[0]["reps"] == "12"
+
+    @pytest.mark.parametrize("threads", ["abc", "0", "-2", "1.5"])
+    def test_bad_thread_count_names_the_variable(self, capsys, monkeypatch, tmp_path, threads):
+        config = tmp_path / "grid.json"
+        config.write_text(json.dumps({"M": [4], "p": [0.2], "nu": [2], "qstar": 0.1, "reps": 2}))
+        monkeypatch.setenv("POWERALLOC_THREADS", threads)
+        out = tmp_path / "o.csv"
+        assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 2
+        assert "POWERALLOC_THREADS must be a positive integer" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_config_key(self, tmp_path):
         config = tmp_path / "bad.json"
