@@ -240,6 +240,8 @@ def _cmd_allocate(args) -> int:
         raise ValueError(f"--alpha must lie in [0, 1), got {alpha}")
     if args.method == "clustered" and not args.input:
         raise ValueError("--method clustered needs --input with a 'cluster' column")
+    if args.input and (args.M is not None or args.gamma_const is not None):
+        raise ValueError("--M and --gamma-const cannot be used with --input")
 
     ids: list[str]
     gammas: np.ndarray | None = None
@@ -423,18 +425,31 @@ def _print_decision(out, trace, procedure, budget, ids, pvalues, gammas, w, deci
 # simulate
 # ---------------------------------------------------------------------------
 
+def _integral(value, key: str, path: str) -> int:
+    """A config value as an int; a fraction is refused, not truncated."""
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or (isinstance(value, float) and number != value):
+        raise ValueError(f"{path}: config key {key!r} must be an integer, got {value!r}")
+    return number
+
+
 def _cmd_simulate(args) -> int:
     with open(args.config, encoding="utf-8") as fh:
         spec = json.load(fh)
     for key in ("M", "p", "nu", "qstar"):
         if key not in spec:
             raise ValueError(f"{args.config}: config needs key {key!r}")
-    Ms = [int(m) for m in np.atleast_1d(spec["M"])]
+    Ms = [_integral(m, "M", args.config) for m in np.atleast_1d(spec["M"]).tolist()]
     ps = [float(p) for p in np.atleast_1d(spec["p"])]
     nus = [float(v) for v in np.atleast_1d(spec["nu"])]
     qstar = float(spec["qstar"])
-    reps = int(args.reps if args.reps is not None else spec.get("reps", 1000))
-    seed = int(args.seed if args.seed is not None else spec.get("seed", 0))
+    reps = (args.reps if args.reps is not None
+            else _integral(spec.get("reps", 1000), "reps", args.config))
+    seed = (args.seed if args.seed is not None
+            else _integral(spec.get("seed", 0), "seed", args.config))
     procedures = tuple(spec.get("procedures", ["fdr-opt", "bh"]))
     threads = os.environ.get("POWERALLOC_THREADS", "1")
     try:

@@ -4,9 +4,15 @@ The model-based stepwise rules share one engine.  A single panel solve
 (``_solve_panel``) pins, for each hypothesis, the multiplier d_m = g_m(S_m)
 at its p-value and sizes every hypothesis at every such multiplier.  The
 column sums of that (M, M) array of log(1 - eta) give the budget-scale
-p-values W and their ordering; the array is then gathered once into scan
-order, where the step-down rule reads its survival products off the lower
-triangle and the step-up rule its size sums off the columns.  The rules:
+p-values W and their ordering.  ``_stepwise_panel`` gathers the array once
+into scan order and reduces it to five O(M) things: W, the ordering, the
+step-down survival products (off the lower triangle), the step-up size
+sums (down the columns) and the size-condition report.  Both stepwise
+rules read those reductions, and a one-entry memo keyed on the exact bytes
+of the gammas and the p-values serves them to the second rule called on
+the same panel, so a panel asked for both rules is solved once; the memo
+never holds the (M, M) array.  ``generalized_pvalues`` solves directly and
+reads W alone.  The rules:
 
 * ``decide_weak_fwer`` - fixed-budget rule: reject m iff its p-value is at
   most its optimally allocated size (a weighted-p-value rule; rejections
@@ -33,6 +39,7 @@ ratio check as ``allocate.check_size_condition``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -156,18 +163,61 @@ def _inputs(model: RocModel | None, s, budget: float = 0.0,
 
 
 def _solve_panel(model: RocModel, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One shared solve per panel: ``(w, order, L)``.
+    """The one panel solve: ``(w, order, log1m)``.
 
     ``w`` holds the budget-scale p-values and ``order`` their anti-ranks
-    (``w[order]`` is nondecreasing, ties by index).  ``L[r, i]`` is
-    log(1 - eta) of the hypothesis with anti-rank r sized at budget W_(i):
-    rows and columns are both in scan order.
+    (``w[order]`` is nondecreasing, ties by index).  ``log1m[j, m]`` is
+    log(1 - eta) of hypothesis j sized at budget W_m, both axes in input
+    order.
     """
     gammas = model.gammas
     log1m = _size_profile(gammas, _log_marginal_value(gammas, s))[1]
     w = -np.expm1(log1m.sum(axis=0))
-    order = np.argsort(w, kind="stable")
-    return w, order, log1m[np.ix_(order, order)]
+    return w, np.argsort(w, kind="stable"), log1m
+
+
+@dataclass(frozen=True)
+class _StepwisePanel:
+    """The O(M) reductions of one panel solve that the stepwise rules read.
+
+    ``log_products[i]`` is the step-down log survival product at scan step
+    i, ``size_sums[i]`` the step-up size sum there, and ``size_condition``
+    the size condition over the ordered budgets W_(i)."""
+
+    w: np.ndarray
+    order: np.ndarray
+    log_products: np.ndarray
+    size_sums: np.ndarray
+    size_condition: SizeConditionReport
+
+
+def _stepwise_panel(model: RocModel, s: np.ndarray) -> _StepwisePanel:
+    """The reductions of the panel of ``(model, s)``, solved once for
+    consecutive calls on the same inputs.
+
+    The memo is keyed on the exact bytes of the gammas and the p-values, so
+    a changed or mutated input is solved afresh, and it holds only O(M)
+    arrays; ``_panel_memo.cache_clear()`` empties it.
+    """
+    return _panel_memo(model.gammas.tobytes(), s.tobytes())
+
+
+@functools.lru_cache(maxsize=1)
+def _panel_memo(gammas: bytes, s: bytes) -> _StepwisePanel:
+    w, order, log1m = _solve_panel(RocModel(np.frombuffer(gammas)), np.frombuffer(s))
+    # Rows and columns both in scan order.
+    L = log1m[np.ix_(order, order)]
+    del log1m
+    # Column i summed over the rows r >= i not yet rejected, from the last
+    # row up.
+    log_products = np.tril(L)[::-1].sum(axis=0)
+    eta = -np.expm1(L)
+    del L
+    size_sums = eta.sum(axis=0)
+    for arr in (w, order, log_products, size_sums):
+        arr.setflags(write=False)
+    return _StepwisePanel(w, order, log_products, size_sums,
+                          _size_condition_report(w[order], eta))
 
 
 def _scan(order: np.ndarray, order_stats: np.ndarray, passing: np.ndarray,
@@ -238,13 +288,11 @@ def decide_strong_fwer(model: RocModel, s, qstar: float) -> Decision:
     step-down Sidak procedure.
     """
     s, qstar = _inputs(model, s, qstar)
-    w, order, L = _solve_panel(model, s)
-    # Column i summed over the rows r >= i not yet rejected, from the last
-    # row up.
-    log_products = np.tril(L)[::-1].sum(axis=0)
+    panel = _stepwise_panel(model, s)
     bound = math.log1p(-qstar) if qstar < 1.0 else -math.inf
-    return _scan(order, w[order], log_products >= bound, log_products,
-                 np.full(s.size, 1.0 - qstar), step_up=False, w=w)
+    log_products = panel.log_products
+    return _scan(panel.order, panel.w[panel.order], log_products >= bound, log_products,
+                 np.full(s.size, 1.0 - qstar), step_up=False, w=panel.w)
 
 
 def decide_fdr_opt(model: RocModel, s, qstar: float) -> Decision:
@@ -258,13 +306,11 @@ def decide_fdr_opt(model: RocModel, s, qstar: float) -> Decision:
     failing condition annotates but never refuses the decision.
     """
     s, qstar = _inputs(model, s, qstar)
-    w, order, L = _solve_panel(model, s)
-    w_sorted = w[order]
-    eta = -np.expm1(L)
-    size_sums = eta.sum(axis=0)
+    panel = _stepwise_panel(model, s)
+    size_sums = panel.size_sums
     bounds = qstar * np.arange(1, s.size + 1)
-    return _scan(order, w_sorted, size_sums <= bounds, size_sums, bounds, step_up=True, w=w,
-                 size_condition=_size_condition_report(w_sorted, eta))
+    return _scan(panel.order, panel.w[panel.order], size_sums <= bounds, size_sums, bounds,
+                 step_up=True, w=panel.w, size_condition=panel.size_condition)
 
 
 def decide_bh(s, qstar: float) -> Decision:

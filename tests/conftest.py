@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from poweralloc import run_table
+from poweralloc import procedures, run_table
 from poweralloc.sim import ScenarioConfig, run_cell
 
 GRID_SEED = 20260809
@@ -54,6 +54,17 @@ def null_grid():
         )
         for M in (20, 50)
     ]
+
+
+@pytest.fixture
+def panel_solves(monkeypatch):
+    """The arguments of every ``procedures._solve_panel`` call of a test,
+    which starts with an empty stepwise-panel memo."""
+    calls = []
+    solve = procedures._solve_panel
+    monkeypatch.setattr(procedures, "_solve_panel", lambda *a: calls.append(a) or solve(*a))
+    procedures._panel_memo.cache_clear()
+    return calls
 
 
 def random_gammas(rng: np.random.Generator, size: int, lo: float = 0.1, hi: float = 10.0):

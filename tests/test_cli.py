@@ -142,6 +142,16 @@ class TestAllocate:
         assert cli.main(["allocate", "--alpha", "0.05", *argv]) == 2
         assert "--M must be a positive integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [["--M", "5"], ["--gamma-const", "1"],
+                                       ["--M", "5", "--gamma-const", "1"]])
+    def test_input_with_count_flags_is_usage_error(self, tmp_path, capsys, flags):
+        path = tmp_path / "g.csv"
+        write_csv(path, ["id", "gamma"], [["a", 1.0], ["b", 2.0]])
+        assert cli.main(["allocate", "--alpha", "0.05", "--input", str(path), *flags]) == 2
+        captured = capsys.readouterr()
+        assert "--M and --gamma-const cannot be used with --input" in captured.err
+        assert captured.out == ""
+
     def test_unsolvable_panel_is_numerical_error(self, tmp_path):
         path = tmp_path / "extreme.csv"
         write_csv(path, ["id", "gamma"], [["a", 1e8], ["b", 1e8]])
@@ -220,6 +230,8 @@ class TestDecide:
         write_csv(path, ["id", "pvalue", "gamma"],
                   [[f"h{i}", repr(float(p)), repr(float(g))]
                    for i, (p, g) in enumerate(zip(pvals, gammas))])
+        # Both cases read the same panel; start each from an empty memo.
+        procedures._panel_memo.cache_clear()
         calls = []
         solve = procedures._solve_panel
         monkeypatch.setattr(procedures, "_solve_panel",
@@ -247,6 +259,7 @@ class TestDecide:
                 "--trace", "--out", "csv", expect=2)
         # Refused before the file is read or the panel solved.
         write_csv(path, ["id", "pvalue", "gamma"], [["a", 0.01, 1.0], ["b", 0.3, 2.0]])
+        procedures._panel_memo.cache_clear()
         calls = []
         solve = procedures._solve_panel
         monkeypatch.setattr(procedures, "_solve_panel",
@@ -562,6 +575,26 @@ class TestSimulate:
         config.write_text(json.dumps({"M": [4], "p": [0.2], "qstar": 0.1}))
         run_cli("simulate", "--config", str(config), "--out", str(tmp_path / "x.csv"),
                 expect=2)
+
+    @pytest.mark.parametrize("key, value", [("M", [4, 20.7]), ("reps", 3.9), ("seed", 1.5)])
+    def test_fractional_count_names_the_key(self, capsys, tmp_path, key, value):
+        spec = {"M": [4], "p": [0.2], "nu": [2], "qstar": 0.1, "reps": 2, "seed": 0}
+        spec[key] = value
+        config = tmp_path / "grid.json"
+        config.write_text(json.dumps(spec))
+        out = tmp_path / "o.csv"
+        assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 2
+        assert f"config key {key!r} must be an integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integral_floats_are_counts(self, tmp_path):
+        config = tmp_path / "grid.json"
+        config.write_text(json.dumps({"M": [4.0], "p": [0.2], "nu": [2], "qstar": 0.1,
+                                      "reps": 2.0, "seed": 3.0}))
+        out = tmp_path / "o.csv"
+        assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        rows = parse_csv(out.read_text())
+        assert {(r["M"], r["reps"]) for r in rows} == {("4", "2")}
 
 
 class TestUsage:

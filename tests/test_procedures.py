@@ -115,6 +115,7 @@ class TestPanelCost:
 
     def test_allocation_peak(self, panel):
         model, s = panel
+        procedures._panel_memo.cache_clear()
         tracemalloc.start()
         try:
             decide_fdr_opt(model, s, 0.1)
@@ -122,6 +123,91 @@ class TestPanelCost:
         finally:
             tracemalloc.stop()
         assert peak <= 40 * 2**20
+
+    def test_memo_retains_no_panel(self, panel):
+        # The memo keeps O(M) reductions (about 50 KB here), never the
+        # 8 MB (M, M) array.
+        model, s = panel
+        procedures._panel_memo.cache_clear()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            decide_fdr_opt(model, s, 0.1)
+            retained = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert procedures._panel_memo.cache_info().currsize == 1
+        assert retained <= 2**18
+
+
+def assert_same_decision(a, b):
+    assert a.cutoff_index == b.cutoff_index
+    assert a.alpha_threshold == b.alpha_threshold
+    assert a.size_condition == b.size_condition
+    for x, y in ((a.reject, b.reject), (a.w, b.w), (a.trace.order_stats, b.trace.order_stats),
+                 (a.trace.survival_product, b.trace.survival_product),
+                 (a.trace.size_sum, b.trace.size_sum), (a.trace.threshold, b.trace.threshold)):
+        assert x.tobytes() == y.tobytes()
+
+
+def cold(rule, model, s, q):
+    procedures._panel_memo.cache_clear()
+    return rule(model, s, q)
+
+
+class TestPanelMemo:
+    """The stepwise rules share one solve per (gammas, p-values) pair and
+    never read a panel solved for other inputs."""
+
+    def test_both_rules_share_one_solve(self, panel_solves):
+        model, s = random_panel(np.random.default_rng(3), max_m=40)
+        fdr = decide_fdr_opt(model, s, 0.1)
+        strong = decide_strong_fwer(model, s, 0.1)
+        assert len(panel_solves) == 1
+        assert_same_decision(fdr, cold(decide_fdr_opt, model, s, 0.1))
+        assert_same_decision(strong, cold(decide_strong_fwer, model, s, 0.1))
+
+    def test_pvalues_mutated_in_place(self, panel_solves):
+        model = RocModel.from_gammas([0.5, 1.0, 2.0, 3.0, 4.0])
+        s = np.array([0.001, 0.01, 0.02, 0.3, 0.04])
+        decide_fdr_opt(model, s, 0.1)
+        s[3] = 0.003
+        fdr = decide_fdr_opt(model, s, 0.1)
+        strong = decide_strong_fwer(model, s, 0.1)
+        assert len(panel_solves) == 2
+        assert_same_decision(fdr, cold(decide_fdr_opt, model, s, 0.1))
+        assert_same_decision(strong, cold(decide_strong_fwer, model, s, 0.1))
+
+    def test_same_pvalues_other_gammas(self, panel_solves):
+        s = np.array([0.001, 0.01, 0.02, 0.3, 0.04])
+        decide_fdr_opt(RocModel.from_gammas([0.5, 1.0, 2.0, 3.0, 4.0]), s, 0.1)
+        model = RocModel.from_gammas([4.0, 3.0, 2.0, 1.0, 0.5])
+        strong = decide_strong_fwer(model, s, 0.1)
+        fdr = decide_fdr_opt(model, s, 0.1)
+        assert len(panel_solves) == 2
+        assert_same_decision(strong, cold(decide_strong_fwer, model, s, 0.1))
+        assert_same_decision(fdr, cold(decide_fdr_opt, model, s, 0.1))
+
+    def test_negative_zero_is_another_input(self, panel_solves):
+        model = RocModel.from_gammas([0.0, 1.0, 2.0])
+        for first, second in ((0.0, -0.0), (-0.0, 0.0)):
+            procedures._panel_memo.cache_clear()
+            decide_fdr_opt(model, np.array([first, 0.2, 0.5]), 0.1)
+            s = np.array([second, 0.2, 0.5])
+            fdr = decide_fdr_opt(model, s, 0.1)
+            strong = decide_strong_fwer(model, s, 0.1)
+            assert_same_decision(fdr, cold(decide_fdr_opt, model, s, 0.1))
+            assert_same_decision(strong, cold(decide_strong_fwer, model, s, 0.1))
+        assert len(panel_solves) == 8
+
+    def test_memo_is_read_only(self):
+        model, s = random_panel(np.random.default_rng(4))
+        decision = cold(decide_fdr_opt, model, s, 0.1)
+        with pytest.raises(ValueError):
+            decision.trace.size_sum[0] = 0.0
+        panel = procedures._stepwise_panel(model, s)
+        for arr in (panel.w, panel.order, panel.log_products, panel.size_sums):
+            assert not arr.flags.writeable
 
 
 class TestWeakFwer:

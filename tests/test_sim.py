@@ -1,6 +1,8 @@
 """Monte Carlo harness: panel generation, loss accounting, efficiency, and
 cell/table runs with their determinism contracts."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,10 +12,11 @@ from poweralloc import (
     efficiency_vs_sidak,
     fdr_null_bounds,
     generate_panel,
+    procedures,
     run_cell,
     run_table,
 )
-from poweralloc.sim import _replicate_table
+from poweralloc.sim import ReplicateTable, _replicate_table
 
 
 def make_config(**overrides):
@@ -140,6 +143,37 @@ class TestRunCell:
         est = run_cell(config).estimates["fdr-opt"]
         lower, upper = fdr_null_bounds(20, 0.1)
         assert lower - 3.0 * est.se_fdr <= est.fdr <= upper + 3.0 * est.se_fdr
+
+
+class TestSharedPanel:
+    """A cell asking for both stepwise rules solves each replicate's panel
+    once, with the results of cells that each run one of the rules."""
+
+    RULES = ("fdr-opt", "strong-fwer-opt")
+
+    @staticmethod
+    def cold_cell(config):
+        procedures._panel_memo.cache_clear()
+        return run_cell(config)
+
+    def test_one_solve_per_replicate(self, panel_solves):
+        self.cold_cell(make_config(reps=7, procedures=self.RULES + ("bh", "weak-fwer-opt")))
+        assert len(panel_solves) == 7
+
+    @pytest.mark.parametrize("M", [1, 5, 60, 300])
+    @pytest.mark.parametrize("p", [0.0, 0.4])
+    def test_equals_one_rule_per_cell(self, panel_solves, M, p):
+        reps = 4
+        both = self.cold_cell(make_config(M=M, p=p, reps=reps, procedures=self.RULES))
+        assert len(panel_solves) == reps
+        for tag in self.RULES:
+            alone = self.cold_cell(make_config(M=M, p=p, reps=reps, procedures=(tag,)))
+            assert both.estimates[tag] == alone.estimates[tag]
+            for field in dataclasses.fields(ReplicateTable):
+                x = getattr(both.replicates[tag], field.name)
+                y = getattr(alone.replicates[tag], field.name)
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        assert len(panel_solves) == 3 * reps
 
 
 class TestRunTable:
