@@ -33,8 +33,13 @@ exchangeable panel a single one at the Sidak multiplier.
 
 The one-parameter structure also gives the inverse map cheaply: the budget
 W at which test m first receives size s is the budget realized at the
-multiplier d = g_m(s), with no nested root finding.
-``procedures.generalized_pvalues`` evaluates it for a whole panel.
+multiplier d = g_m(s), with no nested root finding.  For a whole panel,
+``_panel_log1m`` sizes every hypothesis at every such multiplier.  v is a
+smooth, monotone function of log d, so it solves the multipliers in
+ascending order, in blocks that each start from a second-order step off
+the last multiplier of the block before: about two log Phi evaluations
+per (hypothesis, multiplier) pair instead of 3.3 from cold starts.
+``procedures.generalized_pvalues`` reads W from it.
 """
 
 from __future__ import annotations
@@ -375,6 +380,46 @@ def _warm_guess(gammas, profile, log_d: float) -> np.ndarray:
     prev_log_d, v, log1m = profile
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return v + (log_d - prev_log_d) / (_tail_ratio(v, log1m) + gammas)
+
+
+def _panel_log1m(gammas, log_d) -> np.ndarray:
+    """log(1 - eta_j) of hypothesis j at multiplier log_d[m], shape (M, K).
+
+    The columns are solved in blocks of SOLVE_BLOCK // M, taken in
+    ascending log d, so that neighbouring columns are nearly the same
+    solve.  The first block starts cold; every later one starts from the
+    last finite column (t0, v, log Phi(v)) of the block before it, by a
+    second-order step in t = log d along v(t):
+    dv/dt = 1 / (r + gamma) and d2v/dt2 = r (v + r) / (r + gamma)^3 with
+    r = phi(v) / Phi(v).  An infinite multiplier gets a guess that is not
+    finite, and ``_solve_v`` starts and clamps it as a cold element.
+    """
+    gammas = np.asarray(gammas, dtype=float)
+    log_d = np.asarray(log_d, dtype=float)
+    out = np.empty((gammas.size, log_d.size))
+    per_block = max(1, SOLVE_BLOCK // gammas.size)
+    g = gammas[:, None]
+    order = np.argsort(log_d, kind="stable")
+    last = None
+    for k0 in range(0, order.size, per_block):
+        cols = order[k0:k0 + per_block]
+        t = log_d[cols]
+        guess = None
+        if last is not None:
+            t0, v0, log1m0 = last
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                r = _tail_ratio(v0, log1m0)
+                inv_slope = 1.0 / (r + g)
+                step = t - t0
+                guess = v0 + step * inv_slope * (
+                    1.0 + 0.5 * step * r * (v0 + r) * inv_slope * inv_slope)
+        v, log1m = _size_profile(gammas, t, guess)
+        out[:, cols] = log1m
+        finite = np.flatnonzero(np.isfinite(t))
+        if finite.size:
+            k = finite[-1]
+            last = (t[k], v[:, k:k + 1], log1m[:, k:k + 1])
+    return out
 
 
 def _constraint_gap(gammas, counts, v, log1m) -> tuple[float, float]:

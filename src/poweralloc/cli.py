@@ -336,14 +336,13 @@ def _print_allocation(out, alpha, method, ids, gammas, clusters, allocation, eff
 
 def _cmd_decide(args) -> int:
     procedure = args.procedure
-    if procedure in _ALPHA_PROCEDURES:
-        if args.alpha is None:
-            raise ValueError(f"--procedure {procedure} needs --alpha")
-        budget = args.alpha
-    else:
-        if args.q is None:
-            raise ValueError(f"--procedure {procedure} needs --q")
-        budget = args.q
+    alpha_rule = procedure in _ALPHA_PROCEDURES
+    flag, other = ("--alpha", "--q") if alpha_rule else ("--q", "--alpha")
+    budget, unread = (args.alpha, args.q) if alpha_rule else (args.q, args.alpha)
+    if budget is None:
+        raise ValueError(f"--procedure {procedure} needs {flag}")
+    if unread is not None:
+        raise ValueError(f"--procedure {procedure} does not read {other}; give its budget as {flag}")
     if not (0.0 <= budget <= 1.0):
         raise ValueError(f"budget must lie in [0, 1], got {budget}")
     if args.trace and args.out != "json":
@@ -450,7 +449,11 @@ def _cmd_simulate(args) -> int:
             else _integral(spec.get("reps", 1000), "reps", args.config))
     seed = (args.seed if args.seed is not None
             else _integral(spec.get("seed", 0), "seed", args.config))
-    procedures = tuple(spec.get("procedures", ["fdr-opt", "bh"]))
+    procedures = spec.get("procedures", ["fdr-opt", "bh"])
+    if not isinstance(procedures, list):
+        raise ValueError(f"{args.config}: config key 'procedures' must be a list of "
+                         f"procedure tags, got {procedures!r}")
+    procedures = tuple(procedures)
     threads = os.environ.get("POWERALLOC_THREADS", "1")
     try:
         workers = int(threads)

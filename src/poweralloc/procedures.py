@@ -2,11 +2,13 @@
 
 The model-based stepwise rules share one engine.  A single panel solve
 (``_solve_panel``) pins, for each hypothesis, the multiplier d_m = g_m(S_m)
-at its p-value and sizes every hypothesis at every such multiplier.  The
-column sums of that (M, M) array of log(1 - eta) give the budget-scale
-p-values W and their ordering.  ``_stepwise_panel`` gathers the array once
-into scan order and reduces it to five O(M) things: W, the ordering, the
-step-down survival products (off the lower triangle), the step-up size
+at its p-value and sizes every hypothesis at every such multiplier, in
+blocks of columns taken in ascending log d, each block warm-started from
+the one before (``allocate._panel_log1m``).  The column sums of that
+(M, M) array of log(1 - eta) give the budget-scale p-values W and their
+ordering.  ``_stepwise_panel`` gathers the array once into scan order
+and reduces it to five O(M) things: W, the ordering, the step-down
+survival products (off the lower triangle), the step-up size
 sums (down the columns) and the size-condition report.  Both stepwise
 rules read those reductions, and a one-entry memo keyed on the exact bytes
 of the gammas and the p-values serves them to the second rule called on
@@ -48,8 +50,8 @@ import numpy as np
 from .allocate import (
     SizeConditionReport,
     _log_marginal_value,
+    _panel_log1m,
     _size_condition_report,
-    _size_profile,
     optimal_sizes,
 )
 from .model import RocModel
@@ -168,10 +170,12 @@ def _solve_panel(model: RocModel, s: np.ndarray) -> tuple[np.ndarray, np.ndarray
     ``w`` holds the budget-scale p-values and ``order`` their anti-ranks
     (``w[order]`` is nondecreasing, ties by index).  ``log1m[j, m]`` is
     log(1 - eta) of hypothesis j sized at budget W_m, both axes in input
-    order.
+    order.  The columns are solved in ascending log d_m, each block of
+    them starting from the last one solved; a panel with M^2 <=
+    ``SOLVE_BLOCK`` (M <= 128) is one block and starts cold.
     """
     gammas = model.gammas
-    log1m = _size_profile(gammas, _log_marginal_value(gammas, s))[1]
+    log1m = _panel_log1m(gammas, _log_marginal_value(gammas, s))
     w = -np.expm1(log1m.sum(axis=0))
     return w, np.argsort(w, kind="stable"), log1m
 

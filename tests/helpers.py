@@ -8,6 +8,7 @@ from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
+from hypothesis import strategies as st
 from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
 
 from poweralloc import RocModel
@@ -31,6 +32,10 @@ from poweralloc.numerics import (
     ConvergenceError,
     RootResult,
 )
+
+
+# A p-value or budget in [0, 1], with its two ends drawn exactly.
+UNIT = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
 
 
 def erfc_cdf(z: float) -> float:

@@ -23,16 +23,19 @@ from poweralloc import (
 )
 from poweralloc import allocate
 from poweralloc.allocate import (
+    EPS,
     LOG_PHI_FLUSH,
     SOLVE_BLOCK,
     V_HI,
     V_LO,
+    _log_marginal_value,
+    _panel_log1m,
     _size_profile,
     _solve_multiplier,
     _solve_v,
 )
 
-from helpers import newton_solve_v, reference_solve_multiplier
+from helpers import UNIT, newton_solve_v, reference_solve_multiplier
 
 ALPHAS = (0.01, 0.05, 0.2)
 
@@ -42,8 +45,8 @@ ANY_ALPHA = st.one_of(
     st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
     st.floats(-300.0, 0.0).map(lambda e: 10.0 ** e).filter(lambda a: a < 1.0),
 )
-ANY_GAMMAS = st.integers(1, 200).flatmap(lambda m: arrays(
-    float, m, elements=st.one_of(st.just(0.0), st.floats(0.0, 100.0))))
+ANY_GAMMA = st.one_of(st.just(0.0), st.floats(0.0, 100.0))
+ANY_GAMMAS = st.integers(1, 200).flatmap(lambda m: arrays(float, m, elements=ANY_GAMMA))
 
 
 def total_power(model, sizes):
@@ -260,13 +263,17 @@ def assert_matches_newton(gamma, c, v, log_phi):
     ref_err = np.abs(gamma * v_ref - c)
     blind = (reference == 0.0) & (v_ref < V_HI) & (ref_err > LOG_PHI_FLUSH)
     assert np.all(np.abs(log_phi + gamma * v - c)[blind] <= ref_err[blind])
-    # Either solve may stop on a bracket 1e-15 max(1, |v|) wide, across
-    # which log Phi moves by about 1e-15 v^2 of itself: more than 1e-13
-    # of itself far in the upper tail.
-    width = 2e-15 * np.maximum(1.0, np.abs(v_ref))
-    slack = (np.abs(log_ndtr(v_ref + width) - reference) + LOG_PHI_FLUSH)[~blind]
     gap = np.abs(log_phi - reference)[~blind]
-    assert np.all(gap <= 2.5e-13 * np.abs(reference[~blind]) + slack)
+    assert np.all(gap <= newton_tolerance(v_ref, reference)[~blind])
+
+
+def newton_tolerance(v, log_phi):
+    """The gap in log Phi that ``assert_matches_newton`` allows a solve at
+    (v, log_phi).  Either solve may stop on a bracket 1e-15 max(1, |v|)
+    wide, across which log Phi moves by about 1e-15 v^2 of itself: more
+    than 1e-13 of itself far in the upper tail."""
+    width = 2e-15 * np.maximum(1.0, np.abs(v))
+    return 2.5e-13 * np.abs(log_phi) + np.abs(log_ndtr(v + width) - log_phi) + LOG_PHI_FLUSH
 
 
 class TestInnerSolve:
@@ -318,6 +325,37 @@ class TestInnerSolve:
         v_cold, _ = _solve_v(gamma, c)
         for end in (V_LO, V_HI):
             assert np.array_equal(v == end, v_cold == end)
+
+
+class TestPanel:
+    @settings(max_examples=60, deadline=None)
+    @given(panel=st.integers(1, 400).flatmap(lambda m: st.tuples(
+        arrays(float, m, elements=ANY_GAMMA, fill=st.nothing()),
+        arrays(float, m, elements=UNIT, fill=st.nothing()))))
+    def test_warm_panel_matches_cold_solve(self, panel):
+        # The column blocks warm-started along ascending log d against one
+        # cold solve of the whole panel: a single block is the same solve,
+        # and many blocks leave each log(1 - eta) within the Newton
+        # reference's tolerance of both.
+        gammas, s = panel
+        log_d = _log_marginal_value(gammas, s)
+        v, cold = _size_profile(gammas, log_d)
+        warm = _panel_log1m(gammas, log_d)
+        if gammas.size ** 2 <= SOLVE_BLOCK:
+            assert np.array_equal(warm, cold)
+            return
+        allowed = 2.0 * newton_tolerance(v, cold)
+        assert np.all(np.abs(warm - cold) <= allowed)
+        # W moves by exp(L) |dL|, plus the rounding of -expm1; the orders
+        # part only between hypotheses whose W lie that close.
+        log_cold, log_warm = cold.sum(axis=0), warm.sum(axis=0)
+        w_cold, w_warm = -np.expm1(log_cold), -np.expm1(log_warm)
+        w_allowed = 1.01 * np.exp(log_cold) * allowed.sum(axis=0) + 4.0 * EPS * w_cold
+        assert np.all(np.abs(w_warm - w_cold) <= w_allowed)
+        order_cold, order_warm = (np.argsort(w, kind="stable") for w in (w_cold, w_warm))
+        parted = order_cold != order_warm
+        a, b = order_cold[parted], order_warm[parted]
+        assert np.all(np.abs(w_cold[a] - w_cold[b]) <= w_allowed[a] + w_allowed[b])
 
 
 class TestSolveCost:

@@ -298,6 +298,18 @@ class TestDecide:
                        "--input", str(path), expect=2)
         assert "--alpha" in proc.stderr
 
+    @pytest.mark.parametrize("procedure, flags, unread", [
+        ("bh", ["--q", "0.1", "--alpha", "0.05"], "--alpha"),
+        ("weak-fwer-opt", ["--alpha", "0.05", "--q", "0.3"], "--q"),
+    ])
+    def test_unread_budget_flag_is_usage_error(self, tmp_path, capsys, procedure, flags, unread):
+        path = tmp_path / "p.csv"
+        write_csv(path, ["id", "pvalue", "gamma"], [["a", 0.01, 1.0], ["b", 0.3, 2.0]])
+        assert cli.main(["decide", "--procedure", procedure, *flags, "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert f"does not read {unread}" in captured.err
+        assert captured.out == ""
+
     def test_bad_pvalue_rejected(self, tmp_path):
         path = tmp_path / "p.csv"
         write_csv(path, ["id", "pvalue"], [["a", 1.7]])
@@ -585,6 +597,16 @@ class TestSimulate:
         out = tmp_path / "o.csv"
         assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 2
         assert f"config key {key!r} must be an integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_string_procedures_names_the_key(self, capsys, tmp_path):
+        # A string is not split into one-letter tags.
+        config = tmp_path / "grid.json"
+        config.write_text(json.dumps({"M": [4], "p": [0.2], "nu": [2], "qstar": 0.1,
+                                      "reps": 2, "procedures": "bh"}))
+        out = tmp_path / "o.csv"
+        assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 2
+        assert "config key 'procedures' must be a list" in capsys.readouterr().err
         assert not out.exists()
 
     def test_integral_floats_are_counts(self, tmp_path):

@@ -111,7 +111,7 @@ class TestPanelCost:
 
         monkeypatch.setattr(allocate, "log_ndtr", counting)
         generalized_pvalues(model, s)
-        assert sum(calls) <= 3.5 * s.size ** 2
+        assert sum(calls) <= 2.3 * s.size ** 2
 
     def test_allocation_peak(self, panel):
         model, s = panel
@@ -418,9 +418,6 @@ def _float_tie(ref, new, step_up: bool) -> bool:
     return abs(stat - bound) <= 1e-12 * abs(bound)
 
 
-_unit = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
-
-
 class TestAgainstReference:
     """The rules on the shared scan and scan-ordered panel give what the
     per-rule references in ``helpers`` give, on the whole input space."""
@@ -428,9 +425,9 @@ class TestAgainstReference:
     @settings(max_examples=150, deadline=None)
     @given(
         panel=st.integers(1, 60).flatmap(lambda m: st.tuples(
-            st.lists(_unit, min_size=m, max_size=m),
+            st.lists(helpers.UNIT, min_size=m, max_size=m),
             st.lists(st.one_of(st.just(0.0), st.floats(0.0, 100.0)), min_size=m, max_size=m))),
-        q=_unit,
+        q=helpers.UNIT,
     )
     def test_rules_match(self, panel, q):
         s, gammas = (np.array(x) for x in panel)
