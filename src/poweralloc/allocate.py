@@ -18,7 +18,7 @@ from its last evaluation.  The budget equation in d is then solved by a
 safeguarded Newton iteration on log d (the constraint gap is monotone in d
 because every g_m is nonincreasing).  It works on the log budget ratio
 log(sum_m log(1 - eta_m) / log(1 - alpha)), which is close to linear in
-log d, and starts each size profile from the previous profile's v, so an
+log d, and starts each size profile from the one before it, so an
 allocation costs about four profiles.  The Sidak size
 eta_S = 1 - (1-alpha)^(1/M) brackets the root in closed form: at
 d = min_m g_m(eta_S) every size is at least eta_S, and at
@@ -34,12 +34,15 @@ exchangeable panel a single one at the Sidak multiplier.
 The one-parameter structure also gives the inverse map cheaply: the budget
 W at which test m first receives size s is the budget realized at the
 multiplier d = g_m(s), with no nested root finding.  For a whole panel,
-``_panel_log1m`` sizes every hypothesis at every such multiplier.  v is a
-smooth, monotone function of log d, so it solves the multipliers in
-ascending order, in blocks that each start from a second-order step off
-the last multiplier of the block before: about two log Phi evaluations
-per (hypothesis, multiplier) pair instead of 3.3 from cold starts.
+``_panel_log1m`` sizes every hypothesis at every such multiplier, in
+blocks of multipliers taken in ascending order.
 ``procedures.generalized_pvalues`` reads W from it.
+
+Every size profile, whether a step of the multiplier solve or a block of
+the panel, is one ``_size_profile`` call.  v is a smooth, monotone
+function of t = log d, so each call but the first starts from a solved
+profile by one second-order step in t: about two log Phi evaluations per
+(hypothesis, multiplier) pair of a panel instead of 3.3 from cold starts.
 """
 
 from __future__ import annotations
@@ -167,9 +170,10 @@ def _solve_v(gamma, c, guess=None) -> tuple[np.ndarray, np.ndarray]:
     """Solve log Phi(v) + gamma*v = c for each element, v in [V_LO, V_HI];
     returns v and log Phi(v), the latter from the solve's last evaluation.
 
-    A blocked Halley iteration: the flattened elements are solved
-    SOLVE_BLOCK at a time, so the working arrays stay in cache and no
-    temporary the size of the whole input is made.  The left side is
+    A blocked Halley iteration: the broadcast inputs are flattened and
+    solved SOLVE_BLOCK consecutive elements at a time, so the working
+    arrays stay in cache.  Each element's result depends on its own
+    inputs alone, not on the block it falls in.  The left side is
     strictly increasing (slope r + gamma, r = phi/Phi) and concave
     (curvature -r (v + r)), so the Halley step needs no evaluation beyond
     log Phi, and a bracket with bisection fallback keeps it convergent.
@@ -184,25 +188,19 @@ def _solve_v(gamma, c, guess=None) -> tuple[np.ndarray, np.ndarray]:
     its own.
     """
     shape = np.broadcast_shapes(np.shape(gamma), np.shape(c))
-    # A 2-d view whose row blocks copy only their own rows of a broadcast
-    # input: a panel passes gamma as an (M, 1) column.
-    rows = (-1, shape[-1]) if len(shape) > 1 else (-1, 1)
-    g = np.broadcast_to(np.asarray(gamma, dtype=float), shape).reshape(rows)
-    cc = np.broadcast_to(np.asarray(c, dtype=float), shape).reshape(rows)
+    g, cc = (np.broadcast_to(np.asarray(a, dtype=float), shape).ravel() for a in (gamma, c))
     if guess is not None:
-        guess = np.broadcast_to(np.asarray(guess, dtype=float), shape).reshape(rows)
-    v = np.empty(g.shape)
-    log_phi = np.empty(g.shape)
-    per_block = max(1, SOLVE_BLOCK // g.shape[1])
+        guess = np.broadcast_to(np.asarray(guess, dtype=float), shape).ravel()
+    v = np.empty(g.size)
+    log_phi = np.empty(g.size)
     unconverged = 0
     # slope = r + gamma is 0 where gamma = 0 and phi(v) underflows (v past
     # ~38.6): the Halley step is then not finite and the element bisects.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for r0 in range(0, g.shape[0], per_block):
-            rs = slice(r0, r0 + per_block)
-            unconverged += _solve_block(
-                g[rs].ravel(), cc[rs].ravel(), None if guess is None else guess[rs].ravel(),
-                v[rs].reshape(-1), log_phi[rs].reshape(-1))
+        for k in range(0, g.size, SOLVE_BLOCK):
+            b = slice(k, k + SOLVE_BLOCK)
+            unconverged += _solve_block(g[b], cc[b], None if guess is None else guess[b],
+                                        v[b], log_phi[b])
     if unconverged:
         raise AllocationError(
             f"inner size solve did not converge for {unconverged} of {g.size} elements"
@@ -337,34 +335,18 @@ def _log_g(gammas, v, log_phi):
 
 
 def _log_marginal_value(gammas, s) -> np.ndarray:
-    """log g_m(s) = log[rho_m'(s) (1 - s)] at sizes s, elementwise.
+    """log g_m(s_m) = log[rho_m'(s_m) (1 - s_m)] at sizes s, one per gamma.
 
     s = 0 maps to +inf (infinite marginal value at zero size when gamma > 0;
     by convention also for gamma = 0, where a zero size is only taken at a
     zero budget).  s = 1 maps to -inf for every gamma: a size reaches 1
     only as d -> 0, where every other size reaches 1 too, so the budget is 1.
     """
-    shape = np.broadcast_shapes(np.shape(gammas), np.shape(s))
-    gv = np.ascontiguousarray(np.broadcast_to(gammas, shape), dtype=float).ravel()
-    sv = np.ascontiguousarray(np.broadcast_to(s, shape), dtype=float).ravel()
-    out = np.where(sv < 1.0, np.inf, -np.inf)
-    interior = (sv > 0.0) & (sv < 1.0)
-    v = -ndtri(sv[interior])
-    out[interior] = _log_g(gv[interior], v, log_ndtr(v))
-    return out.reshape(shape)
-
-
-def _size_profile(gammas, log_d, guess=None) -> tuple[np.ndarray, np.ndarray]:
-    """(v, log(1-eta)) for every (hypothesis, multiplier) pair.
-
-    ``log_d`` may be scalar or a K-vector; the result has shape (M,) or
-    (M, K).  Infinite multipliers yield zero sizes (log(1-eta) = 0).
-    ``guess`` is an optional starting v per pair, as for ``_solve_v``.
-    """
-    gammas = np.asarray(gammas, dtype=float)
-    log_d = np.asarray(log_d, dtype=float)
-    g = gammas.reshape(gammas.shape + (1,) * log_d.ndim)
-    return _solve_v(g, log_d + 0.5 * g * g, guess=guess)
+    out = np.where(s < 1.0, np.inf, -np.inf)
+    interior = (s > 0.0) & (s < 1.0)
+    v = -ndtri(s[interior])
+    out[interior] = _log_g(gammas[interior], v, log_ndtr(v))
+    return out
 
 
 def _tail_ratio(v, log1m) -> np.ndarray:
@@ -372,14 +354,44 @@ def _tail_ratio(v, log1m) -> np.ndarray:
     return np.exp(-0.5 * v * v - LOG_SQRT_2PI - log1m)
 
 
-def _warm_guess(gammas, profile, log_d: float) -> np.ndarray:
-    """Starting v for the profile at ``log_d`` from the ``profile``
-    (log d, v, log Phi(v)) at a nearby multiplier: one Newton step in log d,
-    along dv / d(log d) = 1 / (r + gamma).  Where that slope is 0 the guess
-    is not finite, and ``_solve_v`` starts the element cold."""
-    prev_log_d, v, log1m = profile
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return v + (log_d - prev_log_d) / (_tail_ratio(v, log1m) + gammas)
+def _size_profile(gammas, log_d, anchor=None) -> tuple[np.ndarray, np.ndarray]:
+    """(v, log(1-eta)) for every (hypothesis, multiplier) pair.
+
+    ``log_d`` may be scalar or a K-vector; the result has shape (M,) or
+    (M, K).  Infinite multipliers yield zero sizes (log(1-eta) = 0).
+
+    Without ``anchor`` every pair starts cold.  ``anchor`` is a solved
+    profile (t0, v, log Phi(v)) at log d = t0, one v per gamma, and each
+    pair starts from it by a second-order step in t = log d along v(t):
+    dv/dt = 1 / (r + gamma) and d2v/dt2 = r (v + r) / (r + gamma)^3 with
+    r = phi(v) / Phi(v).  Where that step is not finite, as at an infinite
+    multiplier or where r + gamma = 0, ``_solve_v`` starts the pair cold.
+    """
+    gammas = np.asarray(gammas, dtype=float)
+    log_d = np.asarray(log_d, dtype=float)
+    g = gammas.reshape(gammas.shape + (1,) * log_d.ndim)
+    guess = None
+    if anchor is not None:
+        t0, v0, log1m0 = anchor
+        v0 = v0.reshape(g.shape)
+        step = log_d - t0
+        # v0 + step / (r + g) * (1 + step r (v0 + r) / (2 (r + g)^2)), in
+        # place where the shapes allow; only the guess is kept for the
+        # solve, which sets the profile's peak memory.
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            r = _tail_ratio(v0, log1m0.reshape(g.shape))
+            inv_slope = r + g
+            np.reciprocal(inv_slope, out=inv_slope)
+            guess = 0.5 * step * r
+            r += v0
+            guess *= r
+            guess *= inv_slope
+            guess *= inv_slope
+            guess += 1.0
+            guess *= step * inv_slope
+            guess += v0
+            del r, inv_slope
+    return _solve_v(g, log_d + 0.5 * g * g, guess=guess)
 
 
 def _panel_log1m(gammas, log_d) -> np.ndarray:
@@ -387,38 +399,24 @@ def _panel_log1m(gammas, log_d) -> np.ndarray:
 
     The columns are solved in blocks of SOLVE_BLOCK // M, taken in
     ascending log d, so that neighbouring columns are nearly the same
-    solve.  The first block starts cold; every later one starts from the
-    last finite column (t0, v, log Phi(v)) of the block before it, by a
-    second-order step in t = log d along v(t):
-    dv/dt = 1 / (r + gamma) and d2v/dt2 = r (v + r) / (r + gamma)^3 with
-    r = phi(v) / Phi(v).  An infinite multiplier gets a guess that is not
-    finite, and ``_solve_v`` starts and clamps it as a cold element.
+    solve.  The first block starts cold; every later one is anchored at
+    the last finite column of the block before it (``_size_profile``).
     """
-    gammas = np.asarray(gammas, dtype=float)
-    log_d = np.asarray(log_d, dtype=float)
     out = np.empty((gammas.size, log_d.size))
     per_block = max(1, SOLVE_BLOCK // gammas.size)
-    g = gammas[:, None]
     order = np.argsort(log_d, kind="stable")
-    last = None
+    anchor = None
     for k0 in range(0, order.size, per_block):
         cols = order[k0:k0 + per_block]
         t = log_d[cols]
-        guess = None
-        if last is not None:
-            t0, v0, log1m0 = last
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                r = _tail_ratio(v0, log1m0)
-                inv_slope = 1.0 / (r + g)
-                step = t - t0
-                guess = v0 + step * inv_slope * (
-                    1.0 + 0.5 * step * r * (v0 + r) * inv_slope * inv_slope)
-        v, log1m = _size_profile(gammas, t, guess)
-        out[:, cols] = log1m
+        v, out[:, cols] = _size_profile(gammas, t, anchor)
         finite = np.flatnonzero(np.isfinite(t))
         if finite.size:
             k = finite[-1]
-            last = (t[k], v[:, k:k + 1], log1m[:, k:k + 1])
+            anchor = (t[k], v[:, k].copy(), out[:, cols[k]])
+        # Only the anchor outlives its block, so the next block's solve
+        # holds no array of the last one's size.
+        del v
     return out
 
 
@@ -446,7 +444,7 @@ def _solve_multiplier(gammas: np.ndarray, counts: np.ndarray, alpha: float):
     ratio is close to linear in log d where the gap L - log(1 - alpha) is
     not: on a panel of 10^5 effect sizes |N(2, 1)| at alpha = 0.05 the
     gap's slope spans 0.003 to 1.6e4 over the bracket.  Each profile
-    starts from the last one's v, moved along dv / d(log d).
+    starts from the last one, by the step of ``_size_profile``.
 
     Both increase in log d.  Every g_m is nonincreasing, so at
     log d = min_m log g_m(eta_S) each size is at least the Sidak size eta_S
@@ -486,8 +484,7 @@ def _solve_multiplier(gammas: np.ndarray, counts: np.ndarray, alpha: float):
     def ratio(t: float) -> float:  # t = log d / scale
         nonlocal last, best, best_t
         log_d = t * scale
-        guess = None if last is None else _warm_guess(gammas, last, log_d)
-        v, log1m = _size_profile(gammas, log_d, guess)
+        v, log1m = _size_profile(gammas, log_d, last)
         last = (log_d, v, log1m)
         total, slope = _constraint_gap(gammas, counts, v, log1m)
         if total == 0.0:  # every size rounds to 0: far above the root
@@ -551,7 +548,7 @@ def _solve_multiplier(gammas: np.ndarray, counts: np.ndarray, alpha: float):
     log_d = root * scale
     if profile[0] == log_d:
         return profile
-    return (log_d, *_size_profile(gammas, log_d, _warm_guess(gammas, profile, log_d)))
+    return (log_d, *_size_profile(gammas, log_d, profile))
 
 
 def optimal_sizes(model: RocModel, alpha: float) -> SizeAllocation:

@@ -69,6 +69,15 @@ def _jnum(x):
 # reading
 # ---------------------------------------------------------------------------
 
+def _rows(reader, path: str):
+    """The rows of a ``csv.reader``, with a malformed record, such as one
+    with a field longer than ``csv.field_size_limit()``, refused by line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
 def _read_columns(path: str, need: tuple[str, ...], also: tuple[str, ...] = ()):
     """The columns ``need`` (all required) and those of ``also`` that the
     header names, each a list of stripped fields with None where a short
@@ -81,7 +90,8 @@ def _read_columns(path: str, need: tuple[str, ...], also: tuple[str, ...] = ()):
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
+        rows = _rows(reader, path)
+        header = next(rows, None)
         if header is None:
             raise ValueError(f"{path}: empty input, a header row is required")
         names = [n.strip() for n in header]
@@ -94,7 +104,7 @@ def _read_columns(path: str, need: tuple[str, ...], also: tuple[str, ...] = ()):
                  for raw in dict.fromkeys(header)}
         columns = {name: (index[name], []) for name in need + also if name in index}
         lines = []
-        for row in reader:
+        for row in rows:
             if row:
                 lines.append(reader.line_num)
                 for i, column in columns.values():
@@ -425,14 +435,34 @@ def _print_decision(out, trace, procedure, budget, ids, pvalues, gammas, w, deci
 # ---------------------------------------------------------------------------
 
 def _integral(value, key: str, path: str) -> int:
-    """A config value as an int; a fraction is refused, not truncated."""
+    """A config value as an int; a fraction or a boolean is refused, not
+    truncated or read as 0 or 1."""
     try:
         number = int(value)
     except (TypeError, ValueError, OverflowError):
         number = None
-    if number is None or (isinstance(value, float) and number != value):
+    if number is None or isinstance(value, bool) or (isinstance(value, float) and number != value):
         raise ValueError(f"{path}: config key {key!r} must be an integer, got {value!r}")
     return number
+
+
+def _real(value, key: str, path: str) -> float:
+    """A config value as a float; null, a boolean, a string or a list is
+    refused."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ValueError(f"{path}: config key {key!r} must be a number, got {value!r}")
+
+
+def _grid_axis(spec: dict, key: str, parse, path: str) -> list:
+    """The values of a grid axis, one or a nonempty list of them."""
+    values = [parse(value, key, path) for value in np.atleast_1d(spec[key]).tolist()]
+    if not values:
+        raise ValueError(f"{path}: config key {key!r} must name at least one value")
+    return values
 
 
 def _cmd_simulate(args) -> int:
@@ -441,18 +471,18 @@ def _cmd_simulate(args) -> int:
     for key in ("M", "p", "nu", "qstar"):
         if key not in spec:
             raise ValueError(f"{args.config}: config needs key {key!r}")
-    Ms = [_integral(m, "M", args.config) for m in np.atleast_1d(spec["M"]).tolist()]
-    ps = [float(p) for p in np.atleast_1d(spec["p"])]
-    nus = [float(v) for v in np.atleast_1d(spec["nu"])]
-    qstar = float(spec["qstar"])
+    Ms = _grid_axis(spec, "M", _integral, args.config)
+    ps = _grid_axis(spec, "p", _real, args.config)
+    nus = _grid_axis(spec, "nu", _real, args.config)
+    qstar = _real(spec["qstar"], "qstar", args.config)
     reps = (args.reps if args.reps is not None
             else _integral(spec.get("reps", 1000), "reps", args.config))
     seed = (args.seed if args.seed is not None
             else _integral(spec.get("seed", 0), "seed", args.config))
     procedures = spec.get("procedures", ["fdr-opt", "bh"])
-    if not isinstance(procedures, list):
+    if not isinstance(procedures, list) or not procedures:
         raise ValueError(f"{args.config}: config key 'procedures' must be a list of "
-                         f"procedure tags, got {procedures!r}")
+                         f"one or more procedure tags, got {procedures!r}")
     procedures = tuple(procedures)
     threads = os.environ.get("POWERALLOC_THREADS", "1")
     try:

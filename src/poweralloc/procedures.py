@@ -164,8 +164,9 @@ def _inputs(model: RocModel | None, s, budget: float = 0.0,
     return s, budget
 
 
-def _solve_panel(model: RocModel, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The one panel solve: ``(w, order, log1m)``.
+def _solve_panel(gammas: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one panel solve of effect sizes ``gammas`` at p-values ``s``:
+    ``(w, order, log1m)``.
 
     ``w`` holds the budget-scale p-values and ``order`` their anti-ranks
     (``w[order]`` is nondecreasing, ties by index).  ``log1m[j, m]`` is
@@ -174,7 +175,6 @@ def _solve_panel(model: RocModel, s: np.ndarray) -> tuple[np.ndarray, np.ndarray
     them starting from the last one solved; a panel with M^2 <=
     ``SOLVE_BLOCK`` (M <= 128) is one block and starts cold.
     """
-    gammas = model.gammas
     log1m = _panel_log1m(gammas, _log_marginal_value(gammas, s))
     w = -np.expm1(log1m.sum(axis=0))
     return w, np.argsort(w, kind="stable"), log1m
@@ -208,7 +208,7 @@ def _stepwise_panel(model: RocModel, s: np.ndarray) -> _StepwisePanel:
 
 @functools.lru_cache(maxsize=1)
 def _panel_memo(gammas: bytes, s: bytes) -> _StepwisePanel:
-    w, order, log1m = _solve_panel(RocModel(np.frombuffer(gammas)), np.frombuffer(s))
+    w, order, log1m = _solve_panel(np.frombuffer(gammas), np.frombuffer(s))
     # Rows and columns both in scan order.
     L = log1m[np.ix_(order, order)]
     del log1m
@@ -266,7 +266,7 @@ def generalized_pvalues(model: RocModel, s) -> np.ndarray:
     of 1 included, gets W_m = 1.
     """
     s, _ = _inputs(model, s)
-    return _solve_panel(model, s)[0]
+    return _solve_panel(model.gammas, s)[0]
 
 
 def decide_weak_fwer(model: RocModel, s, alpha: float) -> Decision:

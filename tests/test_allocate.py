@@ -46,7 +46,10 @@ ANY_ALPHA = st.one_of(
     st.floats(-300.0, 0.0).map(lambda e: 10.0 ** e).filter(lambda a: a < 1.0),
 )
 ANY_GAMMA = st.one_of(st.just(0.0), st.floats(0.0, 100.0))
-ANY_GAMMAS = st.integers(1, 200).flatmap(lambda m: arrays(float, m, elements=ANY_GAMMA))
+# No fill: hypothesis would otherwise repeat one gamma across most of a
+# large panel, and the multiplier solve's warm start is then barely used.
+ANY_GAMMAS = st.integers(1, 200).flatmap(
+    lambda m: arrays(float, m, elements=ANY_GAMMA, fill=st.nothing()))
 
 
 def total_power(model, sizes):
@@ -378,7 +381,9 @@ class TestSolveCost:
         alloc = optimal_sizes(RocModel.from_gammas(gammas), 0.05)
         assert abs(alloc.constraint_residual) <= 1e-12 * -math.log1p(-0.05)
         assert len(profiles) <= 4
-        assert sum(evaluated) / gammas.size <= 10.0
+        # 6.27 per gamma when each profile starts from the last one, 7.09
+        # when every profile starts cold.
+        assert sum(evaluated) / gammas.size <= 6.7
 
 
 class TestClustered:

@@ -363,6 +363,14 @@ class TestInputErrors:
                          "allocate", "--alpha", "0.05")
         assert "line 3: field 'gamma' is missing" in err
 
+    @pytest.mark.parametrize("argv", [["allocate", "--alpha", "0.05"],
+                                      ["decide", "--procedure", "fdr-opt", "--q", "0.1"]])
+    def test_field_past_the_csv_limit_names_its_line(self, capsys, tmp_path, argv):
+        # 200,000 digits, past csv.field_size_limit()'s default of 131,072.
+        text = "id,pvalue,gamma\na,0.5,1\n\nb,0.5,1" + "0" * 199_999 + "\n"
+        err = self.error(capsys, tmp_path, text, *argv)
+        assert "line 4: field larger than field limit" in err
+
 
 class TestInputEncoding:
     @pytest.mark.parametrize("argv, text", [
@@ -588,26 +596,39 @@ class TestSimulate:
         run_cli("simulate", "--config", str(config), "--out", str(tmp_path / "x.csv"),
                 expect=2)
 
-    @pytest.mark.parametrize("key, value", [("M", [4, 20.7]), ("reps", 3.9), ("seed", 1.5)])
-    def test_fractional_count_names_the_key(self, capsys, tmp_path, key, value):
-        spec = {"M": [4], "p": [0.2], "nu": [2], "qstar": 0.1, "reps": 2, "seed": 0}
-        spec[key] = value
+    def refused(self, capsys, tmp_path, key, value) -> str:
+        """stderr of ``simulate`` on a valid config with ``key`` set to
+        ``value``, which must exit 2 and write no table."""
+        spec = {"M": [4], "p": [0.2], "nu": [2], "qstar": 0.1, "reps": 2, "seed": 0, key: value}
         config = tmp_path / "grid.json"
         config.write_text(json.dumps(spec))
         out = tmp_path / "o.csv"
         assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 2
-        assert f"config key {key!r} must be an integer" in capsys.readouterr().err
         assert not out.exists()
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("M", [4, 20.7]), ("reps", 3.9), ("seed", 1.5),
+                                            ("M", [True]), ("reps", True)])
+    def test_fractional_count_names_the_key(self, capsys, tmp_path, key, value):
+        err = self.refused(capsys, tmp_path, key, value)
+        assert f"config key {key!r} must be an integer" in err
+
+    @pytest.mark.parametrize("key, value", [("p", [None]), ("nu", [1, None]), ("qstar", None),
+                                            ("p", "x"), ("nu", [[2]]), ("qstar", True),
+                                            pytest.param("qstar", 10**400, id="qstar-10**400")])
+    def test_non_number_names_the_key(self, capsys, tmp_path, key, value):
+        err = self.refused(capsys, tmp_path, key, value)
+        assert f"config key {key!r} must be a number" in err
+
+    @pytest.mark.parametrize("key", ["M", "p", "nu", "procedures"])
+    def test_empty_list_names_the_key(self, capsys, tmp_path, key):
+        # An empty axis would write a table with no rows.
+        assert f"config key {key!r} must" in self.refused(capsys, tmp_path, key, [])
 
     def test_string_procedures_names_the_key(self, capsys, tmp_path):
         # A string is not split into one-letter tags.
-        config = tmp_path / "grid.json"
-        config.write_text(json.dumps({"M": [4], "p": [0.2], "nu": [2], "qstar": 0.1,
-                                      "reps": 2, "procedures": "bh"}))
-        out = tmp_path / "o.csv"
-        assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 2
-        assert "config key 'procedures' must be a list" in capsys.readouterr().err
-        assert not out.exists()
+        err = self.refused(capsys, tmp_path, "procedures", "bh")
+        assert "config key 'procedures' must be a list" in err
 
     def test_integral_floats_are_counts(self, tmp_path):
         config = tmp_path / "grid.json"

@@ -21,12 +21,7 @@ from poweralloc import (
     find_root,
 )
 
-SQRT2 = math.sqrt(2.0)
-
-
-def erfc_cdf(z: float) -> float:
-    """Independent CDF evaluation through libm's erfc."""
-    return 0.5 * math.erfc(-z / SQRT2)
+from helpers import erfc_cdf
 
 
 def log_tail_series(z: float, terms: int = 12) -> float:
