@@ -34,15 +34,20 @@ exchangeable panel a single one at the Sidak multiplier.
 The one-parameter structure also gives the inverse map cheaply: the budget
 W at which test m first receives size s is the budget realized at the
 multiplier d = g_m(s), with no nested root finding.  For a whole panel,
-``_panel_log1m`` sizes every hypothesis at every such multiplier, in
-blocks of multipliers taken in ascending order.
-``procedures.generalized_pvalues`` reads W from it.
+``_panel_blocks`` sizes every hypothesis at every such multiplier, one
+block of multipliers at a time in ascending order, and hands each block
+on; ``procedures.generalized_pvalues`` reduces it to its column sums
+before the next is solved, so no (M, M) array is ever held.  The stepwise
+rules order by log d itself and solve only the multipliers they read.
 
-Every size profile, whether a step of the multiplier solve or a block of
-the panel, is one ``_size_profile`` call.  v is a smooth, monotone
-function of t = log d, so each call but the first starts from a solved
-profile by one second-order step in t: about two log Phi evaluations per
-(hypothesis, multiplier) pair of a panel instead of 3.3 from cold starts.
+Every size profile, whether a step of the multiplier solve, a block of
+the panel or a round of a stepwise rule, is one ``_size_profile`` call.
+v is a smooth, monotone function of t = log d, so the multiplier solve
+and the panel start each profile after their first from a solved one, by
+one second-order step in t: about two log Phi evaluations per
+(hypothesis, multiplier) pair of a panel instead of 3.3 from cold
+starts.  A stepwise rule's rounds start cold, so that a column's sizes do
+not depend on the columns solved before it.
 """
 
 from __future__ import annotations
@@ -394,30 +399,30 @@ def _size_profile(gammas, log_d, anchor=None) -> tuple[np.ndarray, np.ndarray]:
     return _solve_v(g, log_d + 0.5 * g * g, guess=guess)
 
 
-def _panel_log1m(gammas, log_d) -> np.ndarray:
-    """log(1 - eta_j) of hypothesis j at multiplier log_d[m], shape (M, K).
+def _panel_blocks(gammas, log_d):
+    """Yield ``(cols, log1m)`` blocks that together size every hypothesis
+    at every multiplier: ``log1m[j, k]`` is log(1 - eta_j) at multiplier
+    ``log_d[cols[k]]``, shape (M, len(cols)).
 
     The columns are solved in blocks of SOLVE_BLOCK // M, taken in
     ascending log d, so that neighbouring columns are nearly the same
     solve.  The first block starts cold; every later one is anchored at
     the last finite column of the block before it (``_size_profile``).
     """
-    out = np.empty((gammas.size, log_d.size))
     per_block = max(1, SOLVE_BLOCK // gammas.size)
     order = np.argsort(log_d, kind="stable")
     anchor = None
     for k0 in range(0, order.size, per_block):
         cols = order[k0:k0 + per_block]
         t = log_d[cols]
-        v, out[:, cols] = _size_profile(gammas, t, anchor)
+        v, log1m = _size_profile(gammas, t, anchor)
         finite = np.flatnonzero(np.isfinite(t))
         if finite.size:
             k = finite[-1]
-            anchor = (t[k], v[:, k].copy(), out[:, cols[k]])
-        # Only the anchor outlives its block, so the next block's solve
-        # holds no array of the last one's size.
+            anchor = (t[k], v[:, k].copy(), log1m[:, k].copy())
+        # The next block's solve holds no array of this one's v.
         del v
-    return out
+        yield cols, log1m
 
 
 def _constraint_gap(gammas, counts, v, log1m) -> tuple[float, float]:
@@ -592,16 +597,14 @@ def optimal_sizes(model: RocModel, alpha: float) -> SizeAllocation:
     )
 
 
-def _size_condition_report(grid, sizes) -> SizeConditionReport:
-    """Size condition (M-1) * max_m eta_m <= sum_m eta_m for every column
-    of the (M, K) matrix ``sizes``, column k being the allocation at budget
-    grid[k]; the first worst column is reported."""
-    M = sizes.shape[0]
-    col_max = sizes.max(axis=0)
-    col_sum = sizes.sum(axis=0)
-    ok = col_sum > 0.0
-    ratios = np.zeros_like(col_sum)
-    ratios[ok] = (M - 1) * col_max[ok] / col_sum[ok]
+def _size_condition_report(grid, size_max, size_sum, M: int) -> SizeConditionReport:
+    """Size condition (M-1) * max_m eta_m <= sum_m eta_m at each budget
+    grid[k], given the largest size ``size_max[k]`` and the size sum
+    ``size_sum[k]`` of the allocation there; the first worst budget is
+    reported."""
+    ok = size_sum > 0.0
+    ratios = np.zeros_like(size_sum)
+    ratios[ok] = (M - 1) * size_max[ok] / size_sum[ok]
     worst = int(np.argmax(ratios))
     return SizeConditionReport(
         satisfied=bool(ratios[worst] <= 1.0),
@@ -614,11 +617,12 @@ def check_size_condition(model: RocModel, alpha_grid) -> SizeConditionReport:
     """Evaluate (M-1) * max_m eta_m(alpha) <= sum_m eta_m(alpha) over the
     grid (the worst case over proper subsets of possible true nulls).
 
-    The report is advisory: it is attached to step-up decisions as a
-    diagnostic, never used to refuse them.
+    The report is advisory: ``procedures.generalized_pvalues`` gives it
+    over a panel's candidate budgets, and ``decide`` prints it with
+    step-up decisions as a diagnostic, never used to refuse them.
     """
     grid = np.atleast_1d(np.asarray(alpha_grid, dtype=float))
     if grid.size == 0 or np.any(grid <= 0.0) or np.any(grid >= 1.0):
         raise ValueError("alpha grid must be nonempty with values in (0, 1)")
     sizes = np.stack([optimal_sizes(model, float(alpha)).sizes for alpha in grid], axis=1)
-    return _size_condition_report(grid, sizes)
+    return _size_condition_report(grid, sizes.max(axis=0), sizes.sum(axis=0), model.M)

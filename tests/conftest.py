@@ -58,12 +58,14 @@ def null_grid():
 
 @pytest.fixture
 def panel_solves(monkeypatch):
-    """The arguments of every ``procedures._solve_panel`` call of a test,
-    which starts with an empty stepwise-panel memo."""
+    """The columns solved by each round of the stepwise rules' column
+    store during a test (one ``procedures._size_profile`` call each), which
+    starts with an empty store."""
     calls = []
-    solve = procedures._solve_panel
-    monkeypatch.setattr(procedures, "_solve_panel", lambda *a: calls.append(a) or solve(*a))
-    procedures._panel_memo.cache_clear()
+    solve = procedures._size_profile
+    monkeypatch.setattr(procedures, "_size_profile",
+                        lambda gammas, log_d: calls.append(log_d.size) or solve(gammas, log_d))
+    procedures._column_store.cache_clear()
     return calls
 
 

@@ -11,7 +11,6 @@ import numpy as np
 from hypothesis import strategies as st
 from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
 
-from poweralloc import RocModel
 from poweralloc.allocate import (
     EPS,
     INNER_TOL,
@@ -22,7 +21,6 @@ from poweralloc.allocate import (
     V_LO,
     AllocationError,
     _log_marginal_value,
-    _size_condition_report,
     _size_profile,
 )
 from poweralloc.numerics import (
@@ -358,7 +356,7 @@ def reference_print_allocation(out, alpha, method, ids, gammas, clusters, alloca
 
 
 def reference_print_decision(out, trace, procedure, budget, ids, pvalues, gammas, w,
-                             decision):
+                             condition, decision):
     if out == "json":
         doc = {
             "schema_version": "2",
@@ -378,11 +376,11 @@ def reference_print_decision(out, trace, procedure, budget, ids, pvalues, gammas
                 for i in range(len(ids))
             ],
         }
-        if decision.size_condition is not None:
+        if condition is not None:
             doc["size_condition"] = {
-                "satisfied": decision.size_condition.satisfied,
-                "worst_alpha": _jnum(decision.size_condition.worst_alpha),
-                "worst_ratio": _jnum(decision.size_condition.worst_ratio),
+                "satisfied": condition.satisfied,
+                "worst_alpha": _jnum(condition.worst_alpha),
+                "worst_ratio": _jnum(condition.worst_ratio),
             }
         if trace and decision.trace is not None:
             doc["trace"] = {
@@ -404,201 +402,43 @@ def reference_print_decision(out, trace, procedure, budget, ids, pvalues, gammas
              decision.cutoff_index, _fmt(decision.alpha_threshold)]
             for i in range(len(ids))
         ]
-        if decision.size_condition is not None:
+        if condition is not None:
             header += ["size_condition_ok", "size_condition_worst_ratio"]
             for row in rows_out:
-                row += [int(decision.size_condition.satisfied),
-                        _fmt(decision.size_condition.worst_ratio)]
+                row += [int(condition.satisfied), _fmt(condition.worst_ratio)]
         _write_csv(sys.stdout, header, rows_out)
 
 
-# The stepwise rules and the budget-scale p-values as they were before the
-# rules shared one scan and one scan-ordered panel, kept as differential
-# references: each copies its own cutoff, prefix and trace, and the panel
-# is re-sliced per rule.  Their results are plain records with the fields
-# of ``procedures.Decision``, ``ProcedureTrace`` and the W panel
-# (``s``, ``w``, ``antiranks``).
-Decision = ProcedureTrace = PValuePanel = _PanelSolution = SimpleNamespace
+# The O(M^2) differential reference of the stepwise model rules and of W:
+# the whole (M, M) panel, ordered by log d, solved cold in one call.
+def reference_stepwise(gammas, s, q: float) -> SimpleNamespace:
+    """Every column of the panel of ``gammas`` at p-values ``s``, with the
+    step-up and step-down statistics and cutoffs at level ``q``.
 
-
-def _validate_pvalues(s) -> np.ndarray:
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    if s.ndim != 1 or s.size < 1:
-        raise ValueError("need a nonempty 1-d p-value sequence")
-    if not np.all(np.isfinite(s)) or np.any(s < 0.0) or np.any(s > 1.0):
-        raise ValueError("p-values must lie in [0, 1]")
-    return s
-
-
-def _validate_budget(q: float, name: str = "q") -> float:
-    q = float(q)
-    if not (0.0 <= q <= 1.0):
-        raise ValueError(f"{name} must lie in [0, 1], got {q!r}")
-    return q
-
-
-def _solve_panel(model: RocModel, s: np.ndarray) -> _PanelSolution:
-    gammas = model.gammas
+    The scan order is descending log d, ties by index.  Column k sizes
+    every hypothesis at d_(k); ``w[m]`` is hypothesis m's W, and the rest
+    are by scan step: S(k) = sum_j eta_j(d_(k)), the step-down log product
+    T(k) = sum_{r >= k} log(1 - eta_(r)(d_(k))), and the cutoffs
+    J = max{m : S(m) <= q m} (step-up) and j = the first failing step
+    T(k) < log(1 - q) (step-down).
+    """
+    gammas, s = np.asarray(gammas, dtype=float), np.asarray(s, dtype=float)
     log_d = _log_marginal_value(gammas, s)
-    _, log1m = _size_profile(gammas, log_d)
-    w = -np.expm1(log1m.sum(axis=0))
-    return _PanelSolution(w=w, order=np.argsort(w, kind="stable"), log1m=log1m)
-
-
-def reference_generalized_pvalues(model: RocModel, s) -> PValuePanel:
-    """Budget-scale p-values W_m: the smallest weak-FWER budget at which
-    hypothesis m is rejected by the optimal allocation.
-
-    Satisfies S_m = eta_m(W_m), that is
-    ``optimal_sizes(model, W_m).sizes[m] == S_m``; in an exchangeable model
-    W_m = 1 - (1 - S_m)^M.  Anti-rank ties break by ascending index.
-    A hypothesis whose p-value exceeds every size it can be allocated at a
-    budget below 1 in floating point, a p-value of 1 included, gets
-    W_m = 1.
-    """
-    s = _validate_pvalues(s)
-    if model.M != s.size:
-        raise ValueError(f"model has M={model.M} but got {s.size} p-values")
-    sol = _solve_panel(model, s)
-    return PValuePanel(s=s, w=sol.w, antiranks=sol.order)
-
-
-def _prefix_decision(order: np.ndarray, j: int) -> np.ndarray:
-    reject = np.zeros(order.size, dtype=bool)
-    if j > 0:
-        reject[order[:j]] = True
-    return reject
-
-
-def reference_decide_strong_fwer(model: RocModel, s, qstar: float) -> Decision:
-    """Step-down rule with strong FWER control at qstar.
-
-    Along the budget-scale ordering, step i survives while the product of
-    1 - eta over the not-yet-rejected hypotheses, all sized at budget
-    W_(i), stays >= 1 - qstar; the cutoff is the last step of the longest
-    surviving prefix.  With identical ROC functions this is exactly the
-    step-down Sidak procedure.
-    """
-    s = _validate_pvalues(s)
-    qstar = _validate_budget(qstar)
-    if model.M != s.size:
-        raise ValueError(f"model has M={model.M} but got {s.size} p-values")
-    sol = _solve_panel(model, s)
+    order = np.argsort(-log_d, kind="stable")
+    _, log1m = _size_profile(gammas, log_d[order])
+    w_by_step = -np.expm1(log1m.sum(axis=0))
+    ranked = log1m[order]
+    size_sums = (-np.expm1(ranked)).sum(axis=0)
+    log_products = np.diagonal(np.cumsum(ranked[::-1], axis=0)[::-1]).copy()
     M = s.size
-    # Row r / column i: hypothesis with anti-rank r, sized at budget W_(i).
-    log1m_ord = sol.log1m[sol.order][:, sol.order]
-    suffix = np.cumsum(log1m_ord[::-1, :], axis=0)[::-1, :]
-    log_products = np.diagonal(suffix).copy()
-    bound = math.log1p(-qstar) if qstar < 1.0 else -math.inf
-    passing = log_products >= bound
-    j = int(np.argmin(passing)) if not passing.all() else M
-
-    w_sorted = sol.w[sol.order]
-    trace = ProcedureTrace(
-        order_stats=w_sorted,
-        survival_product=np.exp(log_products),
-        size_sum=np.full(M, np.nan),
-        threshold=np.full(M, 1.0 - qstar),
-    )
-    return Decision(
-        reject=_prefix_decision(sol.order, j),
-        cutoff_index=j,
-        alpha_threshold=float(w_sorted[j - 1]) if j > 0 else 0.0,
-        procedure_tag="strong-fwer-opt",
-        trace=trace,
-        w=sol.w,
-    )
-
-
-def reference_decide_fdr_opt(model: RocModel, s, qstar: float) -> Decision:
-    """Step-up rule with FDR control at qstar.
-
-    Rejects the J largest-significance hypotheses in the budget-scale
-    ordering, where J is the largest m with
-    sum_j eta_j(W_(m)) <= qstar * m.  Reduces to Benjamini-Hochberg when
-    all ROC functions are identical.  A size-condition diagnostic over the
-    realized candidate budgets (the W order statistics) is attached; a
-    failing condition annotates but never refuses the decision.
-    """
-    s = _validate_pvalues(s)
-    qstar = _validate_budget(qstar)
-    if model.M != s.size:
-        raise ValueError(f"model has M={model.M} but got {s.size} p-values")
-    sol = _solve_panel(model, s)
-    M = s.size
-    # Column i: every hypothesis sized at budget W_(i).
-    eta_ordered = -np.expm1(sol.log1m[:, sol.order])
-    size_sums = eta_ordered.sum(axis=0)
-    bounds = qstar * np.arange(1, M + 1)
-    passing = np.nonzero(size_sums <= bounds)[0]
-    j = int(passing[-1]) + 1 if passing.size else 0
-
-    w_sorted = sol.w[sol.order]
-    trace = ProcedureTrace(
-        order_stats=w_sorted,
-        survival_product=np.full(M, np.nan),
-        size_sum=size_sums,
-        threshold=bounds,
-    )
-    return Decision(
-        reject=_prefix_decision(sol.order, j),
-        cutoff_index=j,
-        alpha_threshold=float(w_sorted[j - 1]) if j > 0 else 0.0,
-        procedure_tag="fdr-opt",
-        trace=trace,
-        size_condition=_size_condition_report(w_sorted, eta_ordered),
-        w=sol.w,
-    )
-
-
-def reference_decide_bh(s, qstar: float) -> Decision:
-    """Benjamini-Hochberg step-up on raw p-values: reject the J smallest
-    with J = max{m : S_(m) <= qstar * m / M}."""
-    s = _validate_pvalues(s)
-    qstar = _validate_budget(qstar)
-    M = s.size
-    order = np.argsort(s, kind="stable")
-    s_sorted = s[order]
-    bounds = qstar * np.arange(1, M + 1) / M
-    passing = np.nonzero(s_sorted <= bounds)[0]
-    j = int(passing[-1]) + 1 if passing.size else 0
-    trace = ProcedureTrace(
-        order_stats=s_sorted,
-        survival_product=np.full(M, np.nan),
-        size_sum=M * s_sorted,
-        threshold=qstar * np.arange(1, M + 1),
-    )
-    return Decision(
-        reject=_prefix_decision(order, j),
-        cutoff_index=j,
-        alpha_threshold=float(s_sorted[j - 1]) if j > 0 else 0.0,
-        procedure_tag="bh",
-        trace=trace,
-    )
-
-
-def reference_decide_stepdown_sidak(s, qstar: float) -> Decision:
-    """Step-down Sidak on raw p-values: step i requires
-    S_(i) <= 1 - (1 - qstar)^(1/(M - i + 1)); rejects the longest passing
-    prefix."""
-    s = _validate_pvalues(s)
-    qstar = _validate_budget(qstar)
-    M = s.size
-    order = np.argsort(s, kind="stable")
-    s_sorted = s[order]
-    thresholds = -np.expm1(np.log1p(-qstar) / (M - np.arange(M))) if qstar < 1.0 else np.ones(M)
-    passing = s_sorted <= thresholds
-    j = int(np.argmin(passing)) if not passing.all() else M
-    trace = ProcedureTrace(
-        order_stats=s_sorted,
-        survival_product=np.exp((M - np.arange(M)) * np.log1p(-np.minimum(s_sorted, 1.0 - 1e-300))),
-        size_sum=np.full(M, np.nan),
-        threshold=thresholds,
-    )
-    return Decision(
-        reject=_prefix_decision(order, j),
-        cutoff_index=j,
-        alpha_threshold=float(s_sorted[j - 1]) if j > 0 else 0.0,
-        procedure_tag="stepdown-sidak",
-        trace=trace,
+    line = q * np.arange(1, M + 1)
+    passing = np.flatnonzero(size_sums <= line)
+    failing = np.flatnonzero(log_products < (math.log1p(-q) if q < 1.0 else -math.inf))
+    w = np.empty(M)
+    w[order] = w_by_step
+    return SimpleNamespace(
+        order=order, w=w, w_by_step=w_by_step, size_sums=size_sums, line=line,
+        log_products=log_products,
+        step_up=int(passing[-1]) + 1 if passing.size else 0,
+        step_down=int(failing[0]) if failing.size else M,
     )

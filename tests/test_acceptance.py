@@ -35,8 +35,10 @@ from poweralloc import (
     generate_panel,
     grid_optimal_sizes,
     optimal_sizes,
+    procedures,
     roc,
     roc_deriv,
+    run_cell,
     sidak_sizes,
 )
 
@@ -233,3 +235,35 @@ def test_criterion_10_roc_property_suite():
                 roc_deriv(g, eta), fd_power_deriv(g, eta), rtol=1e-5,
                 err_msg=f"derivative mismatch at gamma={g}",
             )
+
+
+def test_criterion_11_fdr_control_at_m1000():
+    with criterion(11, "FDR control at M=1000 (p=0.2, nu=2)"):
+        # Most W round to 1.0 here; the step-up rule must still scan in the
+        # exact log-d order.
+        config = ScenarioConfig(M=1000, p=0.2, nu=2.0, qstar=0.1, reps=200, seed=111,
+                                procedures=("fdr-opt",))
+        est = run_cell(config).estimates["fdr-opt"]
+        assert est.fdr <= config.qstar + 3.0 * est.se_fdr, (
+            f"FDR {est.fdr:.4f} (se {est.se_fdr:.4f}) above q = {config.qstar}"
+        )
+
+
+def test_criterion_12_stepwise_rule_cost(monkeypatch):
+    with criterion(12, "stepwise rules solve only the columns they read"):
+        pairs = []
+        solve = procedures._size_profile
+        monkeypatch.setattr(procedures, "_size_profile", lambda gammas, log_d: pairs.append(
+            gammas.size * log_d.size) or solve(gammas, log_d))
+        for M, rep in ((20, 0), (100, 1), (128, 2), (1000, 0), (1000, 1)):
+            panel = generate_panel(ScenarioConfig(M=M, p=0.2, nu=2.0, qstar=0.1, reps=1,
+                                                  seed=121), rep)
+            model = RocModel.from_gammas(panel.xi)
+            procedures._column_store.cache_clear()
+            pairs.clear()
+            decide_fdr_opt(model, panel.s, 0.1)
+            decide_strong_fwer(model, panel.s, 0.1)
+            if M <= 128:
+                assert pairs == [M * M], f"M={M}: {len(pairs)} solve calls"
+            else:
+                assert sum(pairs) <= 0.1 * M * M, f"M={M}: {sum(pairs) / M**2:.3f} of M^2 pairs"

@@ -29,7 +29,7 @@ from poweralloc.allocate import (
     V_HI,
     V_LO,
     _log_marginal_value,
-    _panel_log1m,
+    _panel_blocks,
     _size_profile,
     _solve_multiplier,
     _solve_v,
@@ -343,7 +343,9 @@ class TestPanel:
         gammas, s = panel
         log_d = _log_marginal_value(gammas, s)
         v, cold = _size_profile(gammas, log_d)
-        warm = _panel_log1m(gammas, log_d)
+        warm = np.full(cold.shape, np.nan)
+        for cols, block in _panel_blocks(gammas, log_d):
+            warm[:, cols] = block
         if gammas.size ** 2 <= SOLVE_BLOCK:
             assert np.array_equal(warm, cold)
             return

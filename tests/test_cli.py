@@ -206,8 +206,13 @@ class TestDecide:
                   [["a", 0.01, 1.0], ["b", 0.3, 2.0]])
         doc = json.loads(run_cli("decide", "--procedure", "strong-fwer-opt", "--q", "0.05",
                                  "--input", str(path), "--trace").stdout)
-        assert len(doc["trace"]["order_stats"]) == 2
-        assert len(doc["trace"]["survival_product"]) == 2
+        # Below M = 129 the rule evaluates every step, so none is null.
+        assert all(x is not None for x in doc["trace"]["order_stats"])
+        assert all(x is not None for x in doc["trace"]["survival_product"])
+        assert doc["trace"]["size_sum"] == [None, None]
+        # The threshold is the W of the deciding (last rejected) row.
+        assert doc["cutoff_index"] == 1
+        assert doc["alpha_threshold"] == doc["records"][0]["w"] == doc["trace"]["order_stats"][0]
 
     def test_zero_w_prints_as_zero(self, tmp_path):
         # W = -expm1(0) is -0.0 for a p-value of 0.
@@ -230,19 +235,24 @@ class TestDecide:
         write_csv(path, ["id", "pvalue", "gamma"],
                   [[f"h{i}", repr(float(p)), repr(float(g))]
                    for i, (p, g) in enumerate(zip(pvals, gammas))])
-        # Both cases read the same panel; start each from an empty memo.
-        procedures._panel_memo.cache_clear()
-        calls = []
-        solve = procedures._solve_panel
-        monkeypatch.setattr(procedures, "_solve_panel",
-                            lambda *a: calls.append(a) or solve(*a))
+        # Both cases read the same panel; start each from an empty store.
+        procedures._column_store.cache_clear()
+        rounds, passes = [], []
+        solve, blocks = procedures._size_profile, procedures._panel_blocks
+        monkeypatch.setattr(procedures, "_size_profile",
+                            lambda *a: rounds.append(a) or solve(*a))
+        monkeypatch.setattr(procedures, "_panel_blocks",
+                            lambda *a: passes.append(a) or blocks(*a))
         assert cli.main(["decide", "--procedure", procedure, "--q", "0.1",
                          "--input", str(path), "--out", "json"]) == 0
-        assert len(calls) == 1
+        # One round of the rule's column store, one pass for the W column.
+        assert len(rounds) == len(passes) == 1
         doc = json.loads(capsys.readouterr().out)
         assert "seed" not in doc
         expected = generalized_pvalues(RocModel.from_gammas(gammas), pvals)
         assert [r["w"] for r in doc["records"]] == [cli._jnum(w) for w in expected]
+        deciding = procedures._anti_ranks(gammas, pvals)[doc["cutoff_index"] - 1]
+        assert doc["alpha_threshold"] == cli._jnum(expected[deciding])
 
     def test_trace_marks_the_unevaluated_path_null(self, tmp_path):
         path = tmp_path / "p.csv"
@@ -259,11 +269,12 @@ class TestDecide:
                 "--trace", "--out", "csv", expect=2)
         # Refused before the file is read or the panel solved.
         write_csv(path, ["id", "pvalue", "gamma"], [["a", 0.01, 1.0], ["b", 0.3, 2.0]])
-        procedures._panel_memo.cache_clear()
+        procedures._column_store.cache_clear()
         calls = []
-        solve = procedures._solve_panel
-        monkeypatch.setattr(procedures, "_solve_panel",
-                            lambda *a: calls.append(a) or solve(*a))
+        for name in ("_size_profile", "_panel_blocks"):
+            solve = getattr(procedures, name)
+            monkeypatch.setattr(procedures, name,
+                                lambda *a, solve=solve: calls.append(a) or solve(*a))
         assert cli.main(["decide", "--procedure", "fdr-opt", "--q", "0.1", "--input",
                          str(path), "--trace", "--out", "csv"]) == 2
         assert "--trace" in capsys.readouterr().err
@@ -473,11 +484,11 @@ class TestWriters:
                                 size_sum=floats(), threshold=floats())
         decision = SimpleNamespace(
             reject=rng.random(n) < 0.5, cutoff_index=int(rng.integers(0, n + 1)),
-            alpha_threshold=scalar(), trace=trace if with_trace else None,
-            size_condition=SizeConditionReport(bool(seed & 1), scalar(), scalar())
-            if with_condition else None)
+            alpha_threshold=scalar(), trace=trace if with_trace else None)
+        condition = (SizeConditionReport(bool(seed & 1), scalar(), scalar())
+                     if with_condition else None)
         args = (out, trace_flag, procedure, scalar(), text(), floats(), gammas,
-                floats() if with_w else None, decision)
+                floats() if with_w else None, condition, decision)
         assert self.printed(cli._print_decision, *args) == \
             self.printed(reference_print_decision, *args)
 

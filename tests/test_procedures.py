@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import stats
 from scipy.special import log_ndtr, ndtr
 
@@ -28,6 +29,7 @@ from poweralloc import (
     procedures,
     sidak_sizes,
 )
+from poweralloc.allocate import LOG_PHI_FLUSH
 
 
 def random_panel(rng, exchangeable=False, max_m=15):
@@ -60,11 +62,22 @@ class TestGeneralizedPvalues:
             recovered = optimal_sizes(model, float(w[m])).sizes[m]
             assert abs(recovered - s[m]) <= 1e-8
 
-    def test_antiranks_sort_w_with_stable_ties(self):
-        model = RocModel.from_gammas([2.0, 2.0, 2.0])
-        w, order, _ = procedures._solve_panel(model.gammas, np.array([0.5, 0.2, 0.5]))
-        assert order.tolist() == [1, 0, 2]
-        assert np.all(np.diff(w[order]) >= 0.0)
+    def test_antiranks_sort_log_d_descending_with_ties_by_index(self):
+        gammas = np.array([2.0, 2.0, 2.0, 0.0, 1.0, 3.0, 0.5])
+        s = np.array([0.5, 0.2, 0.5, 1.0, 0.0, 0.0, 1.0])
+        log_d = allocate._log_marginal_value(gammas, s)
+        assert log_d[4] == log_d[5] == np.inf
+        assert log_d[3] == log_d[6] == -np.inf
+        assert log_d[1] > log_d[0] == log_d[2]
+        assert procedures._anti_ranks(gammas, s).tolist() == [4, 5, 1, 0, 2, 3, 6]
+
+    def test_antiranks_part_where_w_saturates(self):
+        # Both W round to 1.0, and a stable sort of W would keep the index
+        # order; log d still tells the p-value nearer 0 first.
+        model = RocModel.from_gammas([1.0, 1.0])
+        s = np.array([1.0 - 1e-12, 1.0 - 1e-10])
+        assert np.all(generalized_pvalues(model, s) == 1.0)
+        assert procedures._anti_ranks(model.gammas, s).tolist() == [1, 0]
 
     def test_unattainable_size_maps_to_budget_one(self):
         # gamma=8 with a mid-range p-value: rejected at no budget below 1.
@@ -73,10 +86,11 @@ class TestGeneralizedPvalues:
 
     def test_pvalue_one_gets_budget_one_at_zero_effect(self):
         # gamma = 0 at a p-value of 1 once gave log d = 0 * (-inf) = NaN.
-        w, order, _ = procedures._solve_panel(np.array([0.0, 1.0]), np.array([1.0, 0.5]))
+        gammas, s = np.array([0.0, 1.0]), np.array([1.0, 0.5])
+        w = generalized_pvalues(RocModel.from_gammas(gammas), s)
         assert w[0] == 1.0
         assert w[1] < 1.0
-        assert order.tolist() == [1, 0]
+        assert procedures._anti_ranks(gammas, s).tolist() == [1, 0]
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -114,7 +128,7 @@ class TestPanelCost:
 
     def test_allocation_peak(self, panel):
         model, s = panel
-        procedures._panel_memo.cache_clear()
+        procedures._column_store.cache_clear()
         tracemalloc.start()
         try:
             decide_fdr_opt(model, s, 0.1)
@@ -124,39 +138,40 @@ class TestPanelCost:
         assert peak <= 40 * 2**20
 
     def test_memo_retains_no_panel(self, panel):
-        # The memo keeps O(M) reductions (about 50 KB here), never the
-        # 8 MB (M, M) array.
+        # The column store keeps O(M) reductions and the step-down bounds of
+        # the columns solved (about 60 KB here), never the 8 MB (M, M) array.
         model, s = panel
-        procedures._panel_memo.cache_clear()
+        procedures._column_store.cache_clear()
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             decide_fdr_opt(model, s, 0.1)
+            decide_strong_fwer(model, s, 0.1)
             retained = tracemalloc.get_traced_memory()[0] - base
         finally:
             tracemalloc.stop()
-        assert procedures._panel_memo.cache_info().currsize == 1
+        assert procedures._column_store.cache_info().currsize == 1
         assert retained <= 2**18
 
 
 def assert_same_decision(a, b):
     assert a.cutoff_index == b.cutoff_index
     assert a.alpha_threshold == b.alpha_threshold
-    assert a.size_condition == b.size_condition
-    for x, y in ((a.reject, b.reject), (a.w, b.w), (a.trace.order_stats, b.trace.order_stats),
+    for x, y in ((a.reject, b.reject), (a.trace.order_stats, b.trace.order_stats),
                  (a.trace.survival_product, b.trace.survival_product),
                  (a.trace.size_sum, b.trace.size_sum), (a.trace.threshold, b.trace.threshold)):
         assert x.tobytes() == y.tobytes()
 
 
 def cold(rule, model, s, q):
-    procedures._panel_memo.cache_clear()
+    procedures._column_store.cache_clear()
     return rule(model, s, q)
 
 
 class TestPanelMemo:
-    """The stepwise rules share one solve per (gammas, p-values) pair and
-    never read a panel solved for other inputs."""
+    """The stepwise rules share one column store per (gammas, p-values)
+    pair, which solves a panel of M <= 128 in one round, and never read
+    columns solved for other inputs."""
 
     def test_both_rules_share_one_solve(self, panel_solves):
         model, s = random_panel(np.random.default_rng(3), max_m=40)
@@ -190,7 +205,7 @@ class TestPanelMemo:
     def test_negative_zero_is_another_input(self, panel_solves):
         model = RocModel.from_gammas([0.0, 1.0, 2.0])
         for first, second in ((0.0, -0.0), (-0.0, 0.0)):
-            procedures._panel_memo.cache_clear()
+            procedures._column_store.cache_clear()
             decide_fdr_opt(model, np.array([first, 0.2, 0.5]), 0.1)
             s = np.array([second, 0.2, 0.5])
             fdr = decide_fdr_opt(model, s, 0.1)
@@ -200,13 +215,21 @@ class TestPanelMemo:
         assert len(panel_solves) == 8
 
     def test_memo_is_read_only(self):
-        model, s = random_panel(np.random.default_rng(4))
-        decision = cold(decide_fdr_opt, model, s, 0.1)
+        # A decision's arrays are its own: read-only, and unchanged when a
+        # later rule solves more columns of the same store.
+        rng = np.random.default_rng(4)
+        model = RocModel.from_gammas(rng.uniform(0.1, 6.0, 300))
+        s = rng.uniform(0.0, 1.0, 300) ** 3
+        decision = cold(decide_strong_fwer, model, s, 0.1)
+        trace = decision.trace
         with pytest.raises(ValueError):
-            decision.trace.size_sum[0] = 0.0
-        panel = procedures._stepwise_panel(model, s)
-        for arr in (panel.w, panel.order, panel.log_products, panel.size_sums):
-            assert not arr.flags.writeable
+            trace.survival_product[0] = 0.0
+        before = [a.copy() for a in (trace.order_stats, trace.survival_product)]
+        unsolved = np.isnan(procedures._columns(model, s).w).sum()
+        decide_fdr_opt(model, s, 0.1)
+        assert np.isnan(procedures._columns(model, s).w).sum() < unsolved
+        for a, b in zip(before, (trace.order_stats, trace.survival_product)):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestWeakFwer:
@@ -305,11 +328,18 @@ class TestFdrOpt:
             np.testing.assert_array_equal(a.reject, b.reject)
 
     def test_attaches_size_condition(self):
+        # The W pass reports the condition over the M candidate budgets,
+        # as check_size_condition does over a grid of them.
         model = RocModel.from_gammas([0.5, 0.5, 1.0, 1.0])
-        decision = decide_fdr_opt(model, [0.0005, 0.01, 0.02, 0.6], 0.1)
-        assert decision.size_condition is not None
+        s = [0.0005, 0.01, 0.02, 0.6]
+        w, report = generalized_pvalues(model, s, size_condition=True)
+        assert w.tobytes() == generalized_pvalues(model, s).tobytes()
+        grid = np.sort(w[w < 1.0])
+        check = allocate.check_size_condition(model, grid)
+        assert report.satisfied == check.satisfied
+        assert report.worst_ratio == pytest.approx(check.worst_ratio, rel=1e-8)
         # Violation only annotates; the decision happens regardless.
-        assert decision.cutoff_index >= 0
+        assert decide_fdr_opt(model, s, 0.1).cutoff_index >= 0
 
 
 class TestBaselines:
@@ -341,7 +371,7 @@ class TestInvariants:
         rng = np.random.default_rng(8)
         for _ in range(100):
             model, s = random_panel(rng)
-            order = np.argsort(generalized_pvalues(model, s), kind="stable")
+            order = procedures._anti_ranks(model.gammas, s)
             for decision in (
                 decide_strong_fwer(model, s, 0.1),
                 decide_fdr_opt(model, s, 0.1),
@@ -405,65 +435,43 @@ class TestInvariants:
             decide_strong_fwer(model, [0.1], 0.1)
 
 
-def _float_tie(ref, new, step_up: bool) -> bool:
-    """Whether the steps at which the two cutoffs disagree are a float tie:
-    the reference's deciding statistic within 1e-12 relative of its bound.
-    Step-up cutoffs j < k disagree at step k (index k - 1), step-down ones
-    at step j + 1 (index j)."""
-    j, k = sorted((ref.cutoff_index, new.cutoff_index))
-    i = k - 1 if step_up else j
-    stat = (ref.trace.size_sum if step_up else ref.trace.survival_product)[i]
-    bound = ref.trace.threshold[i]
-    return abs(stat - bound) <= 1e-12 * abs(bound)
-
-
 class TestAgainstReference:
-    """The rules on the shared scan and scan-ordered panel give what the
-    per-rule references in ``helpers`` give, on the whole input space."""
+    """The stepwise model rules, which solve only the columns they read,
+    give what a scan of every column gives: the O(M^2) reference in
+    ``helpers``, ordered by log d, on the whole input space."""
 
     @settings(max_examples=150, deadline=None)
     @given(
-        panel=st.integers(1, 60).flatmap(lambda m: st.tuples(
-            st.lists(helpers.UNIT, min_size=m, max_size=m),
-            st.lists(st.one_of(st.just(0.0), st.floats(0.0, 100.0)), min_size=m, max_size=m))),
+        panel=st.integers(1, 300).flatmap(lambda m: st.tuples(
+            arrays(float, m, elements=helpers.UNIT, fill=st.nothing()),
+            arrays(float, m, elements=st.one_of(st.just(0.0), st.floats(0.0, 100.0)),
+                   fill=st.nothing()))),
         q=helpers.UNIT,
     )
     def test_rules_match(self, panel, q):
-        s, gammas = (np.array(x) for x in panel)
+        s, gammas = panel
         model = RocModel.from_gammas(gammas)
-        with np.errstate(divide="ignore"):  # the reference Sidak trace takes log(0)
-            ref_w = helpers.reference_generalized_pvalues(model, s).w
-            refs = {
-                "fdr": helpers.reference_decide_fdr_opt(model, s, q),
-                "strong": helpers.reference_decide_strong_fwer(model, s, q),
-                "bh": helpers.reference_decide_bh(s, q),
-                "sidak": helpers.reference_decide_stepdown_sidak(s, q),
-            }
-        np.testing.assert_array_equal(generalized_pvalues(model, s), ref_w)
-        news = {
-            "fdr": decide_fdr_opt(model, s, q),
-            "strong": decide_strong_fwer(model, s, q),
-            "bh": decide_bh(s, q),
-            "sidak": decide_stepdown_sidak(s, q),
-        }
-        for rule, new in news.items():
-            ref, step_up = refs[rule], rule in ("fdr", "bh")
-            if new.cutoff_index != ref.cutoff_index:
-                assert _float_tie(ref, new, step_up), rule
-            else:
-                np.testing.assert_array_equal(new.reject, ref.reject)
-                assert new.alpha_threshold == ref.alpha_threshold
-            for field in ("order_stats", "survival_product", "threshold"):
-                np.testing.assert_array_equal(getattr(new.trace, field),
-                                              getattr(ref.trace, field))
-            if rule == "fdr":
-                np.testing.assert_allclose(new.trace.size_sum, ref.trace.size_sum,
-                                           rtol=1e-13, atol=0.0)
-                assert new.size_condition.worst_ratio == pytest.approx(
-                    ref.size_condition.worst_ratio, rel=1e-13, abs=0.0)
-            else:
-                np.testing.assert_array_equal(new.trace.size_sum, ref.trace.size_sum)
-            if rule in ("fdr", "strong"):
-                np.testing.assert_array_equal(new.w, ref.w)
-            else:
-                assert new.w is None
+        ref = helpers.reference_stepwise(gammas, s, q)
+        w = generalized_pvalues(model, s)
+        if s.size ** 2 <= allocate.SOLVE_BLOCK:
+            assert w.tobytes() == ref.w.tobytes()
+        else:  # warm-started blocks; a size below the flush may solve as 0
+            np.testing.assert_allclose(w, ref.w, rtol=1e-11, atol=s.size * LOG_PHI_FLUSH)
+        procedures._column_store.cache_clear()
+        fdr, strong = decide_fdr_opt(model, s, q), decide_strong_fwer(model, s, q)
+        for new, j, stat, path in ((fdr, ref.step_up, ref.size_sums, "size_sum"),
+                                   (strong, ref.step_down, np.exp(ref.log_products),
+                                    "survival_product")):
+            assert new.cutoff_index == j
+            expected = np.zeros(s.size, dtype=bool)
+            expected[ref.order[:j]] = True
+            np.testing.assert_array_equal(new.reject, expected)
+            assert new.alpha_threshold == (ref.w_by_step[j - 1] if j else 0.0)
+            # Each evaluated step is the reference's, bitwise; the
+            # deciding one is evaluated, and below M = 129 every one is.
+            seen = ~np.isnan(new.trace.order_stats)
+            assert np.array_equal(seen, ~np.isnan(getattr(new.trace, path)))
+            assert j == 0 or seen[j - 1]
+            assert seen.all() or s.size ** 2 > allocate.SOLVE_BLOCK
+            assert new.trace.order_stats[seen].tobytes() == ref.w_by_step[seen].tobytes()
+            assert getattr(new.trace, path)[seen].tobytes() == stat[seen].tobytes()
