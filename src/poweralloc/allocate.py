@@ -36,18 +36,15 @@ W at which test m first receives size s is the budget realized at the
 multiplier d = g_m(s), with no nested root finding.  For a whole panel,
 ``_panel_blocks`` sizes every hypothesis at every such multiplier, one
 block of multipliers at a time in ascending order, and hands each block
-on; ``procedures.generalized_pvalues`` reduces it to its column sums
-before the next is solved, so no (M, M) array is ever held.  The stepwise
-rules order by log d itself and solve only the multipliers they read.
+on; ``procedures`` reduces it to the O(M) column statistics that W and
+the stepwise rules read before the next is solved, so no (M, M) array is
+ever held.
 
-Every size profile, whether a step of the multiplier solve, a block of
-the panel or a round of a stepwise rule, is one ``_size_profile`` call.
-v is a smooth, monotone function of t = log d, so the multiplier solve
-and the panel start each profile after their first from a solved one, by
-one second-order step in t: about two log Phi evaluations per
-(hypothesis, multiplier) pair of a panel instead of 3.3 from cold
-starts.  A stepwise rule's rounds start cold, so that a column's sizes do
-not depend on the columns solved before it.
+Every size profile, whether a step of the multiplier solve or a block of
+the panel, is one ``_size_profile`` call.  v is a smooth, monotone
+function of t = log d, so each call but the first starts from a solved
+profile by one second-order step in t: about two log Phi evaluations per
+(hypothesis, multiplier) pair of a panel instead of 3.3 from cold starts.
 """
 
 from __future__ import annotations
@@ -617,9 +614,9 @@ def check_size_condition(model: RocModel, alpha_grid) -> SizeConditionReport:
     """Evaluate (M-1) * max_m eta_m(alpha) <= sum_m eta_m(alpha) over the
     grid (the worst case over proper subsets of possible true nulls).
 
-    The report is advisory: ``procedures.generalized_pvalues`` gives it
-    over a panel's candidate budgets, and ``decide`` prints it with
-    step-up decisions as a diagnostic, never used to refuse them.
+    The report is advisory: ``decide`` prints it with step-up decisions,
+    over a panel's candidate budgets, as a diagnostic, never used to
+    refuse them.
     """
     grid = np.atleast_1d(np.asarray(alpha_grid, dtype=float))
     if grid.size == 0 or np.any(grid <= 0.0) or np.any(grid >= 1.0):

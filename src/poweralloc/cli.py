@@ -26,8 +26,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import ctypes
-import dataclasses
 import io
 import itertools
 import json
@@ -41,7 +39,7 @@ import numpy as np
 from .allocate import AllocationError, bonferroni_sizes, optimal_sizes, sidak_sizes
 from .model import RocModel
 from .numerics import BracketingError, ConvergenceError
-from .procedures import _anti_ranks, generalized_pvalues
+from .procedures import _size_condition, generalized_pvalues
 from .sim import PROCEDURE_TAGS, _decide, _power_vs_sidak, run_table
 
 SCHEMA_VERSION = "2"
@@ -346,34 +344,6 @@ def _print_allocation(out, alpha, method, ids, gammas, clusters, allocation, eff
 # decide
 # ---------------------------------------------------------------------------
 
-# glibc's mallopt parameter M_TRIM_THRESHOLD, and the freed heap `decide`
-# lets it keep.
-_M_TRIM_THRESHOLD = -1
-HEAP_KEEP = 16 << 20
-
-
-def _keep_freed_heap() -> None:
-    """Let glibc keep up to HEAP_KEEP bytes of freed heap instead of handing
-    it back to the system.
-
-    The W pass allocates and frees about a megabyte of temporaries per
-    block of the panel.  Under glibc's default 128 KiB trim threshold, the
-    frees of each block return those pages and the next block faults them
-    in again: about 20,000 page faults per ``decide`` at M = 1000.  Only
-    ``decide`` sets it: setting it also fixes glibc's mmap threshold, which
-    glibc otherwise raises to the size of the large arrays ``allocate``
-    frees, so that ``allocate`` would fault those in on every use.  Outside
-    glibc this does nothing.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, TypeError, AttributeError):
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(_M_TRIM_THRESHOLD, HEAP_KEEP)
-
-
 def _cmd_decide(args) -> int:
     procedure = args.procedure
     alpha_rule = procedure in _ALPHA_PROCEDURES
@@ -387,7 +357,6 @@ def _cmd_decide(args) -> int:
         raise ValueError(f"budget must lie in [0, 1], got {budget}")
     if args.trace and args.out != "json":
         raise ValueError("--trace is only available with --out json")
-    _keep_freed_heap()
 
     columns, lines = _read_columns(args.input, ("id", "pvalue"), ("gamma",))
     ids = _present(columns["id"], "id", lines)
@@ -407,17 +376,13 @@ def _cmd_decide(args) -> int:
     decision = _decide(procedure, model, pvalues, budget)
     w = condition = None
     if model is not None:
-        # The stepwise rules solve only the columns they read, so every
-        # row's W, and for fdr-opt the size condition over all M candidate
-        # budgets, come from the one pass over the whole panel.  A stepwise
-        # threshold is the W of the deciding step, as printed in its row.
+        # One memoized pass over the panel gives a stepwise rule its
+        # statistics, every row its W and, for fdr-opt, the size condition
+        # over all M candidate budgets: after a stepwise rule these read
+        # the memo, and weak-fwer-opt makes the pass here.
+        w = generalized_pvalues(model, pvalues)
         if procedure == "fdr-opt":
-            w, condition = generalized_pvalues(model, pvalues, size_condition=True)
-        else:
-            w = generalized_pvalues(model, pvalues)
-        if procedure != "weak-fwer-opt" and decision.cutoff_index:
-            deciding = _anti_ranks(model.gammas, pvalues)[decision.cutoff_index - 1]
-            decision = dataclasses.replace(decision, alpha_threshold=float(w[deciding]))
+            condition = _size_condition(model, pvalues)
     _print_decision(args.out, args.trace, procedure, budget, ids, pvalues, gammas, w,
                     condition, decision)
     return 0

@@ -5,33 +5,29 @@ model-based stepwise rules scan the hypotheses in descending log d_m, ties
 by index (``_anti_ranks``).  That is the budget-scale order of W_m, the
 smallest weak-FWER budget that rejects m, taken exactly and in O(M): W
 rounds to 1.0 once its log budget is below about -37, which at M = 1000
-ties most of a panel.  Column k of the panel sizes every hypothesis at
-d_(k), the multiplier of scan step k.  The rules read only the columns
-they need, from a one-entry column store (``_Columns``) keyed on the exact
-bytes of the gammas and the p-values, so a second rule called on the same
-panel reads the columns the first one solved.  Each round of the store
-solves up to SOLVE_BLOCK // M columns (ROUND_MIN at least) in one
-``_size_profile`` call; the first round takes the top steps, so a panel
-of M <= 128 is solved whole in one call that both rules share.  No rule
-holds an (M, M) array.
+ties most of a panel.
 
-``generalized_pvalues`` is the one pass over every column: it solves the
-panel in blocks warm-started along ascending log d
-(``allocate._panel_blocks``) and reduces each block to its column sums of
-log(1 - eta), which give W, and on request to its size sums and largest
-sizes, which give the size-condition report.  The rules:
+Column m of the panel sizes every hypothesis at d_m.  One pass
+(``_panel``) solves the columns in blocks warm-started along ascending
+log d (``allocate._panel_blocks``) and reduces each block to O(M)
+column statistics before the next is solved, so no (M, M) array is ever
+held: the sums of log(1 - eta), which give W; the size sums, which are
+the step-up statistic; the sums of log(1 - eta) over the hypotheses not
+ranked before m, which are the step-down statistic; and the largest
+sizes, which with the size sums give the size condition.  A one-entry
+memo keyed on the exact bytes of the gammas and the p-values serves the
+reductions to every later call on the same panel, so the two stepwise
+rules and ``generalized_pvalues`` on one panel cost one pass.  The
+rules:
 
 * ``decide_weak_fwer`` - fixed-budget rule: reject m iff its p-value is at
   most its optimally allocated size (a weighted-p-value rule; rejections
   need not be ordered like the raw p-values).
 * ``decide_strong_fwer`` - step-down rule controlling the FWER for every
   configuration of true nulls: it rejects the longest prefix along which
-  the running product of survival sizes stays at or above 1 - q.  It
-  gallops on a lower bound that passes a whole block of steps from one
-  column.
+  the running product of survival sizes stays at or above 1 - q.
 * ``decide_fdr_opt`` - step-up rule controlling the FDR at q: the largest
-  ordered index m whose total allocated size does not exceed q*m wins.  It
-  solves only the steps that two lower bounds on the size sum leave open.
+  ordered index m whose total allocated size does not exceed q*m wins.
 * ``decide_bh`` / ``decide_stepdown_sidak`` / ``decide_bonferroni`` -
   p-value-only baselines; the first two are exactly what the model-based
   rules collapse to when all hypotheses share one ROC function.
@@ -52,12 +48,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allocate import (
-    LOG_PHI_FLUSH,
-    SOLVE_BLOCK,
+    SizeConditionReport,
     _log_marginal_value,
     _panel_blocks,
     _size_condition_report,
-    _size_profile,
     optimal_sizes,
 )
 from .model import RocModel
@@ -76,28 +70,18 @@ __all__ = [
     "generalized_pvalues",
 ]
 
-# Columns a stepwise round solves at least, so that a round can still
-# bisect where SOLVE_BLOCK // M columns are fewer.
-ROUND_MIN = 8
-# A bound rules a step in or out only with this relative margin: far above
-# the rounding of a sum of M terms and the inner solve's tolerance, so
-# that a stepwise rule decides as a scan of every column would.  A size
-# sum also gets M * LOG_PHI_FLUSH: a size that small can be solved as 0.
-REL_SLACK = 1e-8
-
 
 @dataclass(frozen=True)
 class ProcedureTrace:
     """Per-step diagnostics along the ordered scan (lengths M).
 
     ``order_stats`` holds the statistic the rule orders by (the raw
-    p-value, or W for the model rules), ``survival_product`` the step-down
-    product statistic, ``size_sum`` the step-up cumulative-size statistic
-    and ``threshold`` the bound each step's statistic is held to.  A
-    procedure fills the statistic of its own path and leaves the other NaN.
-    The model rules solve only the steps they need: their statistics are
-    filled at the steps they evaluated and NaN at the rest, which the CLI
-    prints as null.  Below M = 129 they evaluate every step.
+    p-value), or for the model rules the W of each step, which they order
+    by log d; ``survival_product`` the step-down product statistic,
+    ``size_sum`` the step-up cumulative-size statistic and ``threshold``
+    the bound each step's statistic is held to.  A procedure fills every
+    step of its own path and leaves the other NaN, which the CLI prints as
+    null.
     """
 
     order_stats: np.ndarray
@@ -123,10 +107,8 @@ class Decision:
     its deciding (last rejected) step, 0 when none is rejected: the
     p-value for the baselines, and W for the model rules, the left
     endpoint of the half-open interval of budgets realizing the same
-    decision.  That W comes from the rule's own column of the deciding
-    step; it equals the ``generalized_pvalues`` entry bitwise below
-    M = 129, and within about 1e-13 relative above, where that pass
-    warm-starts its blocks."""
+    decision.  That W is the ``generalized_pvalues`` entry of the deciding
+    hypothesis, bitwise."""
 
     reject: np.ndarray
     cutoff_index: int
@@ -205,83 +187,55 @@ def _column_sums(a: np.ndarray) -> np.ndarray:
     return np.cumsum(a, axis=0)[-1] + 0.0  # from 0.0: a sum of -0.0s is 0.0
 
 
-def _spread(steps: np.ndarray, count: int) -> np.ndarray:
-    """At most ``count`` of the sorted ``steps``, evenly spaced from the
-    first to the last."""
-    if steps.size <= count:
-        return steps
-    return steps[np.unique(np.linspace(0, steps.size - 1, count).round().astype(np.intp))]
+@dataclass(frozen=True)
+class _Panel:
+    """The O(M) reductions of one pass over the panel, by column.
+
+    Column m sizes every hypothesis at d_m.  ``w[m]`` is W_m; ``size_sums``
+    holds the step-up statistic S = sum_j eta_j, ``log_products`` the
+    step-down statistic, the sum of log(1 - eta_j) over the hypotheses j
+    not ranked before m, and ``size_max`` the largest size.  ``order`` is
+    the scan order (``_anti_ranks``)."""
+
+    order: np.ndarray
+    w: np.ndarray
+    log_products: np.ndarray
+    size_sums: np.ndarray
+    size_max: np.ndarray
 
 
-class _Columns:
-    """The columns of one panel that the stepwise rules have solved.
+def _panel(model: RocModel, s: np.ndarray) -> _Panel:
+    """The reductions of the panel of ``(model, s)``, solved once for
+    consecutive calls on the same inputs.
 
-    Column k sizes every hypothesis at d_(k), the multiplier of scan step
-    k (``_anti_ranks``).  A round solves the requested columns in one cold
-    ``_size_profile`` call, so a column's values depend on its multiplier
-    alone, and keeps from each column, NaN until then:
-
-    * ``w[k]``, the budget-scale p-value W_(k) = 1 - prod_j (1 - eta_j),
-      summed in input order as ``generalized_pvalues`` sums it;
-    * ``size_sums[k]``, the step-up statistic S(k) = sum_j eta_j;
-    * ``log_products[k]``, the step-down statistic
-      T(k) = sum_{r >= k} log(1 - eta_(r)), summed from the last step up;
-
-    and from each round, for the step-down bounds, ``B[i, c]`` =
-    B(i, k) = sum_{r >= i} log(1 - eta_(r)) for the round's c-th step k and
-    every i up to its last step.
+    The memo is keyed on the exact bytes of the gammas and the p-values, so
+    a changed or mutated input is solved afresh, and it holds only O(M)
+    arrays; ``_panel_memo.cache_clear()`` empties it.
     """
-
-    def __init__(self, gammas: np.ndarray, s: np.ndarray):
-        self.gammas = gammas
-        self.order = _anti_ranks(gammas, s)
-        self.log_d = _log_marginal_value(gammas, s)[self.order]
-        self.s = s[self.order]
-        M = s.size
-        self.per_round = max(ROUND_MIN, SOLVE_BLOCK // M)
-        self.w, self.size_sums, self.log_products = (np.full(M, np.nan) for _ in range(3))
-        self.rounds: list[tuple[np.ndarray, np.ndarray]] = []  # (steps, B)
-        # The top steps first: a panel of M <= 128 is solved whole here.
-        self.solve(np.arange(min(M, self.per_round)))
-
-    def solve(self, steps: np.ndarray) -> None:
-        _, log1m = _size_profile(self.gammas, self.log_d[steps])
-        w = -np.expm1(_column_sums(log1m))
-        ranked = log1m[self.order]
-        del log1m
-        self.size_sums[steps] = _column_sums(-np.expm1(ranked))
-        suffix = np.cumsum(ranked[::-1], axis=0)[::-1]
-        del ranked
-        self.log_products[steps] = suffix[steps, np.arange(steps.size)]
-        self.rounds.append((steps, suffix[:steps.max() + 1].copy()))
-        # A w that is not NaN marks a step solved, so it is written last.
-        self.w[steps] = w
-
-    def block_bounds(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-        """The solved steps k in [start, stop), and B(start, k) of each."""
-        steps, bounds = [np.empty(0, dtype=np.intp)], [np.empty(0)]
-        for solved, B in self.rounds:
-            c = np.flatnonzero((solved >= start) & (solved < stop))
-            if c.size:  # then B has a row `start`
-                steps.append(solved[c])
-                bounds.append(B[start, c])
-        return np.concatenate(steps), np.concatenate(bounds)
-
-
-def _columns(model: RocModel, s: np.ndarray) -> _Columns:
-    """The column store of ``(model, s)``, shared by consecutive calls on
-    the same inputs.
-
-    It is keyed on the exact bytes of the gammas and the p-values, so a
-    changed or mutated input starts a store of its own, and it holds one
-    panel's columns only; ``_column_store.cache_clear()`` empties it.
-    """
-    return _column_store(model.gammas.tobytes(), s.tobytes())
+    return _panel_memo(model.gammas.tobytes(), s.tobytes())
 
 
 @functools.lru_cache(maxsize=1)
-def _column_store(gammas: bytes, s: bytes) -> _Columns:
-    return _Columns(np.frombuffer(gammas), np.frombuffer(s))
+def _panel_memo(gammas: bytes, s: bytes) -> _Panel:
+    gammas, s = np.frombuffer(gammas), np.frombuffer(s)
+    M = s.size
+    order = _anti_ranks(gammas, s)
+    rank = np.empty(M, dtype=np.intp)
+    rank[order] = np.arange(M)
+    log_sums, log_products, size_sums, size_max = (np.empty(M) for _ in range(4))
+    for cols, log1m in _panel_blocks(gammas, _log_marginal_value(gammas, s)):
+        log_sums[cols] = _column_sums(log1m)
+        eta = -np.expm1(log1m)
+        size_sums[cols] = _column_sums(eta)
+        size_max[cols] = eta.max(axis=0)
+        del eta
+        # Column m's step-down product leaves out the rows ranked before m.
+        log1m[rank[:, None] < rank[cols]] = 0.0
+        log_products[cols] = _column_sums(log1m)
+    panel = _Panel(order, -np.expm1(log_sums), log_products, size_sums, size_max)
+    for arr in (panel.order, panel.w, log_products, size_sums, size_max):
+        arr.setflags(write=False)
+    return panel
 
 
 def _scan(order: np.ndarray, order_stats: np.ndarray, passing: np.ndarray,
@@ -314,7 +268,7 @@ def _scan(order: np.ndarray, order_stats: np.ndarray, passing: np.ndarray,
                     trace=trace)
 
 
-def generalized_pvalues(model: RocModel, s, *, size_condition: bool = False):
+def generalized_pvalues(model: RocModel, s) -> np.ndarray:
     """Budget-scale p-values W_m: the smallest weak-FWER budget at which
     hypothesis m is rejected by the optimal allocation.
 
@@ -323,29 +277,19 @@ def generalized_pvalues(model: RocModel, s, *, size_condition: bool = False):
     W_m = 1 - (1 - S_m)^M.  A hypothesis whose p-value exceeds every size
     it can be allocated at a budget below 1 in floating point, a p-value
     of 1 included, gets W_m = 1.
-
-    One pass over the panel's column blocks (``allocate._panel_blocks``)
-    reduces each to its sums of log(1 - eta), which give W.  With
-    ``size_condition`` it also takes each column's size sum and largest
-    size, and returns ``(w, report)``: the size condition over the M
-    candidate budgets W_m, which the step-up rule's FDR guarantee assumes.
     """
     s, _ = _inputs(model, s)
-    gammas = model.gammas
-    M = s.size
-    log_sums = np.empty(M)
-    if size_condition:
-        size_sums, size_max = np.empty(M), np.empty(M)
-    for cols, log1m in _panel_blocks(gammas, _log_marginal_value(gammas, s)):
-        log_sums[cols] = _column_sums(log1m)
-        if size_condition:
-            eta = -np.expm1(log1m)
-            size_sums[cols] = _column_sums(eta)
-            size_max[cols] = eta.max(axis=0)
-    w = -np.expm1(log_sums)
-    if not size_condition:
-        return w
-    return w, _size_condition_report(w, size_max, size_sums, M)
+    return _panel(model, s).w.copy()
+
+
+def _size_condition(model: RocModel, s) -> SizeConditionReport:
+    """The size condition (M-1) * max_m eta_m <= sum_m eta_m over the M
+    candidate budgets W_m of ``(model, s)``, which the step-up rule's FDR
+    guarantee assumes; the first worst budget in input order is reported.
+    """
+    s, _ = _inputs(model, s)
+    panel = _panel(model, s)
+    return _size_condition_report(panel.w, panel.size_max, panel.size_sums, s.size)
 
 
 def decide_weak_fwer(model: RocModel, s, alpha: float) -> Decision:
@@ -369,42 +313,13 @@ def decide_strong_fwer(model: RocModel, s, qstar: float) -> Decision:
     hypotheses, all sized at the multiplier d_(k), stays >= 1 - qstar; the
     cutoff is the last step of the longest surviving prefix.  With
     identical ROC functions this is exactly the step-down Sidak procedure.
-
-    The scan solves only the columns it reads.  From steps known to pass
-    up to ``start`` it gallops: B(start, k), the log product at d_(k) over
-    the steps from ``start`` on, bounds every step from ``start`` to k
-    from below, so one column passes that whole block, and the probes
-    double their stride each round until a step fails; the rounds after
-    that bisect between the two.
     """
     s, qstar = _inputs(model, s, qstar)
-    columns = _columns(model, s)
-    M = s.size
+    panel = _panel(model, s)
     bound = math.log1p(-qstar) if qstar < 1.0 else -math.inf
-    block_bound = bound * (1.0 - REL_SLACK)
-    # Steps below `start` pass; step `stop` is the first known to fail.
-    start, stop, stride = 0, M, 1
-    while start < stop:
-        steps, blocks = columns.block_bounds(start, stop)
-        fails = steps[columns.log_products[steps] < bound]
-        if fails.size:
-            stop = int(fails.min())
-            continue
-        # B(start, start) is step start's own statistic, held to the bound.
-        passes = steps[blocks >= np.where(steps == start, bound, block_bound)]
-        if passes.size:
-            start = int(passes.max()) + 1
-            continue
-        unsolved = start + np.flatnonzero(np.isnan(columns.w[start:stop]))
-        if stop < M:
-            columns.solve(_spread(unsolved, columns.per_round))
-        else:
-            reach = start - 1 + stride * np.arange(1, columns.per_round + 1)
-            at = np.minimum(np.searchsorted(unsolved, reach), unsolved.size - 1)
-            columns.solve(unsolved[np.unique(at)])
-            stride *= 2
-    return _scan(columns.order, columns.w.copy(), np.arange(M) < stop,
-                 columns.log_products.copy(), np.full(M, 1.0 - qstar), step_up=False)
+    log_products = panel.log_products[panel.order]
+    return _scan(panel.order, panel.w[panel.order], log_products >= bound, log_products,
+                 np.full(s.size, 1.0 - qstar), step_up=False)
 
 
 def decide_fdr_opt(model: RocModel, s, qstar: float) -> Decision:
@@ -414,35 +329,14 @@ def decide_fdr_opt(model: RocModel, s, qstar: float) -> Decision:
     ordering (descending log d, ``_anti_ranks``), where J is the largest m
     with S(m) = sum_j eta_j(d_(m)) <= qstar * m.  Reduces to
     Benjamini-Hochberg when all ROC functions are identical.  Its FDR
-    guarantee assumes the size condition, which
-    ``generalized_pvalues(..., size_condition=True)`` reports over the
-    candidate budgets.
-
-    The scan solves only the columns it reads.  S never decreases along
-    the order, so a step m is ruled out, unsolved, once S(m) > qstar * m
-    follows from a lower bound: the free one, the sum of the p-values
-    ranked up to m (each of those hypotheses has at least its own p-value
-    as its size at d_(m)), or S at a solved earlier step.  A passing step
-    rules out every step before it.  Each round solves the steps still
-    open, evenly spread, until none is.
+    guarantee assumes the size condition, which ``decide`` reports over
+    the candidate budgets.
     """
     s, qstar = _inputs(model, s, qstar)
-    columns = _columns(model, s)
+    panel = _panel(model, s)
+    size_sums = panel.size_sums[panel.order]
     line = qstar * np.arange(1, s.size + 1)
-    open_line = line * (1.0 + REL_SLACK) + s.size * LOG_PHI_FLUSH
-    candidates = np.flatnonzero(np.cumsum(columns.s) <= open_line)
-    while True:
-        sums = columns.size_sums
-        solved = ~np.isnan(sums)
-        passed = np.flatnonzero(sums <= line)
-        last = int(passed[-1]) if passed.size else -1
-        floor = np.maximum.accumulate(np.where(solved, sums, -np.inf))
-        steps = candidates[candidates > last]
-        steps = steps[~solved[steps] & (floor[steps] <= open_line[steps])]
-        if not steps.size:
-            break
-        columns.solve(_spread(steps, columns.per_round))
-    return _scan(columns.order, columns.w.copy(), sums <= line, sums.copy(), line,
+    return _scan(panel.order, panel.w[panel.order], size_sums <= line, size_sums, line,
                  step_up=True)
 
 

@@ -6,11 +6,11 @@ with unit variance and a null mean of zero, and p-values are upper-tail.
 The allocator-driven procedures receive the generated effect sizes for
 every hypothesis (nulls included) as their effect-size inputs.
 
-A replicate shares one column store: ``run_cell`` calls each requested
-rule on the same model and p-values, and when both ``fdr-opt`` and
-``strong-fwer-opt`` are asked for, the second reads the columns that
-``procedures`` kept from the first one, which at M <= 128 are the whole
-panel, solved in one call.
+A replicate solves one panel: ``run_cell`` calls each requested rule on
+the same model and p-values, and when both ``fdr-opt`` and
+``strong-fwer-opt`` are asked for, the second reads the reductions that
+``procedures`` kept from the first one's pass, which at M <= 128 is one
+size-profile call.
 
 Loss accounting is by array: a cell keeps one (reps, M) rejection matrix
 per procedure next to the (reps, M) truth matrix, and the per-replicate

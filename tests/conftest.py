@@ -58,15 +58,21 @@ def null_grid():
 
 @pytest.fixture
 def panel_solves(monkeypatch):
-    """The columns solved by each round of the stepwise rules' column
-    store during a test (one ``procedures._size_profile`` call each), which
-    starts with an empty store."""
-    calls = []
-    solve = procedures._size_profile
-    monkeypatch.setattr(procedures, "_size_profile",
-                        lambda gammas, log_d: calls.append(log_d.size) or solve(gammas, log_d))
-    procedures._column_store.cache_clear()
-    return calls
+    """The passes over a panel made during a test, which starts with an
+    empty memo: one list per pass of the widths of its column blocks, each
+    block being one ``allocate._size_profile`` call."""
+    passes = []
+    blocks = procedures._panel_blocks
+
+    def counting(gammas, log_d):
+        passes.append([])
+        for cols, log1m in blocks(gammas, log_d):
+            passes[-1].append(cols.size)
+            yield cols, log1m
+
+    monkeypatch.setattr(procedures, "_panel_blocks", counting)
+    procedures._panel_memo.cache_clear()
+    return passes
 
 
 def random_gammas(rng: np.random.Generator, size: int, lo: float = 0.1, hi: float = 10.0):

@@ -410,35 +410,111 @@ def reference_print_decision(out, trace, procedure, budget, ids, pvalues, gammas
 
 
 # The O(M^2) differential reference of the stepwise model rules and of W:
-# the whole (M, M) panel, ordered by log d, solved cold in one call.
+# the whole (M, M) panel solved cold in one call, scanned in descending
+# log d with ties by index.
 def reference_stepwise(gammas, s, q: float) -> SimpleNamespace:
     """Every column of the panel of ``gammas`` at p-values ``s``, with the
     step-up and step-down statistics and cutoffs at level ``q``.
 
-    The scan order is descending log d, ties by index.  Column k sizes
-    every hypothesis at d_(k); ``w[m]`` is hypothesis m's W, and the rest
-    are by scan step: S(k) = sum_j eta_j(d_(k)), the step-down log product
-    T(k) = sum_{r >= k} log(1 - eta_(r)(d_(k))), and the cutoffs
-    J = max{m : S(m) <= q m} (step-up) and j = the first failing step
-    T(k) < log(1 - q) (step-down).
+    Column m sizes every hypothesis at d_m.  ``w[m]`` is hypothesis m's
+    W, and the rest are by scan step k: S(k) = sum_j eta_j(d_(k)), the
+    step-down log product T(k) = sum of log(1 - eta_j(d_(k))) over the
+    hypotheses j ranked k or later, both summed in input order, and the
+    cutoffs J = max{m : S(m) <= q m} (step-up) and j = the first failing
+    step T(k) < log(1 - q) (step-down).
     """
     gammas, s = np.asarray(gammas, dtype=float), np.asarray(s, dtype=float)
     log_d = _log_marginal_value(gammas, s)
     order = np.argsort(-log_d, kind="stable")
-    _, log1m = _size_profile(gammas, log_d[order])
-    w_by_step = -np.expm1(log1m.sum(axis=0))
-    ranked = log1m[order]
-    size_sums = (-np.expm1(ranked)).sum(axis=0)
-    log_products = np.diagonal(np.cumsum(ranked[::-1], axis=0)[::-1]).copy()
     M = s.size
+    rank = np.empty(M, dtype=np.intp)
+    rank[order] = np.arange(M)
+    _, log1m = _size_profile(gammas, log_d)
+    w = -np.expm1(log1m.sum(axis=0))
+    size_sums = (-np.expm1(log1m)).sum(axis=0)[order]
+    log_products = np.where(rank[:, None] >= rank, log1m, 0.0).sum(axis=0)[order]
     line = q * np.arange(1, M + 1)
     passing = np.flatnonzero(size_sums <= line)
-    failing = np.flatnonzero(log_products < (math.log1p(-q) if q < 1.0 else -math.inf))
-    w = np.empty(M)
-    w[order] = w_by_step
+    bound = math.log1p(-q) if q < 1.0 else -math.inf
+    failing = np.flatnonzero(log_products < bound)
     return SimpleNamespace(
-        order=order, w=w, w_by_step=w_by_step, size_sums=size_sums, line=line,
-        log_products=log_products,
+        order=order, w=w, w_by_step=w[order], size_sums=size_sums, line=line,
+        log_products=log_products, bound=bound,
         step_up=int(passing[-1]) + 1 if passing.size else 0,
         step_down=int(failing[0]) if failing.size else M,
+    )
+
+
+# The p-value-only stepwise baselines as they were before the rules shared
+# one scan, kept as differential references.  Their results are plain
+# records with the fields of ``procedures.Decision`` and
+# ``ProcedureTrace``.
+Decision = ProcedureTrace = SimpleNamespace
+
+
+def _validate(s, q: float) -> tuple[np.ndarray, float]:
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    if s.ndim != 1 or s.size < 1:
+        raise ValueError("need a nonempty 1-d p-value sequence")
+    if not np.all(np.isfinite(s)) or np.any(s < 0.0) or np.any(s > 1.0):
+        raise ValueError("p-values must lie in [0, 1]")
+    q = float(q)
+    if not (0.0 <= q <= 1.0):
+        raise ValueError(f"q must lie in [0, 1], got {q!r}")
+    return s, q
+
+
+def _prefix_decision(order: np.ndarray, j: int) -> np.ndarray:
+    reject = np.zeros(order.size, dtype=bool)
+    if j > 0:
+        reject[order[:j]] = True
+    return reject
+
+
+def reference_decide_bh(s, qstar: float) -> Decision:
+    """Benjamini-Hochberg step-up on raw p-values: reject the J smallest
+    with J = max{m : S_(m) <= qstar * m / M}."""
+    s, qstar = _validate(s, qstar)
+    M = s.size
+    order = np.argsort(s, kind="stable")
+    s_sorted = s[order]
+    bounds = qstar * np.arange(1, M + 1) / M
+    passing = np.nonzero(s_sorted <= bounds)[0]
+    j = int(passing[-1]) + 1 if passing.size else 0
+    trace = ProcedureTrace(
+        order_stats=s_sorted,
+        survival_product=np.full(M, np.nan),
+        size_sum=M * s_sorted,
+        threshold=qstar * np.arange(1, M + 1),
+    )
+    return Decision(
+        reject=_prefix_decision(order, j),
+        cutoff_index=j,
+        alpha_threshold=float(s_sorted[j - 1]) if j > 0 else 0.0,
+        trace=trace,
+    )
+
+
+def reference_decide_stepdown_sidak(s, qstar: float) -> Decision:
+    """Step-down Sidak on raw p-values: step i requires
+    S_(i) <= 1 - (1 - qstar)^(1/(M - i + 1)); rejects the longest passing
+    prefix."""
+    s, qstar = _validate(s, qstar)
+    M = s.size
+    order = np.argsort(s, kind="stable")
+    s_sorted = s[order]
+    thresholds = -np.expm1(np.log1p(-qstar) / (M - np.arange(M))) if qstar < 1.0 else np.ones(M)
+    passing = s_sorted <= thresholds
+    j = int(np.argmin(passing)) if not passing.all() else M
+    trace = ProcedureTrace(
+        order_stats=s_sorted,
+        survival_product=np.exp((M - np.arange(M)) * np.log1p(-np.minimum(s_sorted, 1.0 - 1e-300))),
+        size_sum=np.full(M, np.nan),
+        threshold=thresholds,
+    )
+    return Decision(
+        reject=_prefix_decision(order, j),
+        cutoff_index=j,
+        alpha_threshold=float(s_sorted[j - 1]) if j > 0 else 0.0,
+        trace=trace,
     )

@@ -23,6 +23,7 @@ from helpers import fd_power_deriv
 from poweralloc import (
     RocModel,
     ScenarioConfig,
+    allocate,
     bernoulli_tail_enumerate,
     concavity_check,
     decide_bh,
@@ -249,21 +250,22 @@ def test_criterion_11_fdr_control_at_m1000():
         )
 
 
-def test_criterion_12_stepwise_rule_cost(monkeypatch):
-    with criterion(12, "stepwise rules solve only the columns they read"):
+def test_criterion_12_one_pass_per_panel(monkeypatch):
+    with criterion(12, "stepwise rules and W read one pass over the panel"):
         pairs = []
-        solve = procedures._size_profile
-        monkeypatch.setattr(procedures, "_size_profile", lambda gammas, log_d: pairs.append(
-            gammas.size * log_d.size) or solve(gammas, log_d))
-        for M, rep in ((20, 0), (100, 1), (128, 2), (1000, 0), (1000, 1)):
+        solve = allocate._size_profile
+        monkeypatch.setattr(allocate, "_size_profile", lambda gammas, log_d, anchor=None: (
+            pairs.append(gammas.size * log_d.size) or solve(gammas, log_d, anchor)))
+        for M, rep in ((20, 0), (100, 1), (128, 2), (1000, 0)):
             panel = generate_panel(ScenarioConfig(M=M, p=0.2, nu=2.0, qstar=0.1, reps=1,
                                                   seed=121), rep)
             model = RocModel.from_gammas(panel.xi)
-            procedures._column_store.cache_clear()
+            procedures._panel_memo.cache_clear()
             pairs.clear()
             decide_fdr_opt(model, panel.s, 0.1)
             decide_strong_fwer(model, panel.s, 0.1)
-            if M <= 128:
-                assert pairs == [M * M], f"M={M}: {len(pairs)} solve calls"
-            else:
-                assert sum(pairs) <= 0.1 * M * M, f"M={M}: {sum(pairs) / M**2:.3f} of M^2 pairs"
+            generalized_pvalues(model, panel.s)
+            # Every (hypothesis, multiplier) pair is solved once, and a
+            # panel of M <= 128 in one call.
+            assert sum(pairs) == M * M, f"M={M}: {sum(pairs) / M**2:.3f} of M^2 pairs"
+            assert M > 128 or len(pairs) == 1, f"M={M}: {len(pairs)} solve calls"

@@ -235,18 +235,16 @@ class TestDecide:
         write_csv(path, ["id", "pvalue", "gamma"],
                   [[f"h{i}", repr(float(p)), repr(float(g))]
                    for i, (p, g) in enumerate(zip(pvals, gammas))])
-        # Both cases read the same panel; start each from an empty store.
-        procedures._column_store.cache_clear()
-        rounds, passes = [], []
-        solve, blocks = procedures._size_profile, procedures._panel_blocks
-        monkeypatch.setattr(procedures, "_size_profile",
-                            lambda *a: rounds.append(a) or solve(*a))
+        # Both cases read the same panel; start each from an empty memo.
+        procedures._panel_memo.cache_clear()
+        calls = []
+        blocks = procedures._panel_blocks
         monkeypatch.setattr(procedures, "_panel_blocks",
-                            lambda *a: passes.append(a) or blocks(*a))
+                            lambda *a: calls.append(a) or blocks(*a))
         assert cli.main(["decide", "--procedure", procedure, "--q", "0.1",
                          "--input", str(path), "--out", "json"]) == 0
-        # One round of the rule's column store, one pass for the W column.
-        assert len(rounds) == len(passes) == 1
+        # The rule and the W column read one pass.
+        assert len(calls) == 1
         doc = json.loads(capsys.readouterr().out)
         assert "seed" not in doc
         expected = generalized_pvalues(RocModel.from_gammas(gammas), pvals)
@@ -269,12 +267,11 @@ class TestDecide:
                 "--trace", "--out", "csv", expect=2)
         # Refused before the file is read or the panel solved.
         write_csv(path, ["id", "pvalue", "gamma"], [["a", 0.01, 1.0], ["b", 0.3, 2.0]])
-        procedures._column_store.cache_clear()
+        procedures._panel_memo.cache_clear()
         calls = []
-        for name in ("_size_profile", "_panel_blocks"):
-            solve = getattr(procedures, name)
-            monkeypatch.setattr(procedures, name,
-                                lambda *a, solve=solve: calls.append(a) or solve(*a))
+        blocks = procedures._panel_blocks
+        monkeypatch.setattr(procedures, "_panel_blocks",
+                            lambda *a: calls.append(a) or blocks(*a))
         assert cli.main(["decide", "--procedure", "fdr-opt", "--q", "0.1", "--input",
                          str(path), "--trace", "--out", "csv"]) == 2
         assert "--trace" in capsys.readouterr().err

@@ -128,7 +128,7 @@ class TestPanelCost:
 
     def test_allocation_peak(self, panel):
         model, s = panel
-        procedures._column_store.cache_clear()
+        procedures._panel_memo.cache_clear()
         tracemalloc.start()
         try:
             decide_fdr_opt(model, s, 0.1)
@@ -138,19 +138,20 @@ class TestPanelCost:
         assert peak <= 40 * 2**20
 
     def test_memo_retains_no_panel(self, panel):
-        # The column store keeps O(M) reductions and the step-down bounds of
-        # the columns solved (about 60 KB here), never the 8 MB (M, M) array.
+        # The memo keeps O(M) reductions (about 50 KB here), never the
+        # 8 MB (M, M) array.
         model, s = panel
-        procedures._column_store.cache_clear()
+        procedures._panel_memo.cache_clear()
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             decide_fdr_opt(model, s, 0.1)
             decide_strong_fwer(model, s, 0.1)
+            generalized_pvalues(model, s)
             retained = tracemalloc.get_traced_memory()[0] - base
         finally:
             tracemalloc.stop()
-        assert procedures._column_store.cache_info().currsize == 1
+        assert procedures._panel_memo.cache_info().currsize == 1
         assert retained <= 2**18
 
 
@@ -164,22 +165,24 @@ def assert_same_decision(a, b):
 
 
 def cold(rule, model, s, q):
-    procedures._column_store.cache_clear()
+    procedures._panel_memo.cache_clear()
     return rule(model, s, q)
 
 
 class TestPanelMemo:
-    """The stepwise rules share one column store per (gammas, p-values)
-    pair, which solves a panel of M <= 128 in one round, and never read
-    columns solved for other inputs."""
+    """The stepwise rules and ``generalized_pvalues`` share one pass per
+    (gammas, p-values) pair and never read a panel solved for other
+    inputs."""
 
     def test_both_rules_share_one_solve(self, panel_solves):
         model, s = random_panel(np.random.default_rng(3), max_m=40)
         fdr = decide_fdr_opt(model, s, 0.1)
         strong = decide_strong_fwer(model, s, 0.1)
+        w = generalized_pvalues(model, s)
         assert len(panel_solves) == 1
         assert_same_decision(fdr, cold(decide_fdr_opt, model, s, 0.1))
         assert_same_decision(strong, cold(decide_strong_fwer, model, s, 0.1))
+        assert w.tobytes() == generalized_pvalues(model, s).tobytes()
 
     def test_pvalues_mutated_in_place(self, panel_solves):
         model = RocModel.from_gammas([0.5, 1.0, 2.0, 3.0, 4.0])
@@ -205,7 +208,7 @@ class TestPanelMemo:
     def test_negative_zero_is_another_input(self, panel_solves):
         model = RocModel.from_gammas([0.0, 1.0, 2.0])
         for first, second in ((0.0, -0.0), (-0.0, 0.0)):
-            procedures._column_store.cache_clear()
+            procedures._panel_memo.cache_clear()
             decide_fdr_opt(model, np.array([first, 0.2, 0.5]), 0.1)
             s = np.array([second, 0.2, 0.5])
             fdr = decide_fdr_opt(model, s, 0.1)
@@ -215,21 +218,18 @@ class TestPanelMemo:
         assert len(panel_solves) == 8
 
     def test_memo_is_read_only(self):
-        # A decision's arrays are its own: read-only, and unchanged when a
-        # later rule solves more columns of the same store.
-        rng = np.random.default_rng(4)
-        model = RocModel.from_gammas(rng.uniform(0.1, 6.0, 300))
-        s = rng.uniform(0.0, 1.0, 300) ** 3
-        decision = cold(decide_strong_fwer, model, s, 0.1)
-        trace = decision.trace
+        model, s = random_panel(np.random.default_rng(4))
+        decision = cold(decide_fdr_opt, model, s, 0.1)
         with pytest.raises(ValueError):
-            trace.survival_product[0] = 0.0
-        before = [a.copy() for a in (trace.order_stats, trace.survival_product)]
-        unsolved = np.isnan(procedures._columns(model, s).w).sum()
-        decide_fdr_opt(model, s, 0.1)
-        assert np.isnan(procedures._columns(model, s).w).sum() < unsolved
-        for a, b in zip(before, (trace.order_stats, trace.survival_product)):
-            assert a.tobytes() == b.tobytes()
+            decision.trace.size_sum[0] = 0.0
+        panel = procedures._panel(model, s)
+        for arr in (panel.w, panel.order, panel.log_products, panel.size_sums,
+                    panel.size_max):
+            assert not arr.flags.writeable
+        # generalized_pvalues hands out a copy.
+        w = generalized_pvalues(model, s)
+        w[0] = -1.0
+        assert panel.w[0] != -1.0
 
 
 class TestWeakFwer:
@@ -328,12 +328,12 @@ class TestFdrOpt:
             np.testing.assert_array_equal(a.reject, b.reject)
 
     def test_attaches_size_condition(self):
-        # The W pass reports the condition over the M candidate budgets,
-        # as check_size_condition does over a grid of them.
+        # The panel pass reports the condition over the M candidate
+        # budgets, as check_size_condition does over a grid of them.
         model = RocModel.from_gammas([0.5, 0.5, 1.0, 1.0])
         s = [0.0005, 0.01, 0.02, 0.6]
-        w, report = generalized_pvalues(model, s, size_condition=True)
-        assert w.tobytes() == generalized_pvalues(model, s).tobytes()
+        report = procedures._size_condition(model, s)
+        w = generalized_pvalues(model, s)
         grid = np.sort(w[w < 1.0])
         check = allocate.check_size_condition(model, grid)
         assert report.satisfied == check.satisfied
@@ -435,10 +435,21 @@ class TestInvariants:
             decide_strong_fwer(model, [0.1], 0.1)
 
 
+def _float_tie(stats, bounds, j: int, k: int, step_up: bool, rel: float) -> bool:
+    """Whether stepwise cutoffs j and k part over a float tie: at the step
+    where they part, the statistic lies within ``rel`` of its bound, or
+    M sizes below the flush of it.  Step-up cutoffs j < k part at step k
+    (index k - 1), step-down ones at step j + 1 (index j)."""
+    j, k = sorted((j, k))
+    i = k - 1 if step_up else j
+    return abs(stats[i] - bounds[i]) <= rel * abs(bounds[i]) + stats.size * LOG_PHI_FLUSH
+
+
 class TestAgainstReference:
-    """The stepwise model rules, which solve only the columns they read,
-    give what a scan of every column gives: the O(M^2) reference in
-    ``helpers``, ordered by log d, on the whole input space."""
+    """The stepwise rules give what the O(M^2) references in ``helpers``
+    give, on the whole input space: the model rules what one cold solve of
+    the whole panel, ordered by log d, gives, and the p-value baselines
+    what their copies from before the rules shared one scan give."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -450,28 +461,45 @@ class TestAgainstReference:
     )
     def test_rules_match(self, panel, q):
         s, gammas = panel
+        M = s.size
         model = RocModel.from_gammas(gammas)
         ref = helpers.reference_stepwise(gammas, s, q)
-        w = generalized_pvalues(model, s)
-        if s.size ** 2 <= allocate.SOLVE_BLOCK:
-            assert w.tobytes() == ref.w.tobytes()
-        else:  # warm-started blocks; a size below the flush may solve as 0
-            np.testing.assert_allclose(w, ref.w, rtol=1e-11, atol=s.size * LOG_PHI_FLUSH)
-        procedures._column_store.cache_clear()
+        procedures._panel_memo.cache_clear()
         fdr, strong = decide_fdr_opt(model, s, q), decide_strong_fwer(model, s, q)
-        for new, j, stat, path in ((fdr, ref.step_up, ref.size_sums, "size_sum"),
-                                   (strong, ref.step_down, np.exp(ref.log_products),
-                                    "survival_product")):
-            assert new.cutoff_index == j
-            expected = np.zeros(s.size, dtype=bool)
-            expected[ref.order[:j]] = True
+        w = generalized_pvalues(model, s)
+        # One cold block below M = 129 is the reference's panel, bitwise;
+        # above, the blocks are warm-started and a size below the flush may
+        # solve as 0.
+        exact = M * M <= allocate.SOLVE_BLOCK
+        if exact:
+            assert w.tobytes() == ref.w.tobytes()
+        else:
+            np.testing.assert_allclose(w, ref.w, rtol=1e-11, atol=M * LOG_PHI_FLUSH)
+        for new, j, stats, bounds, path, step_up in (
+                (fdr, ref.step_up, ref.size_sums, ref.line, "size_sum", True),
+                (strong, ref.step_down, ref.log_products, np.full(M, ref.bound),
+                 "survival_product", False)):
+            k = new.cutoff_index
+            assert k == j or (not exact and _float_tie(stats, bounds, j, k, step_up, 1e-9))
+            expected = np.zeros(M, dtype=bool)
+            expected[ref.order[:k]] = True
             np.testing.assert_array_equal(new.reject, expected)
-            assert new.alpha_threshold == (ref.w_by_step[j - 1] if j else 0.0)
-            # Each evaluated step is the reference's, bitwise; the
-            # deciding one is evaluated, and below M = 129 every one is.
-            seen = ~np.isnan(new.trace.order_stats)
-            assert np.array_equal(seen, ~np.isnan(getattr(new.trace, path)))
-            assert j == 0 or seen[j - 1]
-            assert seen.all() or s.size ** 2 > allocate.SOLVE_BLOCK
-            assert new.trace.order_stats[seen].tobytes() == ref.w_by_step[seen].tobytes()
-            assert getattr(new.trace, path)[seen].tobytes() == stat[seen].tobytes()
+            # The threshold is the deciding hypothesis's W, bitwise.
+            assert new.alpha_threshold == (w[ref.order[k - 1]] if k else 0.0)
+            assert new.trace.order_stats.tobytes() == w[ref.order].tobytes()
+            stat = stats if step_up else np.exp(stats)
+            if exact:
+                assert getattr(new.trace, path).tobytes() == stat.tobytes()
+            else:
+                np.testing.assert_allclose(getattr(new.trace, path), stat, rtol=1e-9,
+                                           atol=M * LOG_PHI_FLUSH)
+        with np.errstate(divide="ignore"):  # the reference Sidak trace takes log(0)
+            refs = (helpers.reference_decide_bh(s, q),
+                    helpers.reference_decide_stepdown_sidak(s, q))
+        for new, ref in zip((decide_bh(s, q), decide_stepdown_sidak(s, q)), refs):
+            assert new.cutoff_index == ref.cutoff_index
+            assert new.alpha_threshold == ref.alpha_threshold
+            np.testing.assert_array_equal(new.reject, ref.reject)
+            for field in ("order_stats", "survival_product", "size_sum", "threshold"):
+                np.testing.assert_array_equal(getattr(new.trace, field),
+                                              getattr(ref.trace, field))

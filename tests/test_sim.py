@@ -147,28 +147,29 @@ class TestRunCell:
 
 
 class TestSharedPanel:
-    """A cell asking for both stepwise rules solves each replicate's
-    columns in one store, with the results of cells that each run one of
-    the rules.  A panel of M <= 128 is one round, which both rules read."""
+    """A cell asking for both stepwise rules makes one pass over each
+    replicate's panel, with the results of cells that each run one of the
+    rules.  A pass at M <= 128 is one block, one size-profile call."""
 
     RULES = ("fdr-opt", "strong-fwer-opt")
 
     @staticmethod
     def cold_cell(config):
-        procedures._column_store.cache_clear()
+        procedures._panel_memo.cache_clear()
         return run_cell(config)
 
     def test_one_solve_per_replicate(self, panel_solves):
         self.cold_cell(make_config(reps=7, procedures=self.RULES + ("bh", "weak-fwer-opt")))
-        assert panel_solves == [20] * 7
+        assert panel_solves == [[20]] * 7
 
     @pytest.mark.parametrize("M", [1, 5, 60, 300])
     @pytest.mark.parametrize("p", [0.0, 0.4])
     def test_equals_one_rule_per_cell(self, panel_solves, M, p):
         reps = 4
         both = self.cold_cell(make_config(M=M, p=p, reps=reps, procedures=self.RULES))
+        assert [sum(blocks) for blocks in panel_solves] == [M] * reps
         if M * M <= SOLVE_BLOCK:
-            assert panel_solves == [M] * reps
+            assert panel_solves == [[M]] * reps
         for tag in self.RULES:
             alone = self.cold_cell(make_config(M=M, p=p, reps=reps, procedures=(tag,)))
             assert both.estimates[tag] == alone.estimates[tag]
