@@ -33,12 +33,13 @@ exchangeable panel a single one at the Sidak multiplier.
 
 The one-parameter structure also gives the inverse map cheaply: the budget
 W at which test m first receives size s is the budget realized at the
-multiplier d = g_m(s), with no nested root finding.  For a whole panel,
-``_panel_blocks`` sizes every hypothesis at every such multiplier, one
-block of multipliers at a time in ascending order, and hands each block
-on; ``procedures`` reduces it to the O(M) column statistics that W and
-the stepwise rules read before the next is solved, so no (M, M) array is
-ever held.
+multiplier d = g_m(s), with no nested root finding.  For a panel,
+``_panel_blocks`` sizes every hypothesis at the multipliers of the columns
+it is given, one block at a time in the order given, and hands each block
+on; ``procedures`` gives them in the scan order of its stepwise rules
+(descending multiplier), reduces each block to the O(M) column statistics
+that W and the rules read before the next is solved, and stops the pass
+where W reaches 1.0, so no (M, M) array is ever held.
 
 Every size profile, whether a step of the multiplier solve or a block of
 the panel, is one ``_size_profile`` call.  v is a smooth, monotone
@@ -396,22 +397,27 @@ def _size_profile(gammas, log_d, anchor=None) -> tuple[np.ndarray, np.ndarray]:
     return _solve_v(g, log_d + 0.5 * g * g, guess=guess)
 
 
-def _panel_blocks(gammas, log_d):
-    """Yield ``(cols, log1m)`` blocks that together size every hypothesis
-    at every multiplier: ``log1m[j, k]`` is log(1 - eta_j) at multiplier
-    ``log_d[cols[k]]``, shape (M, len(cols)).
+def _panel_blocks(gammas, log_d, cols, anchor=None):
+    """Yield ``(block, log1m, anchor)`` blocks that size every hypothesis
+    at the multipliers of ``cols``, taken in the order given:
+    ``log1m[j, k]`` is log(1 - eta_j) at multiplier ``log_d[block[k]]``,
+    shape (M, len(block)), and ``anchor`` is the warm start of the block
+    after this one.
 
-    The columns are solved in blocks of SOLVE_BLOCK // M, taken in
-    ascending log d, so that neighbouring columns are nearly the same
-    solve.  The first block starts cold; every later one is anchored at
-    the last finite column of the block before it (``_size_profile``).
+    The columns are solved SOLVE_BLOCK // M at a time, so a panel of
+    M <= 128 given all its columns is one block.  ``procedures`` gives
+    them in its scan order, descending log d with ties by index, so that
+    neighbouring columns are nearly the same solve, and may stop the pass
+    after any block.  The first block starts from ``anchor``, cold when
+    it is None; every later one is anchored at the last finite column of
+    the block before it (``_size_profile``).  A pass resumed from the
+    anchor of the block where another stopped, on the columns after it,
+    solves them as the unstopped pass would.
     """
     per_block = max(1, SOLVE_BLOCK // gammas.size)
-    order = np.argsort(log_d, kind="stable")
-    anchor = None
-    for k0 in range(0, order.size, per_block):
-        cols = order[k0:k0 + per_block]
-        t = log_d[cols]
+    for k0 in range(0, cols.size, per_block):
+        block = cols[k0:k0 + per_block]
+        t = log_d[block]
         v, log1m = _size_profile(gammas, t, anchor)
         finite = np.flatnonzero(np.isfinite(t))
         if finite.size:
@@ -419,7 +425,7 @@ def _panel_blocks(gammas, log_d):
             anchor = (t[k], v[:, k].copy(), log1m[:, k].copy())
         # The next block's solve holds no array of this one's v.
         del v
-        yield cols, log1m
+        yield block, log1m, anchor
 
 
 def _constraint_gap(gammas, counts, v, log1m) -> tuple[float, float]:

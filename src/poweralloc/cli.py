@@ -376,10 +376,11 @@ def _cmd_decide(args) -> int:
     decision = _decide(procedure, model, pvalues, budget)
     w = condition = None
     if model is not None:
-        # One memoized pass over the panel gives a stepwise rule its
-        # statistics, every row its W and, for fdr-opt, the size condition
-        # over all M candidate budgets: after a stepwise rule these read
-        # the memo, and weak-fwer-opt makes the pass here.
+        # One memoized pass over the panel, stopped where W saturates at
+        # 1.0, gives a stepwise rule its statistics, every row its W and,
+        # for fdr-opt, the size condition over the candidate budgets W in
+        # (0, 1): after a stepwise rule these read the memo, and
+        # weak-fwer-opt makes the pass here.
         w = generalized_pvalues(model, pvalues)
         if procedure == "fdr-opt":
             condition = _size_condition(model, pvalues)

@@ -8,17 +8,25 @@ rounds to 1.0 once its log budget is below about -37, which at M = 1000
 ties most of a panel.
 
 Column m of the panel sizes every hypothesis at d_m.  One pass
-(``_panel``) solves the columns in blocks warm-started along ascending
-log d (``allocate._panel_blocks``) and reduces each block to O(M)
-column statistics before the next is solved, so no (M, M) array is ever
-held: the sums of log(1 - eta), which give W; the size sums, which are
-the step-up statistic; the sums of log(1 - eta) over the hypotheses not
+(``_panel``) solves the columns in blocks warm-started along the scan
+order (``allocate._panel_blocks``) and reduces each block to O(M) column
+statistics before the next is solved, so no (M, M) array is ever held:
+the sums of log(1 - eta), which give W; the size sums, which are the
+step-up statistic; the sums of log(1 - eta) over the hypotheses not
 ranked before m, which are the step-down statistic; and the largest
-sizes, which with the size sums give the size condition.  A one-entry
-memo keyed on the exact bytes of the gammas and the p-values serves the
-reductions to every later call on the same panel, so the two stepwise
-rules and ``generalized_pvalues`` on one panel cost one pass.  The
-rules:
+sizes, which with the size sums give the size condition.  The sum of
+log(1 - eta) does not increase along the scan, so the columns where W is
+exactly 1.0 form a suffix of it, and the pass stops after the first block
+that reaches them (``SATURATED``): on a paper panel at M = 1000 it solves
+about a sixth of the columns.  A stepwise rule solves columns past the
+stop only where its cutoff may lie there: when every solved step passes,
+the step-down rule resumes the pass up to the first failing step, and
+the step-up rule searches the ranks past the stop for the last passing
+one, a column at a time.  A one-entry memo keyed on the exact bytes of the
+gammas and the p-values serves the stopped pass to every later call on
+the same panel, so the two stepwise rules and ``generalized_pvalues`` on
+one panel cost one pass and the columns each rule reads past it.  At
+M <= 128 the pass is a single block of the whole panel.  The rules:
 
 * ``decide_weak_fwer`` - fixed-budget rule: reject m iff its p-value is at
   most its optimally allocated size (a weighted-p-value rule; rejections
@@ -79,9 +87,12 @@ class ProcedureTrace:
     p-value), or for the model rules the W of each step, which they order
     by log d; ``survival_product`` the step-down product statistic,
     ``size_sum`` the step-up cumulative-size statistic and ``threshold``
-    the bound each step's statistic is held to.  A procedure fills every
-    step of its own path and leaves the other NaN, which the CLI prints as
-    null.
+    the bound each step's statistic is held to.  A procedure fills the
+    steps of its own path that it evaluated and leaves the rest, and the
+    whole other path, NaN, which the CLI prints as null.  The baselines and
+    the model rules at M <= 128 evaluate every step; above, the model rules
+    evaluate the steps of the panel's solved prefix and the ones they read
+    past it, which include every step that decides the cutoff.
     """
 
     order_stats: np.ndarray
@@ -187,21 +198,46 @@ def _column_sums(a: np.ndarray) -> np.ndarray:
     return np.cumsum(a, axis=0)[-1] + 0.0  # from 0.0: a sum of -0.0s is 0.0
 
 
+def _log_products(log1m: np.ndarray, rank: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The step-down statistic of a block: column m's sum of log(1 - eta)
+    over the rows not ranked before m.  Overwrites ``log1m``."""
+    log1m[rank[:, None] < rank[cols]] = 0.0
+    return _column_sums(log1m)
+
+
+# A column whose sum of log(1 - eta) is below this has W = -expm1(sum) =
+# 1.0 exactly: exp(-40) = 4.2e-18 is below half an ulp of 1 (2^-54 =
+# 5.6e-17) with a margin that the solve's relative 1e-13 on the sum cannot
+# close.  Along the scan the sum does not increase, so every column after
+# the first one below it has W = 1.0 too, as a pass over them would give.
+SATURATED = -40.0
+
+
 @dataclass(frozen=True)
 class _Panel:
     """The O(M) reductions of one pass over the panel, by column.
 
-    Column m sizes every hypothesis at d_m.  ``w[m]`` is W_m; ``size_sums``
-    holds the step-up statistic S = sum_j eta_j, ``log_products`` the
-    step-down statistic, the sum of log(1 - eta_j) over the hypotheses j
-    not ranked before m, and ``size_max`` the largest size.  ``order`` is
-    the scan order (``_anti_ranks``)."""
+    Column m sizes every hypothesis at d_m (log d_m is ``log_d[m]``).  The
+    pass solves the columns in the scan order ``order`` (``_anti_ranks``),
+    whose inverse is ``rank``, and stops after the block where W
+    saturates: the first ``solved`` of them are solved.  ``w[m]`` is W_m
+    for every m, 1.0 past the solved prefix.  For the solved columns
+    ``size_sums`` holds the step-up statistic S = sum_j eta_j,
+    ``log_products`` the step-down statistic, the sum of log(1 - eta_j)
+    over the hypotheses j not ranked before m, and ``size_max`` the
+    largest size; all three are NaN past the prefix.  ``anchor`` is the
+    warm start that resumes the pass (``_panel_blocks``).
+    """
 
     order: np.ndarray
+    rank: np.ndarray
+    log_d: np.ndarray
     w: np.ndarray
     log_products: np.ndarray
     size_sums: np.ndarray
     size_max: np.ndarray
+    solved: int
+    anchor: tuple | None
 
 
 def _panel(model: RocModel, s: np.ndarray) -> _Panel:
@@ -219,21 +255,26 @@ def _panel(model: RocModel, s: np.ndarray) -> _Panel:
 def _panel_memo(gammas: bytes, s: bytes) -> _Panel:
     gammas, s = np.frombuffer(gammas), np.frombuffer(s)
     M = s.size
+    log_d = _log_marginal_value(gammas, s)
     order = _anti_ranks(gammas, s)
     rank = np.empty(M, dtype=np.intp)
     rank[order] = np.arange(M)
-    log_sums, log_products, size_sums, size_max = (np.empty(M) for _ in range(4))
-    for cols, log1m in _panel_blocks(gammas, _log_marginal_value(gammas, s)):
+    log_sums = np.full(M, -np.inf)  # W = 1.0 past the solved prefix
+    log_products, size_sums, size_max = (np.full(M, np.nan) for _ in range(3))
+    solved, anchor = 0, None
+    for cols, log1m, anchor in _panel_blocks(gammas, log_d, order):
         log_sums[cols] = _column_sums(log1m)
         eta = -np.expm1(log1m)
         size_sums[cols] = _column_sums(eta)
         size_max[cols] = eta.max(axis=0)
         del eta
-        # Column m's step-down product leaves out the rows ranked before m.
-        log1m[rank[:, None] < rank[cols]] = 0.0
-        log_products[cols] = _column_sums(log1m)
-    panel = _Panel(order, -np.expm1(log_sums), log_products, size_sums, size_max)
-    for arr in (panel.order, panel.w, log_products, size_sums, size_max):
+        log_products[cols] = _log_products(log1m, rank, cols)
+        solved += cols.size
+        if log_sums[cols[-1]] < SATURATED:
+            break
+    panel = _Panel(order, rank, log_d, -np.expm1(log_sums), log_products, size_sums,
+                   size_max, solved, anchor)
+    for arr in (order, rank, log_d, panel.w, log_products, size_sums, size_max):
         arr.setflags(write=False)
     return panel
 
@@ -283,13 +324,20 @@ def generalized_pvalues(model: RocModel, s) -> np.ndarray:
 
 
 def _size_condition(model: RocModel, s) -> SizeConditionReport:
-    """The size condition (M-1) * max_m eta_m <= sum_m eta_m over the M
-    candidate budgets W_m of ``(model, s)``, which the step-up rule's FDR
+    """The size condition (M-1) * max_m eta_m <= sum_m eta_m over the
+    candidate budgets W_m of ``(model, s)`` in (0, 1), the budgets
+    ``check_size_condition`` accepts, which the step-up rule's FDR
     guarantee assumes; the first worst budget in input order is reported.
+    With no candidate budget in (0, 1) the condition holds vacuously, and
+    the worst budget and ratio are NaN.
     """
     s, _ = _inputs(model, s)
     panel = _panel(model, s)
-    return _size_condition_report(panel.w, panel.size_max, panel.size_sums, s.size)
+    budgets = (panel.w > 0.0) & (panel.w < 1.0)
+    if not budgets.any():
+        return SizeConditionReport(satisfied=True, worst_alpha=math.nan, worst_ratio=math.nan)
+    return _size_condition_report(panel.w[budgets], panel.size_max[budgets],
+                                  panel.size_sums[budgets], s.size)
 
 
 def decide_weak_fwer(model: RocModel, s, alpha: float) -> Decision:
@@ -313,13 +361,47 @@ def decide_strong_fwer(model: RocModel, s, qstar: float) -> Decision:
     hypotheses, all sized at the multiplier d_(k), stays >= 1 - qstar; the
     cutoff is the last step of the longest surviving prefix.  With
     identical ROC functions this is exactly the step-down Sidak procedure.
+
+    Where every step of the panel's solved prefix survives and qstar < 1,
+    the pass resumes along the scan until a step fails; the trace leaves
+    the steps after the last block solved NaN.
     """
     s, qstar = _inputs(model, s, qstar)
     panel = _panel(model, s)
     bound = math.log1p(-qstar) if qstar < 1.0 else -math.inf
     log_products = panel.log_products[panel.order]
-    return _scan(panel.order, panel.w[panel.order], log_products >= bound, log_products,
+    k = panel.solved
+    if k < s.size and qstar < 1.0 and not np.any(log_products[:k] < bound):
+        for cols, log1m, _ in _panel_blocks(model.gammas, panel.log_d, panel.order[k:],
+                                            panel.anchor):
+            log_products[k:k + cols.size] = _log_products(log1m, panel.rank, cols)
+            k += cols.size
+            if np.any(log_products[k - cols.size:k] < bound):
+                break
+    # A step fails where its product is below the bound; the steps left
+    # unevaluated (NaN) lie past the first failing one, or pass at qstar = 1.
+    return _scan(panel.order, panel.w[panel.order], ~(log_products < bound), log_products,
                  np.full(s.size, 1.0 - qstar), step_up=False)
+
+
+def _last_passing(size_sum, line: np.ndarray, lo: int) -> int | None:
+    """The last scan position k >= lo with S(k) <= line[k], or None, where
+    ``size_sum(k)`` evaluates S at position k.
+
+    S does not decrease along the scan, so a range [a, b] holds no passing
+    position once S(a) > line[b]; ranges are searched right half first and
+    dropped by that test, at one evaluation of S per range.
+    """
+    ranges = [(lo, line.size - 1)]
+    while ranges:
+        a, b = ranges.pop()
+        if size_sum(a) > line[b]:
+            continue
+        if a == b:
+            return a
+        mid = (a + b + 1) // 2
+        ranges += [(a, mid - 1), (mid, b)]
+    return None
 
 
 def decide_fdr_opt(model: RocModel, s, qstar: float) -> Decision:
@@ -331,11 +413,26 @@ def decide_fdr_opt(model: RocModel, s, qstar: float) -> Decision:
     Benjamini-Hochberg when all ROC functions are identical.  Its FDR
     guarantee assumes the size condition, which ``decide`` reports over
     the candidate budgets.
+
+    The steps past the panel's solved prefix are searched for the last
+    passing one (``_last_passing``), one column at a time; the trace
+    leaves the steps the search does not evaluate NaN.
     """
     s, qstar = _inputs(model, s, qstar)
     panel = _panel(model, s)
     size_sums = panel.size_sums[panel.order]
     line = qstar * np.arange(1, s.size + 1)
+
+    def size_sum(k: int) -> float:
+        if np.isnan(size_sums[k]):
+            _, log1m, _ = next(_panel_blocks(model.gammas, panel.log_d, panel.order[k:k + 1]))
+            size_sums[k] = _column_sums(-np.expm1(log1m))[0]
+        return size_sums[k]
+
+    # Every step the search evaluates past the one it finds fails, so the
+    # scan's last passing step is that one, or else the prefix's.
+    if panel.solved < s.size:
+        _last_passing(size_sum, line, panel.solved)
     return _scan(panel.order, panel.w[panel.order], size_sums <= line, size_sums, line,
                  step_up=True)
 

@@ -64,11 +64,11 @@ def panel_solves(monkeypatch):
     passes = []
     blocks = procedures._panel_blocks
 
-    def counting(gammas, log_d):
+    def counting(gammas, log_d, cols, anchor=None):
         passes.append([])
-        for cols, log1m in blocks(gammas, log_d):
-            passes[-1].append(cols.size)
-            yield cols, log1m
+        for block in blocks(gammas, log_d, cols, anchor):
+            passes[-1].append(block[0].size)
+            yield block
 
     monkeypatch.setattr(procedures, "_panel_blocks", counting)
     procedures._panel_memo.cache_clear()

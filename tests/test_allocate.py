@@ -336,15 +336,15 @@ class TestPanel:
         arrays(float, m, elements=ANY_GAMMA, fill=st.nothing()),
         arrays(float, m, elements=UNIT, fill=st.nothing()))))
     def test_warm_panel_matches_cold_solve(self, panel):
-        # The column blocks warm-started along ascending log d against one
-        # cold solve of the whole panel: a single block is the same solve,
-        # and many blocks leave each log(1 - eta) within the Newton
-        # reference's tolerance of both.
+        # The column blocks warm-started along descending log d (the scan
+        # order of the stepwise rules) against one cold solve of the whole
+        # panel: a single block is the same solve, and many blocks leave
+        # each log(1 - eta) within the Newton reference's tolerance of both.
         gammas, s = panel
         log_d = _log_marginal_value(gammas, s)
         v, cold = _size_profile(gammas, log_d)
         warm = np.full(cold.shape, np.nan)
-        for cols, block in _panel_blocks(gammas, log_d):
+        for cols, block, _ in _panel_blocks(gammas, log_d, np.argsort(-log_d, kind="stable")):
             warm[:, cols] = block
         if gammas.size ** 2 <= SOLVE_BLOCK:
             assert np.array_equal(warm, cold)
@@ -361,6 +361,26 @@ class TestPanel:
         parted = order_cold != order_warm
         a, b = order_cold[parted], order_warm[parted]
         assert np.all(np.abs(w_cold[a] - w_cold[b]) <= w_allowed[a] + w_allowed[b])
+
+
+    @pytest.mark.parametrize("M", [129, 300])
+    def test_resumed_pass_matches_the_unstopped_one(self, M):
+        # A pass stopped after any block and resumed from that block's
+        # anchor on the columns after it solves them bitwise as the pass
+        # that never stopped.
+        rng = np.random.default_rng(M)
+        gammas = np.abs(rng.normal(2.0, 1.0, M))
+        log_d = _log_marginal_value(gammas, rng.uniform(0.0, 1.0, M) ** 2)
+        order = np.argsort(-log_d, kind="stable")
+        full = list(_panel_blocks(gammas, log_d, order))
+        assert len(full) > 1
+        start = 0
+        for i, (cols, _, anchor) in enumerate(full[:-1]):
+            start += cols.size
+            resumed = list(_panel_blocks(gammas, log_d, order[start:], anchor))
+            assert len(resumed) == len(full) - i - 1
+            for (c, a, _), (d, b, _) in zip(resumed, full[i + 1:]):
+                assert np.array_equal(c, d) and a.tobytes() == b.tobytes()
 
 
 class TestSolveCost:

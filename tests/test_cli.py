@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
-from helpers import reference_print_allocation, reference_print_decision
+from helpers import reference_print_allocation, reference_print_decision, reference_stepwise
 from poweralloc import RocModel, cli, decide_weak_fwer, generalized_pvalues, procedures
 from poweralloc.allocate import SizeConditionReport
 from poweralloc.sim import PROCEDURE_TAGS
@@ -200,6 +201,20 @@ class TestDecide:
         assert "size_condition" in doc
         assert set(doc["size_condition"]) == {"satisfied", "worst_alpha", "worst_ratio"}
 
+    def test_size_condition_without_a_budget_below_one(self, tmp_path):
+        # W is 0 and 1 here: no budget in (0, 1), so the condition holds
+        # at no worst budget, printed as null (JSON) and empty (CSV).
+        path = tmp_path / "p.csv"
+        write_csv(path, ["id", "pvalue", "gamma"], [["a", 0.0, 2.0], ["b", 1.0, 1.0]])
+        doc = json.loads(run_cli("decide", "--procedure", "fdr-opt", "--q", "0.1",
+                                 "--input", str(path)).stdout)
+        assert doc["size_condition"] == {"satisfied": True, "worst_alpha": None,
+                                         "worst_ratio": None}
+        rows = parse_csv(run_cli("decide", "--procedure", "fdr-opt", "--q", "0.1",
+                                 "--input", str(path), "--out", "csv").stdout)
+        assert [(r["size_condition_ok"], r["size_condition_worst_ratio"]) for r in rows] == [
+            ("1", "")] * 2
+
     def test_trace_json(self, tmp_path):
         path = tmp_path / "p.csv"
         write_csv(path, ["id", "pvalue", "gamma"],
@@ -251,6 +266,35 @@ class TestDecide:
         assert [r["w"] for r in doc["records"]] == [cli._jnum(w) for w in expected]
         deciding = procedures._anti_ranks(gammas, pvals)[doc["cutoff_index"] - 1]
         assert doc["alpha_threshold"] == cli._jnum(expected[deciding])
+
+    @pytest.mark.parametrize("procedure, path", [("fdr-opt", "size_sum"),
+                                                 ("strong-fwer-opt", "survival_product")])
+    def test_trace_past_the_saturated_prefix_is_null(self, tmp_path, capsys, procedure, path):
+        # Above M = 128 the pass stops where W saturates: a trace fills the
+        # steps its rule evaluated, as the whole panel gives them, and
+        # prints the rest as null.
+        rng = np.random.default_rng(5)
+        theta = rng.random(1000) < 0.2
+        gammas = np.abs(rng.normal(2.0, 1.0, 1000))
+        pvals = ndtr(-(gammas * theta + rng.standard_normal(1000)))
+        path_csv = tmp_path / "p.csv"
+        write_csv(path_csv, ["id", "pvalue", "gamma"],
+                  [[f"h{i}", repr(float(p)), repr(float(g))]
+                   for i, (p, g) in enumerate(zip(pvals, gammas))])
+        procedures._panel_memo.cache_clear()
+        assert cli.main(["decide", "--procedure", procedure, "--q", "0.1", "--input",
+                         str(path_csv), "--out", "json", "--trace"]) == 0
+        trace = json.loads(capsys.readouterr().out)["trace"]
+        ref = reference_stepwise(gammas, pvals, 0.1)
+        expected = ref.size_sums if path == "size_sum" else np.exp(ref.log_products)
+        filled = np.array([x is not None for x in trace[path]])
+        assert 0 < filled.sum() < 1000
+        np.testing.assert_allclose([x for x in trace[path] if x is not None],
+                                   expected[filled], rtol=1e-11)
+        # W and the thresholds are known at every step.
+        np.testing.assert_allclose(trace["order_stats"], ref.w_by_step, rtol=1e-11)
+        np.testing.assert_allclose(trace["threshold"], ref.line if path == "size_sum"
+                                   else np.full(1000, 0.9), rtol=1e-12)
 
     def test_trace_marks_the_unevaluated_path_null(self, tmp_path):
         path = tmp_path / "p.csv"

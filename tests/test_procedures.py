@@ -341,6 +341,31 @@ class TestFdrOpt:
         # Violation only annotates; the decision happens regardless.
         assert decide_fdr_opt(model, s, 0.1).cutoff_index >= 0
 
+    def test_size_condition_over_the_budgets_below_one(self):
+        # The W of 0 and 1 (p-values of 0 and 1) and those saturated at 1.0
+        # are not budgets check_size_condition accepts; the report reads
+        # the others.
+        rng = np.random.default_rng(23)
+        gammas = rng.uniform(0.0, 5.0, 300)
+        s = 10.0 ** rng.uniform(-8.0, 0.0, 300)
+        s[[3, 40]], s[[9, 200]] = 0.0, 1.0
+        model = RocModel.from_gammas(gammas)
+        report = procedures._size_condition(model, s)
+        w = generalized_pvalues(model, s)
+        grid = w[(w > 0.0) & (w < 1.0)]
+        assert 0 < grid.size < np.count_nonzero(w < 1.0)
+        check = allocate.check_size_condition(model, grid)
+        assert report.satisfied == check.satisfied
+        assert report.worst_alpha == pytest.approx(check.worst_alpha, rel=1e-8)
+        assert report.worst_ratio == pytest.approx(check.worst_ratio, rel=1e-8)
+
+    @pytest.mark.parametrize("s", [[0.0], [1.0], [0.0, 1.0, 1.0]])
+    def test_size_condition_without_a_budget_below_one(self, s):
+        # Over no budget the condition holds vacuously, at no worst budget.
+        report = procedures._size_condition(RocModel.from_gammas([2.0] * len(s)), s)
+        assert report.satisfied
+        assert np.isnan(report.worst_alpha) and np.isnan(report.worst_ratio)
+
 
 class TestBaselines:
     def test_bh_hand_examples(self):
@@ -445,6 +470,60 @@ def _float_tie(stats, bounds, j: int, k: int, step_up: bool, rel: float) -> bool
     return abs(stats[i] - bounds[i]) <= rel * abs(bounds[i]) + stats.size * LOG_PHI_FLUSH
 
 
+def assert_model_rules_match(gammas, s, q):
+    """The model rules and W against ``helpers.reference_stepwise``; returns
+    the step-up and step-down decisions and the panel's solved prefix.
+
+    W, cutoffs, rejections and the trace are bitwise the reference's at
+    M <= 128, where the pass is one cold block.  Above, the blocks are
+    warm-started and a size below the flush may solve as 0: W agrees to
+    1e-11 relative, the statistics to 1e-9, and the cutoffs unless they
+    part over a float tie.  A trace fills the steps its rule evaluated,
+    the solved prefix and the deciding steps among them, and leaves the
+    rest NaN."""
+    M = s.size
+    model = RocModel.from_gammas(gammas)
+    ref = helpers.reference_stepwise(gammas, s, q)
+    procedures._panel_memo.cache_clear()
+    fdr, strong = decide_fdr_opt(model, s, q), decide_strong_fwer(model, s, q)
+    w = generalized_pvalues(model, s)
+    solved = procedures._panel(model, s).solved
+    exact = M * M <= allocate.SOLVE_BLOCK
+    if exact:
+        assert w.tobytes() == ref.w.tobytes()
+    else:
+        np.testing.assert_allclose(w, ref.w, rtol=1e-11, atol=M * LOG_PHI_FLUSH)
+    for new, j, stats, bounds, path, step_up in (
+            (fdr, ref.step_up, ref.size_sums, ref.line, "size_sum", True),
+            (strong, ref.step_down, ref.log_products, np.full(M, ref.bound),
+             "survival_product", False)):
+        k = new.cutoff_index
+        assert k == j or (not exact and _float_tie(stats, bounds, j, k, step_up, 1e-9))
+        expected = np.zeros(M, dtype=bool)
+        expected[ref.order[:k]] = True
+        np.testing.assert_array_equal(new.reject, expected)
+        # The threshold is the deciding hypothesis's W, bitwise.
+        assert new.alpha_threshold == (w[ref.order[k - 1]] if k else 0.0)
+        assert new.trace.order_stats.tobytes() == w[ref.order].tobytes()
+        got = getattr(new.trace, path)
+        evaluated = ~np.isnan(got)
+        assert evaluated[:solved].all()
+        if step_up:
+            assert k == 0 or evaluated[k - 1]
+        else:
+            # Step-down evaluates a prefix of the scan, through the first
+            # failing step; at q = 1 no step fails.
+            assert np.array_equal(evaluated, np.arange(M) < evaluated.sum())
+            assert q == 1.0 or evaluated[:k + 1].sum() == min(k + 1, M)
+        stat = stats if step_up else np.exp(stats)
+        if exact:
+            assert got.tobytes() == stat.tobytes()
+        else:
+            np.testing.assert_allclose(got[evaluated], stat[evaluated], rtol=1e-9,
+                                       atol=M * LOG_PHI_FLUSH)
+    return fdr, strong, solved
+
+
 class TestAgainstReference:
     """The stepwise rules give what the O(M^2) references in ``helpers``
     give, on the whole input space: the model rules what one cold solve of
@@ -461,38 +540,7 @@ class TestAgainstReference:
     )
     def test_rules_match(self, panel, q):
         s, gammas = panel
-        M = s.size
-        model = RocModel.from_gammas(gammas)
-        ref = helpers.reference_stepwise(gammas, s, q)
-        procedures._panel_memo.cache_clear()
-        fdr, strong = decide_fdr_opt(model, s, q), decide_strong_fwer(model, s, q)
-        w = generalized_pvalues(model, s)
-        # One cold block below M = 129 is the reference's panel, bitwise;
-        # above, the blocks are warm-started and a size below the flush may
-        # solve as 0.
-        exact = M * M <= allocate.SOLVE_BLOCK
-        if exact:
-            assert w.tobytes() == ref.w.tobytes()
-        else:
-            np.testing.assert_allclose(w, ref.w, rtol=1e-11, atol=M * LOG_PHI_FLUSH)
-        for new, j, stats, bounds, path, step_up in (
-                (fdr, ref.step_up, ref.size_sums, ref.line, "size_sum", True),
-                (strong, ref.step_down, ref.log_products, np.full(M, ref.bound),
-                 "survival_product", False)):
-            k = new.cutoff_index
-            assert k == j or (not exact and _float_tie(stats, bounds, j, k, step_up, 1e-9))
-            expected = np.zeros(M, dtype=bool)
-            expected[ref.order[:k]] = True
-            np.testing.assert_array_equal(new.reject, expected)
-            # The threshold is the deciding hypothesis's W, bitwise.
-            assert new.alpha_threshold == (w[ref.order[k - 1]] if k else 0.0)
-            assert new.trace.order_stats.tobytes() == w[ref.order].tobytes()
-            stat = stats if step_up else np.exp(stats)
-            if exact:
-                assert getattr(new.trace, path).tobytes() == stat.tobytes()
-            else:
-                np.testing.assert_allclose(getattr(new.trace, path), stat, rtol=1e-9,
-                                           atol=M * LOG_PHI_FLUSH)
+        assert_model_rules_match(gammas, s, q)
         with np.errstate(divide="ignore"):  # the reference Sidak trace takes log(0)
             refs = (helpers.reference_decide_bh(s, q),
                     helpers.reference_decide_stepdown_sidak(s, q))
@@ -503,3 +551,41 @@ class TestAgainstReference:
             for field in ("order_stats", "survival_product", "size_sum", "threshold"):
                 np.testing.assert_array_equal(getattr(new.trace, field),
                                               getattr(ref.trace, field))
+
+    @staticmethod
+    def zero_effects(q):
+        # A third of the effects are 0, with exact p-values of 0 and 1
+        # among p-values spread over (0, 1].
+        rng = np.random.default_rng(17)
+        gammas = np.r_[np.zeros(100), rng.uniform(0.0, 5.0, 200)]
+        s = 10.0 ** rng.uniform(-8.0, 0.0, 300)
+        s[[5, 150]], s[[7, 160, 299]] = 0.0, 1.0
+        return gammas, s, q
+
+    @staticmethod
+    def paper(q):
+        # The paper's scenario at p = 0.4, nu = 4, where the step-up
+        # cutoff lands among the saturated ranks.
+        rng = np.random.default_rng(8)
+        theta = rng.random(1000) < 0.4
+        gammas = np.abs(rng.normal(4.0, 1.0, 1000))
+        return gammas, ndtr(-(gammas * theta + rng.standard_normal(1000))), q
+
+    @pytest.mark.parametrize("case, q, past", [
+        ("paper", 0.1, {"step-up"}),
+        ("zero_effects", 0.999, {"step-up", "step-down"}),
+        ("zero_effects", 0.1, set()),
+        ("zero_effects", 0.0, set()),
+        ("zero_effects", 1.0, {"step-up"}),
+    ], ids=["paper-q0.1", "zero-effects-q0.999", "zero-effects-q0.1", "zero-effects-q0",
+            "zero-effects-q1"])
+    def test_paths_past_the_solved_prefix(self, case, q, past):
+        # Past the prefix where W saturates, step-up searches the ranks
+        # for the last passing one and step-down resumes the pass until a
+        # step fails; both still decide as the whole panel does.
+        gammas, s, q = getattr(self, case)(q)
+        fdr, strong, solved = assert_model_rules_match(gammas, s, q)
+        assert solved < s.size
+        assert (fdr.cutoff_index > solved) == ("step-up" in past)
+        evaluated = np.count_nonzero(~np.isnan(strong.trace.survival_product))
+        assert (evaluated > solved) == ("step-down" in past)

@@ -149,7 +149,8 @@ class TestRunCell:
 class TestSharedPanel:
     """A cell asking for both stepwise rules makes one pass over each
     replicate's panel, with the results of cells that each run one of the
-    rules.  A pass at M <= 128 is one block, one size-profile call."""
+    rules.  A pass at M <= 128 is one block, one size-profile call; above,
+    it stops where W saturates."""
 
     RULES = ("fdr-opt", "strong-fwer-opt")
 
@@ -167,9 +168,13 @@ class TestSharedPanel:
     def test_equals_one_rule_per_cell(self, panel_solves, M, p):
         reps = 4
         both = self.cold_cell(make_config(M=M, p=p, reps=reps, procedures=self.RULES))
-        assert [sum(blocks) for blocks in panel_solves] == [M] * reps
         if M * M <= SOLVE_BLOCK:
             assert panel_solves == [[M]] * reps
+        else:
+            # Each replicate's pass stops where W saturates, and the rules
+            # share it: with the columns they read past it, no more than one
+            # whole pass's worth.
+            assert sum(map(sum, panel_solves)) <= reps * M
         for tag in self.RULES:
             alone = self.cold_cell(make_config(M=M, p=p, reps=reps, procedures=(tag,)))
             assert both.estimates[tag] == alone.estimates[tag]
