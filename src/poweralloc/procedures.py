@@ -374,9 +374,10 @@ def decide_strong_fwer(model: RocModel, s, qstar: float) -> Decision:
     if k < s.size and qstar < 1.0 and not np.any(log_products[:k] < bound):
         for cols, log1m, _ in _panel_blocks(model.gammas, panel.log_d, panel.order[k:],
                                             panel.anchor):
-            log_products[k:k + cols.size] = _log_products(log1m, panel.rank, cols)
+            block = _log_products(log1m, panel.rank, cols)
+            log_products[k:k + cols.size] = block
             k += cols.size
-            if np.any(log_products[k - cols.size:k] < bound):
+            if np.any(block < bound):
                 break
     # A step fails where its product is below the bound; the steps left
     # unevaluated (NaN) lie past the first failing one, or pass at qstar = 1.
