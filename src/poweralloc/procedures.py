@@ -256,7 +256,7 @@ def _panel_memo(gammas: bytes, s: bytes) -> _Panel:
     gammas, s = np.frombuffer(gammas), np.frombuffer(s)
     M = s.size
     log_d = _log_marginal_value(gammas, s)
-    order = _anti_ranks(gammas, s)
+    order = np.argsort(-log_d, kind="stable")  # _anti_ranks, from log_d in hand
     rank = np.empty(M, dtype=np.intp)
     rank[order] = np.arange(M)
     log_sums = np.full(M, -np.inf)  # W = 1.0 past the solved prefix

@@ -56,16 +56,28 @@ def null_grid():
     ]
 
 
+class _Passes(list):
+    def __init__(self):
+        super().__init__()
+        self.begun = []
+
+
 @pytest.fixture
 def panel_solves(monkeypatch):
     """The passes over a panel made during a test, which starts with an
-    empty memo: one list per pass of the widths of its column blocks, each
-    block being one ``allocate._size_profile`` call."""
-    passes = []
+    empty memo: one list per call of ``_panel_blocks`` of the widths of its
+    column blocks, each block being one ``allocate._size_profile`` call.
+
+    ``begun`` holds one flag per call, set where it began a panel's pass:
+    cold, over all M columns.  The step-down resume passes an anchor and
+    the step-up probes are single columns, so neither is counted.
+    """
+    passes = _Passes()
     blocks = procedures._panel_blocks
 
     def counting(gammas, log_d, cols, anchor=None):
         passes.append([])
+        passes.begun.append(anchor is None and cols.size == gammas.size)
         for block in blocks(gammas, log_d, cols, anchor):
             passes[-1].append(block[0].size)
             yield block

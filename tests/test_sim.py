@@ -171,9 +171,10 @@ class TestSharedPanel:
         if M * M <= SOLVE_BLOCK:
             assert panel_solves == [[M]] * reps
         else:
-            # Each replicate's pass stops where W saturates, and the rules
-            # share it: with the columns they read past it, no more than one
-            # whole pass's worth.
+            # The rules share one pass per replicate, which stops where W
+            # saturates: with the columns they read past it, no more than
+            # one whole pass's worth.
+            assert sum(panel_solves.begun) == reps
             assert sum(map(sum, panel_solves)) <= reps * M
         for tag in self.RULES:
             alone = self.cold_cell(make_config(M=M, p=p, reps=reps, procedures=(tag,)))
