@@ -33,19 +33,14 @@ exchangeable panel a single one at the Sidak multiplier.
 
 The one-parameter structure also gives the inverse map cheaply: the budget
 W at which test m first receives size s is the budget realized at the
-multiplier d = g_m(s), with no nested root finding.  For a panel,
-``_panel_blocks`` sizes every hypothesis at the multipliers of the columns
-it is given, one block at a time in the order given, and hands each block
-on; ``procedures`` gives them in the scan order of its stepwise rules
-(descending multiplier), reduces each block to the O(M) column statistics
-that W and the rules read before the next is solved, and stops the pass
-where W reaches 1.0, so no (M, M) array is ever held.
+multiplier d = g_m(s), with no nested root finding.
 
-Every size profile, whether a step of the multiplier solve or a block of
-the panel, is one ``_size_profile`` call.  v is a smooth, monotone
-function of t = log d, so each call but the first starts from a solved
-profile by one second-order step in t: about two log Phi evaluations per
-(hypothesis, multiplier) pair of a panel instead of 3.3 from cold starts.
+Every size profile, at one multiplier or at a vector of them, is one
+``_size_profile`` call.  v is a smooth, monotone function of t = log d, so
+a call can start from a solved profile by one second-order step in t: the
+multiplier solve starts each profile from the last one, and over a sorted
+run of multipliers that costs about two log Phi evaluations per
+(hypothesis, multiplier) pair instead of 3.3 from cold starts.
 """
 
 from __future__ import annotations
@@ -397,37 +392,6 @@ def _size_profile(gammas, log_d, anchor=None) -> tuple[np.ndarray, np.ndarray]:
     return _solve_v(g, log_d + 0.5 * g * g, guess=guess)
 
 
-def _panel_blocks(gammas, log_d, cols, anchor=None):
-    """Yield ``(block, log1m, anchor)`` blocks that size every hypothesis
-    at the multipliers of ``cols``, taken in the order given:
-    ``log1m[j, k]`` is log(1 - eta_j) at multiplier ``log_d[block[k]]``,
-    shape (M, len(block)), and ``anchor`` is the warm start of the block
-    after this one.
-
-    The columns are solved SOLVE_BLOCK // M at a time, so a panel of
-    M <= 128 given all its columns is one block.  ``procedures`` gives
-    them in its scan order, descending log d with ties by index, so that
-    neighbouring columns are nearly the same solve, and may stop the pass
-    after any block.  The first block starts from ``anchor``, cold when
-    it is None; every later one is anchored at the last finite column of
-    the block before it (``_size_profile``).  A pass resumed from the
-    anchor of the block where another stopped, on the columns after it,
-    solves them as the unstopped pass would.
-    """
-    per_block = max(1, SOLVE_BLOCK // gammas.size)
-    for k0 in range(0, cols.size, per_block):
-        block = cols[k0:k0 + per_block]
-        t = log_d[block]
-        v, log1m = _size_profile(gammas, t, anchor)
-        finite = np.flatnonzero(np.isfinite(t))
-        if finite.size:
-            k = finite[-1]
-            anchor = (t[k], v[:, k].copy(), log1m[:, k].copy())
-        # The next block's solve holds no array of this one's v.
-        del v
-        yield block, log1m, anchor
-
-
 def _constraint_gap(gammas, counts, v, log1m) -> tuple[float, float]:
     """sum_m counts_m log(1 - eta_m) of a size profile, and its derivative
     in log d."""
@@ -620,9 +584,10 @@ def check_size_condition(model: RocModel, alpha_grid) -> SizeConditionReport:
     """Evaluate (M-1) * max_m eta_m(alpha) <= sum_m eta_m(alpha) over the
     grid (the worst case over proper subsets of possible true nulls).
 
-    The report is advisory: ``decide`` prints it with step-up decisions,
-    over a panel's candidate budgets, as a diagnostic, never used to
-    refuse them.
+    The report is advisory, never used to refuse a decision.  ``decide``
+    does not print this one: with step-up decisions it prints
+    ``procedures._size_condition``'s, the same condition over the
+    candidate budgets W in (0, 1) of the panel.
     """
     grid = np.atleast_1d(np.asarray(alpha_grid, dtype=float))
     if grid.size == 0 or np.any(grid <= 0.0) or np.any(grid >= 1.0):

@@ -376,11 +376,8 @@ def _cmd_decide(args) -> int:
     decision = _decide(procedure, model, pvalues, budget)
     w = condition = None
     if model is not None:
-        # One memoized pass over the panel, stopped where W saturates at
-        # 1.0, gives a stepwise rule its statistics, every row its W and,
-        # for fdr-opt, the size condition over the candidate budgets W in
-        # (0, 1): after a stepwise rule these read the memo, and
-        # weak-fwer-opt makes the pass here.
+        # The stepwise rule, every row's W and, for fdr-opt, the size
+        # condition share one pass over the panel (see ``procedures``).
         w = generalized_pvalues(model, pvalues)
         if procedure == "fdr-opt":
             condition = _size_condition(model, pvalues)

@@ -1,32 +1,38 @@
 """Multiple-decision procedures on a panel of p-values and a ``RocModel``.
 
-Hypothesis m pins the multiplier d_m = g_m(S_m) at its p-value, and the
-model-based stepwise rules scan the hypotheses in descending log d_m, ties
-by index (``_anti_ranks``).  That is the budget-scale order of W_m, the
-smallest weak-FWER budget that rejects m, taken exactly and in O(M): W
-rounds to 1.0 once its log budget is below about -37, which at M = 1000
-ties most of a panel.
+Hypothesis m pins the multiplier d_m = g_m(S_m) at its p-value.  Column m
+of the panel sizes every hypothesis at d_m, and W_m, the budget-scale
+p-value, and the two model-based stepwise rules read only statistics of
+those columns.  This module is their one panel engine:
 
-Column m of the panel sizes every hypothesis at d_m.  One pass
-(``_panel``) solves the columns in blocks warm-started along the scan
-order (``allocate._panel_blocks``) and reduces each block to O(M) column
-statistics before the next is solved, so no (M, M) array is ever held:
-the sums of log(1 - eta), which give W; the size sums, which are the
-step-up statistic; the sums of log(1 - eta) over the hypotheses not
-ranked before m, which are the step-down statistic; and the largest
-sizes, which with the size sums give the size condition.  The sum of
-log(1 - eta) does not increase along the scan, so the columns where W is
-exactly 1.0 form a suffix of it, and the pass stops after the first block
-that reaches them (``SATURATED``): on a paper panel at M = 1000 it solves
-about a sixth of the columns.  A stepwise rule solves columns past the
-stop only where its cutoff may lie there: when every solved step passes,
-the step-down rule resumes the pass up to the first failing step, and
-the step-up rule searches the ranks past the stop for the last passing
-one, a column at a time.  A one-entry memo keyed on the exact bytes of the
-gammas and the p-values serves the stopped pass to every later call on
-the same panel, so the two stepwise rules and ``generalized_pvalues`` on
-one panel cost one pass and the columns each rule reads past it.  At
-M <= 128 the pass is a single block of the whole panel.  The rules:
+* The scan order is descending log d_m, ties by index (``_panel_memo``).
+  It is the budget-scale order of W, taken exactly: W rounds to 1.0 once
+  its log budget is below about -37, which at M = 1000 ties most of a
+  panel.  A p-value of 0 pins log d = +inf (first), one of 1 pins -inf
+  (last).
+* ``_panel_blocks`` solves the columns given to it in blocks of
+  ``SOLVE_BLOCK // M``, each warm-started from the block before it along
+  the scan (``allocate._size_profile``), and reduces each block to its
+  column statistics before the next is solved, so no (M, M) array is ever
+  held: the sums of log(1 - eta), which give W; the size sums, which are
+  the step-up statistic; the largest sizes, which with the size sums give
+  the size condition; and the sums of log(1 - eta) over the hypotheses
+  not ranked before m, which are the step-down statistic.
+* One pass (``_panel``) runs it over the scan and stops after the first
+  block where W is exactly 1.0 (``SATURATED``): the sum of log(1 - eta)
+  does not increase along the scan, so every later column has W = 1.0
+  too.  On a paper panel at M = 1000 it solves about a sixth of the
+  columns; at M <= 128 the pass is one block of the whole panel.  A
+  one-entry memo keyed on the exact bytes of the gammas and the p-values
+  serves it to every later call on the same panel.
+* A stepwise rule solves columns past the stop only where its cutoff may
+  lie there: when every solved step passes, the step-down rule resumes
+  the pass from its anchor up to the first failing block, and the step-up
+  rule searches the ranks past the stop for the last passing one, a
+  column at a time.
+
+So the two stepwise rules and ``generalized_pvalues`` on one panel cost
+one pass and the columns each rule reads past it.  The rules:
 
 * ``decide_weak_fwer`` - fixed-budget rule: reject m iff its p-value is at
   most its optimally allocated size (a weighted-p-value rule; rejections
@@ -56,10 +62,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allocate import (
+    SOLVE_BLOCK,
     SizeConditionReport,
     _log_marginal_value,
-    _panel_blocks,
     _size_condition_report,
+    _size_profile,
+    _validate_count,
     optimal_sizes,
 )
 from .model import RocModel
@@ -176,18 +184,6 @@ def _inputs(model: RocModel | None, s, budget: float = 0.0,
     return s, budget
 
 
-def _anti_ranks(gammas: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """The scan order of the stepwise model rules: descending log d_m, the
-    multiplier each hypothesis pins at its p-value, with ties by index.
-
-    W_m does not increase as d_m grows, so this is the budget-scale order,
-    taken exactly: W itself rounds to 1.0 once its log budget is below
-    about -37, and its ties would then fall back on the index.  A p-value
-    of 0 pins log d = +inf (first) and one of 1 pins -inf (last).
-    """
-    return np.argsort(-_log_marginal_value(gammas, s), kind="stable")
-
-
 def _column_sums(a: np.ndarray) -> np.ndarray:
     """Sums down the columns of an (M, K) array, each accumulated row by
     row from 0.0 at the top.  numpy sums two or more columns of a C-ordered
@@ -198,11 +194,38 @@ def _column_sums(a: np.ndarray) -> np.ndarray:
     return np.cumsum(a, axis=0)[-1] + 0.0  # from 0.0: a sum of -0.0s is 0.0
 
 
-def _log_products(log1m: np.ndarray, rank: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """The step-down statistic of a block: column m's sum of log(1 - eta)
-    over the rows not ranked before m.  Overwrites ``log1m``."""
-    log1m[rank[:, None] < rank[cols]] = 0.0
-    return _column_sums(log1m)
+def _panel_blocks(gammas, log_d, rank, cols, anchor=None):
+    """Solve the columns ``cols`` of the panel in blocks, in the order
+    given, and yield ``(block, log_sums, size_sums, size_max, log_products,
+    anchor)`` for each: the columns of the block and their statistics (see
+    ``_Panel``), and the warm start of the block after it.
+
+    ``rank`` is the scan rank of each hypothesis, which the step-down sums
+    mask by.  The columns are solved SOLVE_BLOCK // M at a time, so a panel
+    of M <= 128 given all its columns is one block.  The first block starts
+    from ``anchor``, cold when it is None; every later one is anchored at
+    the last finite column of the block before it (``_size_profile``).  A
+    pass resumed from the anchor of the block where another stopped, on
+    the columns after it, solves them as the unstopped pass would.
+    """
+    per_block = max(1, SOLVE_BLOCK // gammas.size)
+    for k0 in range(0, cols.size, per_block):
+        block = cols[k0:k0 + per_block]
+        t = log_d[block]
+        v, log1m = _size_profile(gammas, t, anchor)
+        finite = np.flatnonzero(np.isfinite(t))
+        if finite.size:
+            k = finite[-1]
+            anchor = (t[k], v[:, k].copy(), log1m[:, k].copy())
+        del v
+        log_sums = _column_sums(log1m)
+        eta = -np.expm1(log1m)
+        size_sums, size_max = _column_sums(eta), eta.max(axis=0)
+        log1m[rank[:, None] < rank[block]] = 0.0
+        log_products = _column_sums(log1m)
+        # The next block's solve holds no array of this one's.
+        del eta, log1m
+        yield block, log_sums, size_sums, size_max, log_products, anchor
 
 
 # A column whose sum of log(1 - eta) is below this has W = -expm1(sum) =
@@ -218,9 +241,9 @@ class _Panel:
     """The O(M) reductions of one pass over the panel, by column.
 
     Column m sizes every hypothesis at d_m (log d_m is ``log_d[m]``).  The
-    pass solves the columns in the scan order ``order`` (``_anti_ranks``),
-    whose inverse is ``rank``, and stops after the block where W
-    saturates: the first ``solved`` of them are solved.  ``w[m]`` is W_m
+    pass solves the columns in the scan order ``order``, whose inverse is
+    ``rank``, and stops after the block where W saturates: the first
+    ``solved`` of them are solved.  ``w[m]`` is W_m
     for every m, 1.0 past the solved prefix.  For the solved columns
     ``size_sums`` holds the step-up statistic S = sum_j eta_j,
     ``log_products`` the step-down statistic, the sum of log(1 - eta_j)
@@ -256,19 +279,15 @@ def _panel_memo(gammas: bytes, s: bytes) -> _Panel:
     gammas, s = np.frombuffer(gammas), np.frombuffer(s)
     M = s.size
     log_d = _log_marginal_value(gammas, s)
-    order = np.argsort(-log_d, kind="stable")  # _anti_ranks, from log_d in hand
+    order = np.argsort(-log_d, kind="stable")  # the scan order
     rank = np.empty(M, dtype=np.intp)
     rank[order] = np.arange(M)
     log_sums = np.full(M, -np.inf)  # W = 1.0 past the solved prefix
     log_products, size_sums, size_max = (np.full(M, np.nan) for _ in range(3))
     solved, anchor = 0, None
-    for cols, log1m, anchor in _panel_blocks(gammas, log_d, order):
-        log_sums[cols] = _column_sums(log1m)
-        eta = -np.expm1(log1m)
-        size_sums[cols] = _column_sums(eta)
-        size_max[cols] = eta.max(axis=0)
-        del eta
-        log_products[cols] = _log_products(log1m, rank, cols)
+    for cols, *stats, anchor in _panel_blocks(gammas, log_d, rank, order):
+        for arr, stat in zip((log_sums, size_sums, size_max, log_products), stats):
+            arr[cols] = stat
         solved += cols.size
         if log_sums[cols[-1]] < SATURATED:
             break
@@ -356,7 +375,7 @@ def decide_weak_fwer(model: RocModel, s, alpha: float) -> Decision:
 def decide_strong_fwer(model: RocModel, s, qstar: float) -> Decision:
     """Step-down rule with strong FWER control at qstar.
 
-    Along the budget-scale ordering (descending log d, ``_anti_ranks``),
+    Along the budget-scale ordering (descending log d, ties by index),
     step k survives while the product of 1 - eta over the not-yet-rejected
     hypotheses, all sized at the multiplier d_(k), stays >= 1 - qstar; the
     cutoff is the last step of the longest surviving prefix.  With
@@ -372,9 +391,8 @@ def decide_strong_fwer(model: RocModel, s, qstar: float) -> Decision:
     log_products = panel.log_products[panel.order]
     k = panel.solved
     if k < s.size and qstar < 1.0 and not np.any(log_products[:k] < bound):
-        for cols, log1m, _ in _panel_blocks(model.gammas, panel.log_d, panel.order[k:],
-                                            panel.anchor):
-            block = _log_products(log1m, panel.rank, cols)
+        for cols, _, _, _, block, _ in _panel_blocks(model.gammas, panel.log_d, panel.rank,
+                                                     panel.order[k:], panel.anchor):
             log_products[k:k + cols.size] = block
             k += cols.size
             if np.any(block < bound):
@@ -409,7 +427,7 @@ def decide_fdr_opt(model: RocModel, s, qstar: float) -> Decision:
     """Step-up rule with FDR control at qstar.
 
     Rejects the J largest-significance hypotheses in the budget-scale
-    ordering (descending log d, ``_anti_ranks``), where J is the largest m
+    ordering (descending log d, ties by index), where J is the largest m
     with S(m) = sum_j eta_j(d_(m)) <= qstar * m.  Reduces to
     Benjamini-Hochberg when all ROC functions are identical.  Its FDR
     guarantee assumes the size condition, which ``decide`` reports over
@@ -426,8 +444,8 @@ def decide_fdr_opt(model: RocModel, s, qstar: float) -> Decision:
 
     def size_sum(k: int) -> float:
         if np.isnan(size_sums[k]):
-            _, log1m, _ = next(_panel_blocks(model.gammas, panel.log_d, panel.order[k:k + 1]))
-            size_sums[k] = _column_sums(-np.expm1(log1m))[0]
+            column = _panel_blocks(model.gammas, panel.log_d, panel.rank, panel.order[k:k + 1])
+            size_sums[k] = next(column)[2][0]  # the column's size sum
         return size_sums[k]
 
     # Every step the search evaluates past the one it finds fails, so the
@@ -476,8 +494,7 @@ def decide_bonferroni(s, alpha: float) -> Decision:
 def fdr_null_bounds(M: int, qstar: float) -> tuple[float, float]:
     """Closed-form band for the FDR of the step-up rule when every null is
     true: [1 - (1 - qstar/M)^M, qstar]."""
-    if int(M) != M or M < 1:
-        raise ValueError(f"M must be a positive integer, got {M!r}")
+    M = _validate_count(M)
     qstar = _budget(qstar, "q")
     lower = float(-np.expm1(M * np.log1p(-qstar / M)))
     return lower, qstar

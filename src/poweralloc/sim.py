@@ -7,10 +7,8 @@ The allocator-driven procedures receive the generated effect sizes for
 every hypothesis (nulls included) as their effect-size inputs.
 
 A replicate solves one panel: ``run_cell`` calls each requested rule on
-the same model and p-values, and when both ``fdr-opt`` and
-``strong-fwer-opt`` are asked for, the second reads the reductions that
-``procedures`` kept from the first one's pass, which at M <= 128 is one
-size-profile call.
+the same model and p-values, and the model-based stepwise rules of one
+replicate share one pass over its panel (see ``procedures``).
 
 Loss accounting is by array: a cell keeps one (reps, M) rejection matrix
 per procedure next to the (reps, M) truth matrix, and the per-replicate
@@ -35,7 +33,7 @@ from typing import Iterable
 import numpy as np
 from scipy.special import ndtr
 
-from .allocate import optimal_sizes, sidak_sizes
+from .allocate import _validate_count, optimal_sizes, sidak_sizes
 from .model import RocModel, roc
 from .procedures import (
     Decision,
@@ -87,8 +85,7 @@ class ScenarioConfig:
     procedures: tuple[str, ...] = ("fdr-opt", "bh")
 
     def __post_init__(self):
-        if int(self.M) != self.M or self.M < 1:
-            raise ValueError(f"M must be a positive integer, got {self.M!r}")
+        _validate_count(self.M)
         if not (0.0 <= self.p <= 1.0):
             raise ValueError(f"p must lie in [0, 1], got {self.p!r}")
         if not math.isfinite(self.nu):
@@ -101,6 +98,9 @@ class ScenarioConfig:
         unknown = [t for t in self.procedures if t not in PROCEDURE_TAGS]
         if unknown:
             raise ValueError(f"unknown procedure tags {unknown}; known: {PROCEDURE_TAGS}")
+        repeated = sorted({t for t in self.procedures if self.procedures.count(t) > 1})
+        if repeated:
+            raise ValueError(f"repeated procedure tags {repeated}; give each tag once")
 
 
 @dataclass(frozen=True)

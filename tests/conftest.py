@@ -11,7 +11,6 @@ ones and keeps failures in the example database.
 
 import time
 
-import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -65,8 +64,9 @@ class _Passes(list):
 @pytest.fixture
 def panel_solves(monkeypatch):
     """The passes over a panel made during a test, which starts with an
-    empty memo: one list per call of ``_panel_blocks`` of the widths of its
-    column blocks, each block being one ``allocate._size_profile`` call.
+    empty memo: one list per call of ``procedures._panel_blocks`` of the
+    widths of its column blocks, each block being one ``_size_profile``
+    call.
 
     ``begun`` holds one flag per call, set where it began a panel's pass:
     cold, over all M columns.  The step-down resume passes an anchor and
@@ -75,17 +75,13 @@ def panel_solves(monkeypatch):
     passes = _Passes()
     blocks = procedures._panel_blocks
 
-    def counting(gammas, log_d, cols, anchor=None):
+    def counting(gammas, log_d, rank, cols, anchor=None):
         passes.append([])
         passes.begun.append(anchor is None and cols.size == gammas.size)
-        for block in blocks(gammas, log_d, cols, anchor):
+        for block in blocks(gammas, log_d, rank, cols, anchor):
             passes[-1].append(block[0].size)
             yield block
 
     monkeypatch.setattr(procedures, "_panel_blocks", counting)
     procedures._panel_memo.cache_clear()
     return passes
-
-
-def random_gammas(rng: np.random.Generator, size: int, lo: float = 0.1, hi: float = 10.0):
-    return rng.uniform(lo, hi, size)

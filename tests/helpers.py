@@ -135,6 +135,15 @@ def newton_solve_v(gamma, c, tol: float = INNER_TOL) -> np.ndarray:
     return v.reshape(shape)
 
 
+def newton_tolerance(v, log_phi):
+    """The gap in log Phi allowed between a solve and the Newton reference
+    at (v, log_phi).  Either solve may stop on a bracket 1e-15 max(1, |v|)
+    wide, across which log Phi moves by about 1e-15 v^2 of itself: more
+    than 1e-13 of itself far in the upper tail."""
+    width = 2e-15 * np.maximum(1.0, np.abs(v))
+    return 2.5e-13 * np.abs(log_phi) + np.abs(log_ndtr(v + width) - log_phi) + LOG_PHI_FLUSH
+
+
 # The multiplier solve and root finder that the warm-started solve of the
 # log budget ratio replaced, kept as their differential reference: the
 # solve brackets the budget gap at the two Sidak ends, evaluates both, and

@@ -23,19 +23,16 @@ from poweralloc import (
 )
 from poweralloc import allocate
 from poweralloc.allocate import (
-    EPS,
     LOG_PHI_FLUSH,
     SOLVE_BLOCK,
     V_HI,
     V_LO,
-    _log_marginal_value,
-    _panel_blocks,
     _size_profile,
     _solve_multiplier,
     _solve_v,
 )
 
-from helpers import UNIT, newton_solve_v, reference_solve_multiplier
+from helpers import newton_solve_v, newton_tolerance, reference_solve_multiplier
 
 ALPHAS = (0.01, 0.05, 0.2)
 
@@ -270,15 +267,6 @@ def assert_matches_newton(gamma, c, v, log_phi):
     assert np.all(gap <= newton_tolerance(v_ref, reference)[~blind])
 
 
-def newton_tolerance(v, log_phi):
-    """The gap in log Phi that ``assert_matches_newton`` allows a solve at
-    (v, log_phi).  Either solve may stop on a bracket 1e-15 max(1, |v|)
-    wide, across which log Phi moves by about 1e-15 v^2 of itself: more
-    than 1e-13 of itself far in the upper tail."""
-    width = 2e-15 * np.maximum(1.0, np.abs(v))
-    return 2.5e-13 * np.abs(log_phi) + np.abs(log_ndtr(v + width) - log_phi) + LOG_PHI_FLUSH
-
-
 class TestInnerSolve:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -328,59 +316,6 @@ class TestInnerSolve:
         v_cold, _ = _solve_v(gamma, c)
         for end in (V_LO, V_HI):
             assert np.array_equal(v == end, v_cold == end)
-
-
-class TestPanel:
-    @settings(max_examples=60, deadline=None)
-    @given(panel=st.integers(1, 400).flatmap(lambda m: st.tuples(
-        arrays(float, m, elements=ANY_GAMMA, fill=st.nothing()),
-        arrays(float, m, elements=UNIT, fill=st.nothing()))))
-    def test_warm_panel_matches_cold_solve(self, panel):
-        # The column blocks warm-started along descending log d (the scan
-        # order of the stepwise rules) against one cold solve of the whole
-        # panel: a single block is the same solve, and many blocks leave
-        # each log(1 - eta) within the Newton reference's tolerance of both.
-        gammas, s = panel
-        log_d = _log_marginal_value(gammas, s)
-        v, cold = _size_profile(gammas, log_d)
-        warm = np.full(cold.shape, np.nan)
-        for cols, block, _ in _panel_blocks(gammas, log_d, np.argsort(-log_d, kind="stable")):
-            warm[:, cols] = block
-        if gammas.size ** 2 <= SOLVE_BLOCK:
-            assert np.array_equal(warm, cold)
-            return
-        allowed = 2.0 * newton_tolerance(v, cold)
-        assert np.all(np.abs(warm - cold) <= allowed)
-        # W moves by exp(L) |dL|, plus the rounding of -expm1; the orders
-        # part only between hypotheses whose W lie that close.
-        log_cold, log_warm = cold.sum(axis=0), warm.sum(axis=0)
-        w_cold, w_warm = -np.expm1(log_cold), -np.expm1(log_warm)
-        w_allowed = 1.01 * np.exp(log_cold) * allowed.sum(axis=0) + 4.0 * EPS * w_cold
-        assert np.all(np.abs(w_warm - w_cold) <= w_allowed)
-        order_cold, order_warm = (np.argsort(w, kind="stable") for w in (w_cold, w_warm))
-        parted = order_cold != order_warm
-        a, b = order_cold[parted], order_warm[parted]
-        assert np.all(np.abs(w_cold[a] - w_cold[b]) <= w_allowed[a] + w_allowed[b])
-
-
-    @pytest.mark.parametrize("M", [129, 300])
-    def test_resumed_pass_matches_the_unstopped_one(self, M):
-        # A pass stopped after any block and resumed from that block's
-        # anchor on the columns after it solves them bitwise as the pass
-        # that never stopped.
-        rng = np.random.default_rng(M)
-        gammas = np.abs(rng.normal(2.0, 1.0, M))
-        log_d = _log_marginal_value(gammas, rng.uniform(0.0, 1.0, M) ** 2)
-        order = np.argsort(-log_d, kind="stable")
-        full = list(_panel_blocks(gammas, log_d, order))
-        assert len(full) > 1
-        start = 0
-        for i, (cols, _, anchor) in enumerate(full[:-1]):
-            start += cols.size
-            resumed = list(_panel_blocks(gammas, log_d, order[start:], anchor))
-            assert len(resumed) == len(full) - i - 1
-            for (c, a, _), (d, b, _) in zip(resumed, full[i + 1:]):
-                assert np.array_equal(c, d) and a.tobytes() == b.tobytes()
 
 
 class TestSolveCost:

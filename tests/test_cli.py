@@ -241,7 +241,7 @@ class TestDecide:
         assert rows[0]["alpha_threshold"] == "0"
 
     @pytest.mark.parametrize("procedure", ["fdr-opt", "strong-fwer-opt"])
-    def test_one_panel_solve_per_stepwise_decision(self, tmp_path, monkeypatch, capsys,
+    def test_one_panel_solve_per_stepwise_decision(self, tmp_path, capsys, panel_solves,
                                                    procedure):
         rng = np.random.default_rng(21)
         gammas = rng.uniform(0.2, 5.0, 30)
@@ -250,21 +250,17 @@ class TestDecide:
         write_csv(path, ["id", "pvalue", "gamma"],
                   [[f"h{i}", repr(float(p)), repr(float(g))]
                    for i, (p, g) in enumerate(zip(pvals, gammas))])
-        # Both cases read the same panel; start each from an empty memo.
-        procedures._panel_memo.cache_clear()
-        calls = []
-        blocks = procedures._panel_blocks
-        monkeypatch.setattr(procedures, "_panel_blocks",
-                            lambda *a: calls.append(a) or blocks(*a))
+        # Both cases read the same panel; each starts from an empty memo.
         assert cli.main(["decide", "--procedure", procedure, "--q", "0.1",
                          "--input", str(path), "--out", "json"]) == 0
         # The rule and the W column read one pass.
-        assert len(calls) == 1
+        assert len(panel_solves) == 1
         doc = json.loads(capsys.readouterr().out)
         assert "seed" not in doc
         expected = generalized_pvalues(RocModel.from_gammas(gammas), pvals)
         assert [r["w"] for r in doc["records"]] == [cli._jnum(w) for w in expected]
-        deciding = procedures._anti_ranks(gammas, pvals)[doc["cutoff_index"] - 1]
+        order = procedures._panel(RocModel(gammas), pvals).order
+        deciding = order[doc["cutoff_index"] - 1]
         assert doc["alpha_threshold"] == cli._jnum(expected[deciding])
 
     @pytest.mark.parametrize("procedure, path", [("fdr-opt", "size_sum"),
@@ -304,22 +300,17 @@ class TestDecide:
         assert doc["trace"]["survival_product"] == [None, None]
         assert all(x is not None for x in doc["trace"]["size_sum"])
 
-    def test_trace_requires_json(self, tmp_path, monkeypatch, capsys):
+    def test_trace_requires_json(self, tmp_path, capsys, panel_solves):
         path = tmp_path / "p.csv"
         write_csv(path, ["id", "pvalue"], [["a", 0.01]])
         run_cli("decide", "--procedure", "bh", "--q", "0.05", "--input", str(path),
                 "--trace", "--out", "csv", expect=2)
         # Refused before the file is read or the panel solved.
         write_csv(path, ["id", "pvalue", "gamma"], [["a", 0.01, 1.0], ["b", 0.3, 2.0]])
-        procedures._panel_memo.cache_clear()
-        calls = []
-        blocks = procedures._panel_blocks
-        monkeypatch.setattr(procedures, "_panel_blocks",
-                            lambda *a: calls.append(a) or blocks(*a))
         assert cli.main(["decide", "--procedure", "fdr-opt", "--q", "0.1", "--input",
                          str(path), "--trace", "--out", "csv"]) == 2
         assert "--trace" in capsys.readouterr().err
-        assert calls == []
+        assert panel_solves == []
 
     @pytest.mark.parametrize("out", ["json", "csv"])
     def test_stepdown_sidak_pvalue_one_warns_nothing(self, tmp_path, capsys, out):
@@ -676,6 +667,11 @@ class TestSimulate:
     def test_empty_list_names_the_key(self, capsys, tmp_path, key):
         # An empty axis would write a table with no rows.
         assert f"config key {key!r} must" in self.refused(capsys, tmp_path, key, [])
+
+    def test_repeated_procedure_is_refused(self, capsys, tmp_path):
+        # A repeated tag would run its rule twice and print the same row twice.
+        err = self.refused(capsys, tmp_path, "procedures", ["bh", "bh", "fdr-opt"])
+        assert "repeated procedure tags ['bh']" in err
 
     def test_string_procedures_names_the_key(self, capsys, tmp_path):
         # A string is not split into one-letter tags.

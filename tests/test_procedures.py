@@ -69,7 +69,7 @@ class TestGeneralizedPvalues:
         assert log_d[4] == log_d[5] == np.inf
         assert log_d[3] == log_d[6] == -np.inf
         assert log_d[1] > log_d[0] == log_d[2]
-        assert procedures._anti_ranks(gammas, s).tolist() == [4, 5, 1, 0, 2, 3, 6]
+        assert procedures._panel(RocModel(gammas), s).order.tolist() == [4, 5, 1, 0, 2, 3, 6]
 
     def test_antiranks_part_where_w_saturates(self):
         # Both W round to 1.0, and a stable sort of W would keep the index
@@ -77,7 +77,7 @@ class TestGeneralizedPvalues:
         model = RocModel.from_gammas([1.0, 1.0])
         s = np.array([1.0 - 1e-12, 1.0 - 1e-10])
         assert np.all(generalized_pvalues(model, s) == 1.0)
-        assert procedures._anti_ranks(model.gammas, s).tolist() == [1, 0]
+        assert procedures._panel(model, s).order.tolist() == [1, 0]
 
     def test_unattainable_size_maps_to_budget_one(self):
         # gamma=8 with a mid-range p-value: rejected at no budget below 1.
@@ -90,7 +90,7 @@ class TestGeneralizedPvalues:
         w = generalized_pvalues(RocModel.from_gammas(gammas), s)
         assert w[0] == 1.0
         assert w[1] < 1.0
-        assert procedures._anti_ranks(gammas, s).tolist() == [1, 0]
+        assert procedures._panel(RocModel(gammas), s).order.tolist() == [1, 0]
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -99,6 +99,91 @@ class TestGeneralizedPvalues:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             generalized_pvalues(RocModel.from_gammas([1.0]), [])
+
+
+def recording_profiles(monkeypatch) -> list:
+    """Patch ``procedures._size_profile`` to record a copy of each
+    (v, log(1 - eta)) it returns, taken before ``_panel_blocks`` masks the
+    second in place; returns the list it records into."""
+    profiles = []
+    solve = procedures._size_profile
+
+    def recording(gammas, log_d, anchor=None):
+        v, log1m = solve(gammas, log_d, anchor)
+        profiles.append((v.copy(), log1m.copy()))
+        return v, log1m
+
+    monkeypatch.setattr(procedures, "_size_profile", recording)
+    return profiles
+
+
+class TestPanelBlocks:
+    @settings(max_examples=60, deadline=None)
+    @given(panel=st.integers(1, 400).flatmap(lambda m: st.tuples(
+        arrays(float, m, elements=st.one_of(st.just(0.0), st.floats(0.0, 100.0)),
+               fill=st.nothing()),
+        arrays(float, m, elements=helpers.UNIT, fill=st.nothing()))))
+    def test_warm_panel_matches_cold_solve(self, panel):
+        # The column blocks warm-started along the scan order against one
+        # cold solve of the whole panel: a single block is the same solve,
+        # and many blocks leave each log(1 - eta) within the Newton
+        # reference's tolerance of both.
+        gammas, s = panel
+        log_d = allocate._log_marginal_value(gammas, s)
+        v, cold = allocate._size_profile(gammas, log_d)
+        order = np.argsort(-log_d, kind="stable")
+        with pytest.MonkeyPatch.context() as patch:
+            profiles = recording_profiles(patch)
+            blocks = list(procedures._panel_blocks(gammas, log_d, np.argsort(order), order))
+        assert len(profiles) == len(blocks)
+        warm = np.full(cold.shape, np.nan)
+        log_warm = np.full(s.size, np.nan)
+        for (cols, log_sums, *_), (_, block) in zip(blocks, profiles):
+            warm[:, cols] = block
+            log_warm[cols] = log_sums
+        # The yielded sums of log(1 - eta) are the solved blocks' own.
+        assert np.array_equal(log_warm, procedures._column_sums(warm))
+        if gammas.size ** 2 <= allocate.SOLVE_BLOCK:
+            assert np.array_equal(warm, cold)
+            return
+        allowed = 2.0 * helpers.newton_tolerance(v, cold)
+        assert np.all(np.abs(warm - cold) <= allowed)
+        # W moves by exp(L) |dL|, plus the rounding of -expm1; the orders
+        # part only between hypotheses whose W lie that close.
+        log_cold = cold.sum(axis=0)
+        w_cold, w_warm = -np.expm1(log_cold), -np.expm1(log_warm)
+        w_allowed = 1.01 * np.exp(log_cold) * allowed.sum(axis=0) + 4.0 * allocate.EPS * w_cold
+        assert np.all(np.abs(w_warm - w_cold) <= w_allowed)
+        order_cold, order_warm = (np.argsort(w, kind="stable") for w in (w_cold, w_warm))
+        parted = order_cold != order_warm
+        a, b = order_cold[parted], order_warm[parted]
+        assert np.all(np.abs(w_cold[a] - w_cold[b]) <= w_allowed[a] + w_allowed[b])
+
+    @pytest.mark.parametrize("M", [129, 300])
+    def test_resumed_pass_matches_the_unstopped_one(self, M, monkeypatch):
+        # A pass stopped after any block and resumed from that block's
+        # anchor on the columns after it solves them bitwise as the pass
+        # that never stopped, and yields the same statistics.
+        rng = np.random.default_rng(M)
+        gammas = np.abs(rng.normal(2.0, 1.0, M))
+        log_d = allocate._log_marginal_value(gammas, rng.uniform(0.0, 1.0, M) ** 2)
+        order = np.argsort(-log_d, kind="stable")
+        rank = np.argsort(order)
+        profiles = recording_profiles(monkeypatch)
+        full = list(procedures._panel_blocks(gammas, log_d, rank, order))
+        solved = profiles[:]
+        assert len(full) > 1
+        start = 0
+        for i, (cols, *_, anchor) in enumerate(full[:-1]):
+            start += cols.size
+            profiles.clear()
+            resumed = list(procedures._panel_blocks(gammas, log_d, rank, order[start:], anchor))
+            assert len(resumed) == len(profiles) == len(full) - i - 1
+            for got, want in zip(resumed, full[i + 1:]):
+                # The columns and their four statistics.
+                assert all(a.tobytes() == b.tobytes() for a, b in zip(got[:5], want[:5]))
+            for got, want in zip(profiles, solved[i + 1:]):
+                assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
 
 class TestPanelCost:
@@ -396,7 +481,7 @@ class TestInvariants:
         rng = np.random.default_rng(8)
         for _ in range(100):
             model, s = random_panel(rng)
-            order = procedures._anti_ranks(model.gammas, s)
+            order = procedures._panel(model, s).order
             for decision in (
                 decide_strong_fwer(model, s, 0.1),
                 decide_fdr_opt(model, s, 0.1),

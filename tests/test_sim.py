@@ -65,6 +65,8 @@ class TestGeneratePanel:
             make_config(reps=0)
         with pytest.raises(ValueError):
             make_config(procedures=("nope",))
+        with pytest.raises(ValueError, match=r"repeated procedure tags \['bh'\]"):
+            make_config(procedures=("bh", "bh", "fdr-opt"))
 
 
 class TestRiskMetrics:
