@@ -128,7 +128,7 @@ def _validate_alpha(alpha: float) -> float:
 
 
 def _validate_count(M: int) -> int:
-    if int(M) != M or M < 1:
+    if isinstance(M, (bool, np.bool_)) or int(M) != M or M < 1:
         raise ValueError(f"M must be a positive integer, got {M!r}")
     return int(M)
 

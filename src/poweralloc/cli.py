@@ -40,11 +40,10 @@ from .allocate import AllocationError, bonferroni_sizes, optimal_sizes, sidak_si
 from .model import RocModel
 from .numerics import BracketingError, ConvergenceError
 from .procedures import _size_condition, generalized_pvalues
-from .sim import PROCEDURE_TAGS, _decide, _power_vs_sidak, run_table
+from .sim import (PROCEDURE_TAGS, _CATALOGUE, _DEFAULT_PROCEDURES, _decide, _integral,
+                  _power_vs_sidak, _real, run_table)
 
 SCHEMA_VERSION = "2"
-_MODEL_PROCEDURES = ("weak-fwer-opt", "strong-fwer-opt", "fdr-opt")
-_ALPHA_PROCEDURES = ("weak-fwer-opt", "bonferroni")
 
 
 def _fmt(x) -> str:
@@ -346,15 +345,17 @@ def _print_allocation(out, alpha, method, ids, gammas, clusters, allocation, eff
 
 def _cmd_decide(args) -> int:
     procedure = args.procedure
-    alpha_rule = procedure in _ALPHA_PROCEDURES
-    flag, other = ("--alpha", "--q") if alpha_rule else ("--q", "--alpha")
-    budget, unread = (args.alpha, args.q) if alpha_rule else (args.q, args.alpha)
+    entry = _CATALOGUE[procedure]
+    name = entry.budget
+    other = "q" if name == "alpha" else "alpha"
+    budget = getattr(args, name)
     if budget is None:
-        raise ValueError(f"--procedure {procedure} needs {flag}")
-    if unread is not None:
-        raise ValueError(f"--procedure {procedure} does not read {other}; give its budget as {flag}")
+        raise ValueError(f"--procedure {procedure} needs --{name}")
+    if getattr(args, other) is not None:
+        raise ValueError(f"--procedure {procedure} does not read --{other}; "
+                         f"give its budget as --{name}")
     if not (0.0 <= budget <= 1.0):
-        raise ValueError(f"budget must lie in [0, 1], got {budget}")
+        raise ValueError(f"--{name} must lie in [0, 1], got {budget}")
     if args.trace and args.out != "json":
         raise ValueError("--trace is only available with --out json")
 
@@ -364,7 +365,7 @@ def _cmd_decide(args) -> int:
 
     model = None
     gammas = None
-    if procedure in _MODEL_PROCEDURES:
+    if entry.reads_gammas:
         if "gamma" not in columns or not all(columns["gamma"]):
             raise ValueError(
                 f"--procedure {procedure} uses the power-optimal allocation and "
@@ -396,7 +397,7 @@ def _print_decision(out, trace, procedure, budget, ids, pvalues, gammas, w, cond
             "schema_version": SCHEMA_VERSION,
             "command": "decide",
             "procedure": procedure,
-            ("alpha" if procedure in _ALPHA_PROCEDURES else "q"): budget,
+            _CATALOGUE[procedure].budget: budget,
             "cutoff_index": decision.cutoff_index,
             "alpha_threshold": _jnum(decision.alpha_threshold),
             "records": {
@@ -440,34 +441,11 @@ def _print_decision(out, trace, procedure, budget, ids, pvalues, gammas, w, cond
 # simulate
 # ---------------------------------------------------------------------------
 
-def _integral(value, key: str, path: str) -> int:
-    """A config value as an int; a fraction or a boolean is refused, not
-    truncated or read as 0 or 1."""
-    try:
-        number = int(value)
-    except (TypeError, ValueError, OverflowError):
-        number = None
-    if number is None or isinstance(value, bool) or (isinstance(value, float) and number != value):
-        raise ValueError(f"{path}: config key {key!r} must be an integer, got {value!r}")
-    return number
-
-
-def _real(value, key: str, path: str) -> float:
-    """A config value as a float; null, a boolean, a string or a list is
-    refused."""
-    if not isinstance(value, bool):
-        try:
-            return float(value)
-        except (TypeError, ValueError, OverflowError):
-            pass
-    raise ValueError(f"{path}: config key {key!r} must be a number, got {value!r}")
-
-
-def _grid_axis(spec: dict, key: str, parse, path: str) -> list:
+def _grid_axis(values, parse, subject: str) -> list:
     """The values of a grid axis, one or a nonempty list of them."""
-    values = [parse(value, key, path) for value in np.atleast_1d(spec[key]).tolist()]
+    values = [parse(value, subject) for value in np.atleast_1d(values).tolist()]
     if not values:
-        raise ValueError(f"{path}: config key {key!r} must name at least one value")
+        raise ValueError(f"{subject} must name at least one value")
     return values
 
 
@@ -477,18 +455,19 @@ def _cmd_simulate(args) -> int:
     for key in ("M", "p", "nu", "qstar"):
         if key not in spec:
             raise ValueError(f"{args.config}: config needs key {key!r}")
-    Ms = _grid_axis(spec, "M", _integral, args.config)
-    ps = _grid_axis(spec, "p", _real, args.config)
-    nus = _grid_axis(spec, "nu", _real, args.config)
-    qstar = _real(spec["qstar"], "qstar", args.config)
+    where = f"{args.config}: config key"
+    Ms = _grid_axis(spec["M"], _integral, f"{where} 'M'")
+    ps = _grid_axis(spec["p"], _real, f"{where} 'p'")
+    nus = _grid_axis(spec["nu"], _real, f"{where} 'nu'")
+    qstar = _real(spec["qstar"], f"{where} 'qstar'")
     reps = (args.reps if args.reps is not None
-            else _integral(spec.get("reps", 1000), "reps", args.config))
+            else _integral(spec.get("reps", 1000), f"{where} 'reps'"))
     seed = (args.seed if args.seed is not None
-            else _integral(spec.get("seed", 0), "seed", args.config))
-    procedures = spec.get("procedures", ["fdr-opt", "bh"])
+            else _integral(spec.get("seed", 0), f"{where} 'seed'"))
+    procedures = spec.get("procedures", list(_DEFAULT_PROCEDURES))
     if not isinstance(procedures, list) or not procedures:
-        raise ValueError(f"{args.config}: config key 'procedures' must be a list of "
-                         f"one or more procedure tags, got {procedures!r}")
+        raise ValueError(f"{where} 'procedures' must be a list of one or more "
+                         f"procedure tags, got {procedures!r}")
     procedures = tuple(procedures)
     threads = os.environ.get("POWERALLOC_THREADS", "1")
     try:

@@ -291,7 +291,8 @@ def _panel_memo(gammas: bytes, s: bytes) -> _Panel:
         solved += cols.size
         if log_sums[cols[-1]] < SATURATED:
             break
-    panel = _Panel(order, rank, log_d, -np.expm1(log_sums), log_products, size_sums,
+    # W = 0.0 - expm1(sum): a column whose sum is 0.0 has W 0.0, not -0.0.
+    panel = _Panel(order, rank, log_d, 0.0 - np.expm1(log_sums), log_products, size_sums,
                    size_max, solved, anchor)
     for arr in (order, rank, log_d, panel.w, log_products, size_sums, size_max):
         arr.setflags(write=False)
@@ -366,8 +367,6 @@ def decide_weak_fwer(model: RocModel, s, alpha: float) -> Decision:
     (cutoff_index simply counts rejections, which still form a prefix of
     the budget-scale ordering)."""
     s, alpha = _inputs(model, s, alpha, "alpha")
-    if alpha >= 1.0:
-        raise ValueError("alpha must be < 1")
     reject = s <= optimal_sizes(model, alpha).sizes
     return Decision(reject=reject, cutoff_index=int(reject.sum()), alpha_threshold=alpha)
 

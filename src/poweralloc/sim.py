@@ -28,7 +28,7 @@ import math
 import struct
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 from scipy.special import ndtr
@@ -59,16 +59,55 @@ __all__ = [
     "run_table",
 ]
 
-PROCEDURE_TAGS = (
-    "weak-fwer-opt",
-    "strong-fwer-opt",
-    "fdr-opt",
-    "bh",
-    "stepdown-sidak",
-    "bonferroni",
-)
+
+class _Procedure(NamedTuple):
+    budget: str  # the name of the rule's budget: "alpha" or "q"
+    reads_gammas: bool  # whether the rule reads the effect sizes
+    rule: Callable[[RocModel | None, np.ndarray, float], Decision]
+
+
+# The rules are looked up in this module each time they run, not bound
+# here: a wrapper put on a name such as ``sim.decide_bh`` (as the
+# benchmark's tracer does) must be what every caller reaches.
+_CATALOGUE = {
+    "weak-fwer-opt": _Procedure("alpha", True, lambda m, s, b: decide_weak_fwer(m, s, b)),
+    "strong-fwer-opt": _Procedure("q", True, lambda m, s, b: decide_strong_fwer(m, s, b)),
+    "fdr-opt": _Procedure("q", True, lambda m, s, b: decide_fdr_opt(m, s, b)),
+    "bh": _Procedure("q", False, lambda m, s, b: decide_bh(s, b)),
+    "stepdown-sidak": _Procedure("q", False, lambda m, s, b: decide_stepdown_sidak(s, b)),
+    "bonferroni": _Procedure("alpha", False, lambda m, s, b: decide_bonferroni(s, b)),
+}
+PROCEDURE_TAGS = tuple(_CATALOGUE)
+# The procedures a cell runs when none are named.
+_DEFAULT_PROCEDURES = ("fdr-opt", "bh")
 
 _MASK64 = (1 << 64) - 1
+# Values that Python would read as a number but a parameter refuses.
+_NOT_NUMBERS = (bool, np.bool_, str, bytes)
+
+
+def _integral(value, subject: str) -> int:
+    """``value`` as an int; a fraction, a boolean or a string is refused,
+    not truncated, read as 0 or 1, or parsed.  The message names
+    ``subject``."""
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or number != value or isinstance(value, _NOT_NUMBERS):
+        raise ValueError(f"{subject} must be an integer, got {value!r}")
+    return number
+
+
+def _real(value, subject: str) -> float:
+    """``value`` as a float; null, a boolean, a string or a list is
+    refused.  The message names ``subject``."""
+    if not isinstance(value, _NOT_NUMBERS):
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ValueError(f"{subject} must be a number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -82,9 +121,12 @@ class ScenarioConfig:
     qstar: float
     reps: int
     seed: int
-    procedures: tuple[str, ...] = ("fdr-opt", "bh")
+    procedures: tuple[str, ...] = _DEFAULT_PROCEDURES
 
     def __post_init__(self):
+        for name, check in (("M", _integral), ("p", _real), ("nu", _real),
+                            ("qstar", _real), ("reps", _integral), ("seed", _integral)):
+            object.__setattr__(self, name, check(getattr(self, name), name))
         _validate_count(self.M)
         if not (0.0 <= self.p <= 1.0):
             raise ValueError(f"p must lie in [0, 1], got {self.p!r}")
@@ -92,7 +134,7 @@ class ScenarioConfig:
             raise ValueError(f"nu must be finite, got {self.nu!r}")
         if not (0.0 <= self.qstar <= 1.0):
             raise ValueError(f"qstar must lie in [0, 1], got {self.qstar!r}")
-        if int(self.reps) != self.reps or self.reps < 1:
+        if self.reps < 1:
             raise ValueError(f"reps must be a positive integer, got {self.reps!r}")
         object.__setattr__(self, "procedures", tuple(self.procedures))
         unknown = [t for t in self.procedures if t not in PROCEDURE_TAGS]
@@ -196,20 +238,8 @@ def _power_vs_sidak(gammas: np.ndarray, sizes: np.ndarray, alpha: float) -> floa
     return float(100.0 * roc(gammas, sizes).sum() / roc(gammas, sidak).sum())
 
 
-def _decide(tag: str, model: RocModel, s: np.ndarray, budget: float) -> Decision:
-    if tag == "weak-fwer-opt":
-        return decide_weak_fwer(model, s, budget)
-    if tag == "strong-fwer-opt":
-        return decide_strong_fwer(model, s, budget)
-    if tag == "fdr-opt":
-        return decide_fdr_opt(model, s, budget)
-    if tag == "bh":
-        return decide_bh(s, budget)
-    if tag == "stepdown-sidak":
-        return decide_stepdown_sidak(s, budget)
-    if tag == "bonferroni":
-        return decide_bonferroni(s, budget)
-    raise ValueError(f"unknown procedure tag {tag!r}")
+def _decide(tag: str, model: RocModel | None, s: np.ndarray, budget: float) -> Decision:
+    return _CATALOGUE[tag].rule(model, s, budget)
 
 
 def _mean_se(values: np.ndarray, reps: int) -> tuple[float, float]:
@@ -279,7 +309,7 @@ def run_table(
     qstar: float,
     reps: int,
     seed: int,
-    procedures: tuple[str, ...] = ("fdr-opt", "bh"),
+    procedures: tuple[str, ...] = _DEFAULT_PROCEDURES,
     workers: int = 1,
 ) -> list[CellResult]:
     """Cross-product grid of cells, one CellResult per (M, p, nu).

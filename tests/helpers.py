@@ -439,7 +439,7 @@ def reference_stepwise(gammas, s, q: float) -> SimpleNamespace:
     rank = np.empty(M, dtype=np.intp)
     rank[order] = np.arange(M)
     _, log1m = _size_profile(gammas, log_d)
-    w = -np.expm1(log1m.sum(axis=0))
+    w = 0.0 - np.expm1(log1m.sum(axis=0))  # W = 0.0, not -0.0, at a p-value of 0
     size_sums = (-np.expm1(log1m)).sum(axis=0)[order]
     log_products = np.where(rank[:, None] >= rank, log1m, 0.0).sum(axis=0)[order]
     line = q * np.arange(1, M + 1)

@@ -15,6 +15,7 @@ from poweralloc import (
     RocModel,
     bonferroni_sizes,
     check_size_condition,
+    fdr_null_bounds,
     generalized_pvalues,
     grid_optimal_sizes,
     optimal_sizes,
@@ -90,6 +91,13 @@ class TestBaselines:
             sidak_sizes(4, 1.0)
         with pytest.raises(ValueError):
             bonferroni_sizes(4, -0.1)
+
+    @pytest.mark.parametrize("count", [True, np.True_])
+    def test_a_boolean_is_not_a_count(self, count):
+        # True equals 1, but a flag passed as a count is a caller's mistake.
+        for baseline in (sidak_sizes, bonferroni_sizes, fdr_null_bounds):
+            with pytest.raises(ValueError, match="M must be a positive integer"):
+                baseline(count, 0.1)
 
 
 class TestOptimalSizes:

@@ -230,7 +230,7 @@ class TestDecide:
         assert doc["alpha_threshold"] == doc["records"][0]["w"] == doc["trace"]["order_stats"][0]
 
     def test_zero_w_prints_as_zero(self, tmp_path):
-        # W = -expm1(0) is -0.0 for a p-value of 0.
+        # A p-value of 0 has W = 0, which prints without a sign.
         path = tmp_path / "p.csv"
         write_csv(path, ["id", "pvalue", "gamma"], [["a", 0.0, 2.0], ["b", 0.9, 1.0]])
         out = run_cli("decide", "--procedure", "fdr-opt", "--q", "0.1",
@@ -340,6 +340,18 @@ class TestDecide:
         proc = run_cli("decide", "--procedure", "weak-fwer-opt", "--q", "0.05",
                        "--input", str(path), expect=2)
         assert "--alpha" in proc.stderr
+
+    @pytest.mark.parametrize("procedure, flag", [("fdr-opt", "--q"), ("bh", "--q"),
+                                                 ("weak-fwer-opt", "--alpha"),
+                                                 ("bonferroni", "--alpha")])
+    def test_budget_range_error_names_the_flag(self, tmp_path, capsys, procedure, flag):
+        path = tmp_path / "p.csv"
+        write_csv(path, ["id", "pvalue", "gamma"], [["a", 0.01, 1.0], ["b", 0.3, 2.0]])
+        assert cli.main(["decide", "--procedure", procedure, flag, "1.5",
+                         "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert f"poweralloc: {flag} must lie in [0, 1], got 1.5" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("procedure, flags, unread", [
         ("bh", ["--q", "0.1", "--alpha", "0.05"], "--alpha"),
@@ -651,13 +663,15 @@ class TestSimulate:
         return capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [("M", [4, 20.7]), ("reps", 3.9), ("seed", 1.5),
-                                            ("M", [True]), ("reps", True)])
+                                            ("M", [True]), ("reps", True),
+                                            ("reps", "3"), ("M", ["4"]), ("seed", " 7 ")])
     def test_fractional_count_names_the_key(self, capsys, tmp_path, key, value):
         err = self.refused(capsys, tmp_path, key, value)
         assert f"config key {key!r} must be an integer" in err
 
     @pytest.mark.parametrize("key, value", [("p", [None]), ("nu", [1, None]), ("qstar", None),
                                             ("p", "x"), ("nu", [[2]]), ("qstar", True),
+                                            ("p", ["0.2"]), ("nu", ["2"]), ("qstar", "0.1"),
                                             pytest.param("qstar", 10**400, id="qstar-10**400")])
     def test_non_number_names_the_key(self, capsys, tmp_path, key, value):
         err = self.refused(capsys, tmp_path, key, value)

@@ -239,6 +239,35 @@ class TestFindRoot:
         assert res.root == 1.0 and res.residual == f(1.0)
         assert res.iterations == 2
 
+    @pytest.mark.parametrize("f_lo, f_hi, root", [(0.0, 1.0, 1.0), (-1.0, 0.0, 2.0)])
+    def test_an_end_of_value_zero_is_the_root(self, f_lo, f_hi, root):
+        def f(x):
+            raise AssertionError("no evaluation is needed")
+
+        assert find_root(f, Bracket(1.0, 2.0, f_lo, f_hi)) == RootResult(root, 0.0, 0)
+
+    @pytest.mark.parametrize("lo, hi, shift", [(0.0, 1.0, 1e-20), (1.0, 2.0, -1e-20)])
+    def test_a_step_below_resolution_moves_one_ulp(self, lo, hi, shift):
+        # f(1.0) = shift is the smaller end value, and both the Newton and
+        # the secant candidate lie within half an ulp of 1.0: the step
+        # moves one ulp into the bracket, where f has the other sign.
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return (x - 1.0) + shift
+
+        res = find_root(f, Bracket.from_function(lambda x: (x - 1.0) + shift, lo, hi),
+                        tol=1e-30, df=lambda x: 1.0)
+        assert calls == [math.nextafter(1.0, lo + hi - 1.0)]
+        assert res == RootResult(1.0, shift, 1)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-12])
+    def test_tol_must_be_positive(self, tol):
+        f = lambda x: x - 0.5
+        with pytest.raises(ValueError, match="tol must be positive"):
+            find_root(f, Bracket.from_function(f, 0.0, 1.0), tol=tol)
+
     def test_bracket_validation(self):
         with pytest.raises(BracketingError):
             Bracket(2.0, 1.0, -1.0, 1.0)

@@ -53,6 +53,15 @@ class TestGeneralizedPvalues:
         model = RocModel.from_gammas([0.5, 2.0, 4.0])
         assert np.all(generalized_pvalues(model, [0.0, 0.0, 0.0]) == 0.0)
 
+    def test_a_zero_pvalue_has_w_of_positive_zero(self):
+        # That column's sum of log(1 - eta) is 0.0, and -expm1(0.0) is -0.0.
+        model, s = RocModel([1.0, 2.0, 3.0]), [0.0, 0.5, 0.9]
+        w = generalized_pvalues(model, s)
+        assert w[0] == 0.0 and not np.any(np.signbit(w))
+        for rule in (decide_fdr_opt, decide_strong_fwer):
+            threshold = rule(model, s, 0.1).alpha_threshold
+            assert threshold == 0.0 and not np.signbit(threshold)
+
     def test_round_trip_heterogeneous(self):
         # S_m = eta_m(W_m) at the allocation with budget W_m.
         model = RocModel.from_gammas([0.5, 0.5, 1.0, 1.0])
@@ -329,6 +338,12 @@ class TestWeakFwer:
         model = RocModel.from_gammas([1.0, 2.0, 3.0])
         decision = decide_weak_fwer(model, [1.0, 1.0, 1.0], 0.05)
         assert decision.cutoff_index == 0
+
+    def test_budget_one_is_refused(self):
+        # The allocation is defined for alpha in [0, 1) only.
+        model = RocModel.from_gammas([1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match=r"alpha must lie in \[0, 1\)"):
+            decide_weak_fwer(model, [0.1, 0.2, 0.3], 1.0)
 
     def test_exchangeable_is_fixed_sidak_threshold(self):
         rng = np.random.default_rng(5)

@@ -7,14 +7,22 @@ import numpy as np
 import pytest
 
 from poweralloc import (
+    PROCEDURE_TAGS,
     RocModel,
     ScenarioConfig,
+    decide_bh,
+    decide_bonferroni,
+    decide_fdr_opt,
+    decide_stepdown_sidak,
+    decide_strong_fwer,
+    decide_weak_fwer,
     efficiency_vs_sidak,
     fdr_null_bounds,
     generate_panel,
     procedures,
     run_cell,
     run_table,
+    sim,
 )
 from poweralloc.allocate import SOLVE_BLOCK
 from poweralloc.sim import ReplicateTable, _replicate_table
@@ -67,6 +75,22 @@ class TestGeneratePanel:
             make_config(procedures=("nope",))
         with pytest.raises(ValueError, match=r"repeated procedure tags \['bh'\]"):
             make_config(procedures=("bh", "bh", "fdr-opt"))
+
+    def test_integral_floats_are_stored_as_counts(self):
+        config = make_config(M=4.0, reps=2.0, seed=3.0)
+        assert (config.M, config.reps, config.seed) == (4, 2, 3)
+        assert all(type(x) is int for x in (config.M, config.reps, config.seed))
+        cell = run_cell(config)
+        assert cell.estimates == run_cell(make_config(M=4, reps=2, seed=3)).estimates
+
+    @pytest.mark.parametrize("field, value", [
+        ("M", True), ("reps", True), ("seed", 1.5), ("seed", "x"), ("p", "0.2"),
+        ("nu", True), ("qstar", None),
+    ])
+    def test_a_non_number_is_refused_by_name(self, field, value):
+        # Not read as 0 or 1, truncated, parsed, or left to fail in run_cell.
+        with pytest.raises(ValueError, match=rf"^{field} must be an? (integer|number), got"):
+            make_config(**{field: value})
 
 
 class TestRiskMetrics:
@@ -139,6 +163,33 @@ class TestRunCell:
                              procedures=("weak-fwer-opt",))
         est = run_cell(config).estimates["weak-fwer-opt"]
         assert abs(est.fwer - 0.1) <= 3.0 * max(est.se_fwer, 1e-9)
+
+    def test_every_tag_runs_its_rule(self, monkeypatch):
+        # Each tag's reject matrix is its rule called directly on each
+        # replicate, at the cell's budget: a mis-wired tag fails here.
+        direct = {
+            "weak-fwer-opt": lambda model, s, b: decide_weak_fwer(model, s, b),
+            "strong-fwer-opt": lambda model, s, b: decide_strong_fwer(model, s, b),
+            "fdr-opt": lambda model, s, b: decide_fdr_opt(model, s, b),
+            "bh": lambda model, s, b: decide_bh(s, b),
+            "stepdown-sidak": lambda model, s, b: decide_stepdown_sidak(s, b),
+            "bonferroni": lambda model, s, b: decide_bonferroni(s, b),
+        }
+        assert set(direct) == set(PROCEDURE_TAGS)
+        config = make_config(M=40, p=0.4, nu=3.0, qstar=0.2, reps=6, procedures=PROCEDURE_TAGS)
+        rejects = []
+
+        def recording(reject, theta):
+            rejects.append(reject)
+            return _replicate_table(reject, theta)
+
+        monkeypatch.setattr(sim, "_replicate_table", recording)
+        run_cell(config)
+        panels = [generate_panel(config, rep) for rep in range(config.reps)]
+        for tag, reject in zip(config.procedures, rejects, strict=True):
+            expected = [direct[tag](RocModel.from_gammas(panel.xi), panel.s, config.qstar).reject
+                        for panel in panels]
+            np.testing.assert_array_equal(reject, np.stack(expected), err_msg=tag)
 
     def test_null_fdr_band(self):
         config = make_config(p=0.0, qstar=0.1, M=20, reps=1000,
