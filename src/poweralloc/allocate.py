@@ -41,6 +41,13 @@ a call can start from a solved profile by one second-order step in t: the
 multiplier solve starts each profile from the last one, and over a sorted
 run of multipliers that costs about two log Phi evaluations per
 (hypothesis, multiplier) pair instead of 3.3 from cold starts.
+
+A run of profiles shares one scratch (``_Scratch``), the named working
+arrays that every profile's solve takes its arrays of the profile's size
+from, so the run allocates them once.  The loop that runs the profiles
+owns it: ``_solve_multiplier`` makes one per search and
+``procedures._panel_blocks`` one per panel pass, and a scratch dies with
+its loop.  A call given none makes its own.
 """
 
 from __future__ import annotations
@@ -74,8 +81,8 @@ EPS = float(np.finfo(float).eps)
 # where erfc underflows): a log Phi under this magnitude cannot be resolved.
 LOG_PHI_FLUSH = 1e-310
 LOG_PHI_LO, LOG_PHI_HI = float(log_ndtr(V_LO)), float(log_ndtr(V_HI))
-# Elements per block of the inner solve: its dozen working arrays of
-# 128 KB each stay in cache across the ~50 array passes of an iteration.
+# Elements per block of the inner solve: the block's working arrays, 128 KB
+# each at most, stay in cache across the ~50 array passes of an iteration.
 # On an M=1000 panel, blocks of 8192 to 65536 were equally fast, and both
 # 2048 and one block of all 10^6 elements about 1.5 times slower.
 SOLVE_BLOCK = 16384
@@ -164,7 +171,31 @@ def bonferroni_sizes(M: int, alpha: float) -> SizeAllocation:
 # Gaussian inner solve: log Phi(v) + gamma v = c, elementwise on arrays.
 # ---------------------------------------------------------------------------
 
-def _solve_v(gamma, c, guess=None) -> tuple[np.ndarray, np.ndarray]:
+class _Scratch:
+    """Named working arrays that a run of size profiles shares.
+
+    ``take(name, shape)`` returns a C-contiguous view of the buffer called
+    ``name``, which is replaced by a larger one when the shape needs more.
+    The view holds whatever was last written there, so a caller writes
+    each array before it reads it.  A scratch is made and dropped by the
+    loop that runs the profiles, so no buffer outlives that loop or is
+    shared between threads.
+    """
+
+    __slots__ = ("_buffers",)
+
+    def __init__(self):
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, shape, dtype=float) -> np.ndarray:
+        size = math.prod(shape) if isinstance(shape, tuple) else shape
+        buffer = self._buffers.get(name)
+        if buffer is None or buffer.size < size:
+            buffer = self._buffers[name] = np.empty(size, dtype)
+        return buffer[:size].reshape(shape)
+
+
+def _solve_v(gamma, c, guess=None, scratch=None) -> tuple[np.ndarray, np.ndarray]:
     """Solve log Phi(v) + gamma*v = c for each element, v in [V_LO, V_HI];
     returns v and log Phi(v), the latter from the solve's last evaluation.
 
@@ -183,14 +214,25 @@ def _solve_v(gamma, c, guess=None) -> tuple[np.ndarray, np.ndarray]:
     that log was measured.  ``guess``, broadcast like ``c``, is each element's
     starting v (clipped to [V_LO, V_HI]); an element whose guess is not
     finite, or every element when there is none, starts from a guess of
-    its own.
+    its own.  ``scratch`` (a fresh one when None) supplies every array of
+    the size of the input, the returned v and log Phi(v) included, so they
+    hold their values until its next solve.
     """
+    if scratch is None:
+        scratch = _Scratch()
     shape = np.broadcast_shapes(np.shape(gamma), np.shape(c))
-    g, cc = (np.broadcast_to(np.asarray(a, dtype=float), shape).ravel() for a in (gamma, c))
+
+    def flat(a, name):
+        a = np.broadcast_to(np.asarray(a, dtype=float), shape)
+        if not a.flags.c_contiguous:  # a broadcast gamma column, say
+            a, broadcast = scratch.take(name, shape), a
+            np.copyto(a, broadcast)
+        return a.ravel()
+
+    g, cc = flat(gamma, "gamma"), flat(c, "c_in")
     if guess is not None:
-        guess = np.broadcast_to(np.asarray(guess, dtype=float), shape).ravel()
-    v = np.empty(g.size)
-    log_phi = np.empty(g.size)
+        guess = flat(guess, "guess_in")
+    v, log_phi = scratch.take("profile", (2, g.size))
     unconverged = 0
     # slope = r + gamma is 0 where gamma = 0 and phi(v) underflows (v past
     # ~38.6): the Halley step is then not finite and the element bisects.
@@ -198,7 +240,7 @@ def _solve_v(gamma, c, guess=None) -> tuple[np.ndarray, np.ndarray]:
         for k in range(0, g.size, SOLVE_BLOCK):
             b = slice(k, k + SOLVE_BLOCK)
             unconverged += _solve_block(g[b], cc[b], None if guess is None else guess[b],
-                                        v[b], log_phi[b])
+                                        v[b], log_phi[b], scratch)
     if unconverged:
         raise AllocationError(
             f"inner size solve did not converge for {unconverged} of {g.size} elements"
@@ -217,76 +259,104 @@ def _cold_guess(g, c) -> np.ndarray:
     return v
 
 
-def _solve_block(g, c, guess, v_out, log_phi_out) -> int:
+def _solve_block(g, c, guess, v_out, log_phi_out, scratch) -> int:
     """One block of ``_solve_v``: writes v and log Phi(v) into the output
-    views and returns the number of elements left unconverged."""
-    below = (LOG_PHI_HI + g * V_HI) <= c  # root beyond V_HI
-    above = (LOG_PHI_LO + g * V_LO) >= c  # root below V_LO
+    views and returns the number of elements left unconverged.
+
+    Its arrays come from ``scratch``, sized to the block, so that no
+    compaction grows one: the rows of one (12, n) array and four masks.
+    Each iteration works on their first m elements, one per active
+    element; a larger block may have left values there, so each is
+    written before it is read.  The active elements' gamma, c and bracket
+    [lo, hi] are the rows of a (4, m) array in one of two slots, the other
+    slot holds four of the iteration's working arrays, and a compaction
+    copies the state into it.  Only index arrays are allocated: of the
+    active elements at a compaction, and of those that take a tail or
+    bisection step.
+    """
+    n = g.size
+    arrays = scratch.take("solve", (12, n))
+    slots, work = arrays[:8].reshape(2, 4 * n), arrays[8:]
+    masks = scratch.take("masks", (4, n), bool)
+    spare_pos = scratch.take("pos", n, np.intp)
+    tmp, flag, flag2 = work[0], masks[2], masks[3]
+    below = np.less_equal(np.add(np.multiply(g, V_HI, out=tmp), LOG_PHI_HI, out=tmp), c,
+                          out=flag2)  # root beyond V_HI
+    above = np.greater_equal(np.add(np.multiply(g, V_LO, out=tmp), LOG_PHI_LO, out=tmp), c,
+                             out=flag)  # root below V_LO
     v_out[below], log_phi_out[below] = V_HI, LOG_PHI_HI
     v_out[above], log_phi_out[above] = V_LO, LOG_PHI_LO
-    pos = np.flatnonzero(~(below | above))
-    if pos.size < g.size:
-        g, c = g[pos], c[pos]
-        if guess is not None:
-            guess = guess[pos]
+    pos = np.flatnonzero(np.logical_not(np.logical_or(below, above, out=flag), out=flag))
+    m = pos.size
+    slot = 0
+    state = slots[slot, :4 * m].reshape(4, m)
+    # mode="clip" writes straight into ``out`` (every index is in range);
+    # the default mode would first take into a fresh array.
+    g.take(pos, out=state[0], mode="clip")
+    c.take(pos, out=state[1], mode="clip")
+    g, c, lo, hi = state
+    li, err, abs_err, tmp = slots[1 - slot, :4 * m].reshape(4, m)
+    v, step, r, inv_slope = work[:, :m]
+    active, neg, flag, flag2 = masks[:, :m]
     if guess is None:
-        v = _cold_guess(g, c)
+        np.copyto(v, _cold_guess(g, c))
     else:
-        v = guess.copy()
-        cold = ~np.isfinite(v)
+        guess.take(pos, out=v, mode="clip")
+        cold = np.logical_not(np.isfinite(v, out=flag), out=flag)
         if cold.any():
             v[cold] = _cold_guess(g[cold], c[cold])
-    v = np.clip(np.nan_to_num(v, nan=0.0), V_LO, V_HI)
-
-    lo = np.full(v.shape, V_LO)
-    hi = np.full(v.shape, V_HI)
+    # A NaN start becomes 0 and an infinite one the end of [V_LO, V_HI].
+    np.copyto(v, 0.0, where=np.isnan(v, out=flag))
+    np.clip(v, V_LO, V_HI, out=v)
+    lo.fill(V_LO)
+    hi.fill(V_HI)
     for _ in range(1000):
-        if not pos.size:
+        if not m:
             return 0
-        li = log_ndtr(v)
-        err = g * v
+        log_ndtr(v, out=li)
+        np.multiply(g, v, out=err)
         err += li
         err -= c
-        abs_err = np.abs(err)
+        np.abs(err, out=abs_err)
+        np.less(err, 0.0, out=neg)
         # Still active while err is above the rounding of c, the error
         # err * r / slope it leaves in log Phi(v) = log(1 - eta) exceeds
         # INNER_TOL relative to that log (absolute past magnitude 1), and
         # the bracket is wider than a few ulp.
-        active = abs_err > 4.0 * EPS * np.abs(c)
-        r = v * v
+        np.greater(abs_err, np.multiply(np.abs(c, out=tmp), 4.0 * EPS, out=tmp), out=active)
+        np.multiply(v, v, out=r)
         r *= -0.5
         r -= LOG_SQRT_2PI
         r -= li
         np.exp(r, out=r)  # r = phi(v) / Phi(v)
-        inv_slope = r + g
+        np.add(r, g, out=inv_slope)
         np.reciprocal(inv_slope, out=inv_slope)
-        newton = err * inv_slope
-        log1m_err = np.abs(newton)
-        log1m_err *= r
+        newton = np.multiply(err, inv_slope, out=err)  # err is spent
+        # The error in log Phi, held in step's array until the step is taken.
+        log1m_err = np.multiply(np.abs(newton, out=step), r, out=step)
         # Where the step would move log Phi by half its own size or more,
         # log Phi is exponentially small in v^2 and far from its target:
         # the step creeps by about 1/v there, and one on log(-log Phi) jumps.
-        tail = np.flatnonzero(log1m_err >= -0.5 * li)
-        threshold = np.maximum(li, -1.0)  # -min(1, |log Phi|), as log Phi <= 0
+        tail = np.flatnonzero(np.greater_equal(log1m_err, np.multiply(li, -0.5, out=tmp),
+                                               out=flag))
+        threshold = np.maximum(li, -1.0, out=tmp)  # -min(1, |log Phi|), as log Phi <= 0
         threshold *= -INNER_TOL
-        above_tol = log1m_err > threshold
+        above_tol = np.greater(log1m_err, threshold, out=flag)
         if li.max() == 0.0:
             # Where log Phi has flushed to 0, r underflows and the relative
             # test passes whatever err is: such an element stops only once
             # err is below the flush, where a target below the flush is met.
-            above_tol = np.where(li == 0.0, abs_err > LOG_PHI_FLUSH, above_tol)
+            np.copyto(above_tol, abs_err > LOG_PHI_FLUSH, where=li == 0.0)
         active &= above_tol
-        # Spent arrays go at once: a small panel's blocks live on the heap,
-        # whose high-water mark is the process's peak RSS.
-        del abs_err, log1m_err, threshold, above_tol
-        neg = err < 0.0
-        lo = np.where(neg, v, lo)
-        hi = np.where(neg, hi, v)
-        del err
-        active &= hi - lo > 1e-15 * np.maximum(1.0, np.abs(v))
+        np.copyto(lo, v, where=neg)
+        np.copyto(hi, v, where=np.logical_not(neg, out=flag))
+        width = np.subtract(hi, lo, out=tmp)
+        least = np.multiply(np.maximum(1.0, np.abs(v, out=abs_err), out=abs_err), 1e-15,
+                            out=abs_err)
+        active &= np.greater(width, least, out=flag)
         # Halley: v - n / (1 - n f'' / (2 f')) with the Newton step n and
         # f'' = -r (v + r).
-        step = v + r
+        np.add(v, r, out=step)
         step *= r
         step *= newton
         step *= inv_slope
@@ -307,7 +377,9 @@ def _solve_block(g, c, guess, v_out, log_phi_out) -> int:
             halley_in = (ht > lo_t) & (ht < hi_t)
             ok = (jump > lo_t) & (jump < hi_t) & (~halley_in | (np.abs(jump - vt) > np.abs(ht - vt)))
             step[tail[ok]] = jump[ok]
-        bisect = ~((step > lo) & (step < hi))  # true for a step that is not finite
+        inside = np.logical_and(np.greater(step, lo, out=flag), np.less(step, hi, out=flag2),
+                                out=flag)
+        bisect = np.logical_not(inside, out=flag)  # true for a step that is not finite
         if bisect.any():
             # A step below v's resolution (v is an end of the bracket) moves
             # it by one ulp instead, so that the bracket closes around v
@@ -316,14 +388,25 @@ def _solve_block(g, c, guess, v_out, log_phi_out) -> int:
             still = step[b] == v[b]
             step[b] = np.where(still, np.nextafter(v[b], np.where(neg[b], hi[b], lo[b])),
                                0.5 * (lo[b] + hi[b]))
-        if not active.all():
-            done = ~active
-            v_out[pos[done]] = v[done]
-            log_phi_out[pos[done]] = li[done]
-            keep = np.flatnonzero(active)
-            pos, g, c, lo, hi, step = (a[keep] for a in (pos, g, c, lo, hi, step))
-        v = step
-    return pos.size
+        if active.all():
+            v, step = step, v
+            continue
+        # Every element's v and log Phi go out, an active one's to be
+        # written again when it stops.  The active elements' state moves
+        # to the other slot and their steps into v's array.
+        v_out[pos] = v
+        log_phi_out[pos] = li
+        keep = np.flatnonzero(active)
+        m = keep.size
+        slot = 1 - slot
+        state = state.take(keep, axis=1, out=slots[slot, :4 * m].reshape(4, m), mode="clip")
+        pos, spare_pos = pos.take(keep, out=spare_pos[:m], mode="clip"), pos
+        v, step = step.take(keep, out=v[:m], mode="clip"), step[:m]
+        g, c, lo, hi = state
+        li, err, abs_err, tmp = slots[1 - slot, :4 * m].reshape(4, m)
+        r, inv_slope = r[:m], inv_slope[:m]
+        active, neg, flag, flag2 = active[:m], neg[:m], flag[:m], flag2[:m]
+    return m
 
 
 def _log_g(gammas, v, log_phi):
@@ -352,7 +435,7 @@ def _tail_ratio(v, log1m) -> np.ndarray:
     return np.exp(-0.5 * v * v - LOG_SQRT_2PI - log1m)
 
 
-def _size_profile(gammas, log_d, anchor=None) -> tuple[np.ndarray, np.ndarray]:
+def _size_profile(gammas, log_d, anchor=None, scratch=None) -> tuple[np.ndarray, np.ndarray]:
     """(v, log(1-eta)) for every (hypothesis, multiplier) pair.
 
     ``log_d`` may be scalar or a K-vector; the result has shape (M,) or
@@ -364,32 +447,39 @@ def _size_profile(gammas, log_d, anchor=None) -> tuple[np.ndarray, np.ndarray]:
     dv/dt = 1 / (r + gamma) and d2v/dt2 = r (v + r) / (r + gamma)^3 with
     r = phi(v) / Phi(v).  Where that step is not finite, as at an infinite
     multiplier or where r + gamma = 0, ``_solve_v`` starts the pair cold.
+
+    The guess, c and the solve's arrays come from ``scratch`` (a fresh one
+    when None), and the returned arrays are views of it: a caller that
+    keeps a profile past the scratch's next use copies it.
     """
+    if scratch is None:
+        scratch = _Scratch()
     gammas = np.asarray(gammas, dtype=float)
     log_d = np.asarray(log_d, dtype=float)
     g = gammas.reshape(gammas.shape + (1,) * log_d.ndim)
+    shape = np.broadcast_shapes(g.shape, log_d.shape)
+    c = scratch.take("c", shape)
     guess = None
     if anchor is not None:
         t0, v0, log1m0 = anchor
         v0 = v0.reshape(g.shape)
         step = log_d - t0
         # v0 + step / (r + g) * (1 + step r (v0 + r) / (2 (r + g)^2)), in
-        # place where the shapes allow; only the guess is kept for the
-        # solve, which sets the profile's peak memory.
+        # place; c's array holds step / (r + g) until it holds c.
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             r = _tail_ratio(v0, log1m0.reshape(g.shape))
             inv_slope = r + g
             np.reciprocal(inv_slope, out=inv_slope)
-            guess = 0.5 * step * r
+            guess = np.multiply(0.5 * step, r, out=scratch.take("guess", shape))
             r += v0
             guess *= r
             guess *= inv_slope
             guess *= inv_slope
             guess += 1.0
-            guess *= step * inv_slope
+            guess *= np.multiply(step, inv_slope, out=c)
             guess += v0
-            del r, inv_slope
-    return _solve_v(g, log_d + 0.5 * g * g, guess=guess)
+    np.add(log_d, 0.5 * g * g, out=c)
+    return _solve_v(g, c, guess, scratch)
 
 
 def _constraint_gap(gammas, counts, v, log1m) -> tuple[float, float]:
@@ -433,11 +523,20 @@ def _solve_multiplier(gammas: np.ndarray, counts: np.ndarray, alpha: float):
     that near the root it equals the gap in those units, and the search
     stops at |ratio| <= tol as it did on the gap: OUTER_TOL relative for
     small budgets and absolute for large ones.
+
+    The search's profiles share one scratch; the ones it keeps, and the
+    one it returns, are copied out of it.
     """
+    scratch = _Scratch()
+
+    def profile_at(log_d: float, anchor) -> tuple:
+        v, log1m = _size_profile(gammas, log_d, anchor, scratch)
+        return log_d, v.copy(), log1m.copy()
+
     target = math.log1p(-alpha)
     log1m_s = target / counts.sum()
     if log1m_s == 0.0:  # a budget this small gives every test size 0
-        return (math.inf, *_size_profile(gammas, math.inf))
+        return profile_at(math.inf, None)
     # log g_m(eta_S) from log(1 - eta_S), so that eta_S near 1 keeps its
     # precision: log Phi(v_S) = log(1 - eta_S) at v_S = Phi^{-1}(1 - eta_S).
     log_g = _log_g(gammas, float(ndtri_exp(log1m_s)), log1m_s)
@@ -455,10 +554,8 @@ def _solve_multiplier(gammas: np.ndarray, counts: np.ndarray, alpha: float):
 
     def ratio(t: float) -> float:  # t = log d / scale
         nonlocal last, best, best_t
-        log_d = t * scale
-        v, log1m = _size_profile(gammas, log_d, last)
-        last = (log_d, v, log1m)
-        total, slope = _constraint_gap(gammas, counts, v, log1m)
+        last = profile_at(t * scale, last)
+        total, slope = _constraint_gap(gammas, counts, *last[1:])
         if total == 0.0:  # every size rounds to 0: far above the root
             evaluated[t] = (math.inf, math.nan)
         else:
@@ -520,7 +617,7 @@ def _solve_multiplier(gammas: np.ndarray, counts: np.ndarray, alpha: float):
     log_d = root * scale
     if profile[0] == log_d:
         return profile
-    return (log_d, *_size_profile(gammas, log_d, profile))
+    return profile_at(log_d, profile)
 
 
 def optimal_sizes(model: RocModel, alpha: float) -> SizeAllocation:

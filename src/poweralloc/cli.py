@@ -354,8 +354,9 @@ def _cmd_decide(args) -> int:
     if getattr(args, other) is not None:
         raise ValueError(f"--procedure {procedure} does not read --{other}; "
                          f"give its budget as --{name}")
-    if not (0.0 <= budget <= 1.0):
-        raise ValueError(f"--{name} must lie in [0, 1], got {budget}")
+    if not (0.0 <= budget and (budget < 1.0 if entry.below_one else budget <= 1.0)):
+        interval = "[0, 1)" if entry.below_one else "[0, 1]"
+        raise ValueError(f"--{name} must lie in {interval}, got {budget}")
     if args.trace and args.out != "json":
         raise ValueError("--trace is only available with --out json")
 

@@ -109,11 +109,6 @@ def find_root(
         raise ValueError("tol must be positive")
     a, b = bracket.lo, bracket.hi
     fa, fb = bracket.f_lo, bracket.f_hi
-    if fa == 0.0:
-        return RootResult(a, 0.0, 0)
-    if fb == 0.0:
-        return RootResult(b, 0.0, 0)
-
     x, fx = (a, fa) if abs(fa) <= abs(fb) else (b, fb)
     step_two_ago = step_one_ago = b - a
     # An end with an infinite value has not been evaluated: a step that

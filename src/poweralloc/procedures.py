@@ -14,10 +14,13 @@ those columns.  This module is their one panel engine:
   ``SOLVE_BLOCK // M``, each warm-started from the block before it along
   the scan (``allocate._size_profile``), and reduces each block to its
   column statistics before the next is solved, so no (M, M) array is ever
-  held: the sums of log(1 - eta), which give W; the size sums, which are
-  the step-up statistic; the largest sizes, which with the size sums give
-  the size condition; and the sums of log(1 - eta) over the hypotheses
-  not ranked before m, which are the step-down statistic.
+  held.  The statistics are the sums of log(1 - eta), which give W; the
+  size sums, which are the step-up statistic; the largest sizes, which
+  with the size sums give the size condition; and the sums of
+  log(1 - eta) over the hypotheses not ranked before m, which are the
+  step-down statistic.  Each call is a pass that owns one scratch
+  (``allocate._Scratch``), from which every block takes its (M, block)
+  arrays, so after its first block a pass allocates none of them.
 * One pass (``_panel``) runs it over the scan and stops after the first
   block where W is exactly 1.0 (``SATURATED``): the sum of log(1 - eta)
   does not increase along the scan, so every later column has W = 1.0
@@ -64,6 +67,7 @@ import numpy as np
 from .allocate import (
     SOLVE_BLOCK,
     SizeConditionReport,
+    _Scratch,
     _log_marginal_value,
     _size_condition_report,
     _size_profile,
@@ -207,24 +211,27 @@ def _panel_blocks(gammas, log_d, rank, cols, anchor=None):
     the last finite column of the block before it (``_size_profile``).  A
     pass resumed from the anchor of the block where another stopped, on
     the columns after it, solves them as the unstopped pass would.
+
+    The blocks share the pass's scratch; what it yields, the anchors
+    included, are fresh arrays.
     """
+    scratch = _Scratch()
     per_block = max(1, SOLVE_BLOCK // gammas.size)
     for k0 in range(0, cols.size, per_block):
         block = cols[k0:k0 + per_block]
         t = log_d[block]
-        v, log1m = _size_profile(gammas, t, anchor)
+        v, log1m = _size_profile(gammas, t, anchor, scratch)
         finite = np.flatnonzero(np.isfinite(t))
         if finite.size:
             k = finite[-1]
             anchor = (t[k], v[:, k].copy(), log1m[:, k].copy())
-        del v
         log_sums = _column_sums(log1m)
-        eta = -np.expm1(log1m)
+        eta = np.expm1(log1m, out=scratch.take("eta", log1m.shape))
+        np.negative(eta, out=eta)
         size_sums, size_max = _column_sums(eta), eta.max(axis=0)
-        log1m[rank[:, None] < rank[block]] = 0.0
+        ranked_before = scratch.take("ranked_before", log1m.shape, bool)
+        np.copyto(log1m, 0.0, where=np.less(rank[:, None], rank[block], out=ranked_before))
         log_products = _column_sums(log1m)
-        # The next block's solve holds no array of this one's.
-        del eta, log1m
         yield block, log_sums, size_sums, size_max, log_products, anchor
 
 

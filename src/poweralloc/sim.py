@@ -62,20 +62,22 @@ __all__ = [
 
 class _Procedure(NamedTuple):
     budget: str  # the name of the rule's budget: "alpha" or "q"
+    below_one: bool  # whether the budget lies in [0, 1), not [0, 1]
     reads_gammas: bool  # whether the rule reads the effect sizes
     rule: Callable[[RocModel | None, np.ndarray, float], Decision]
 
 
 # The rules are looked up in this module each time they run, not bound
 # here: a wrapper put on a name such as ``sim.decide_bh`` (as the
-# benchmark's tracer does) must be what every caller reaches.
+# benchmark's tracer does) must be what every caller reaches.  The weak
+# FWER rule's budget is an allocation's, which must be below 1.
 _CATALOGUE = {
-    "weak-fwer-opt": _Procedure("alpha", True, lambda m, s, b: decide_weak_fwer(m, s, b)),
-    "strong-fwer-opt": _Procedure("q", True, lambda m, s, b: decide_strong_fwer(m, s, b)),
-    "fdr-opt": _Procedure("q", True, lambda m, s, b: decide_fdr_opt(m, s, b)),
-    "bh": _Procedure("q", False, lambda m, s, b: decide_bh(s, b)),
-    "stepdown-sidak": _Procedure("q", False, lambda m, s, b: decide_stepdown_sidak(s, b)),
-    "bonferroni": _Procedure("alpha", False, lambda m, s, b: decide_bonferroni(s, b)),
+    "weak-fwer-opt": _Procedure("alpha", True, True, lambda m, s, b: decide_weak_fwer(m, s, b)),
+    "strong-fwer-opt": _Procedure("q", False, True, lambda m, s, b: decide_strong_fwer(m, s, b)),
+    "fdr-opt": _Procedure("q", False, True, lambda m, s, b: decide_fdr_opt(m, s, b)),
+    "bh": _Procedure("q", False, False, lambda m, s, b: decide_bh(s, b)),
+    "stepdown-sidak": _Procedure("q", False, False, lambda m, s, b: decide_stepdown_sidak(s, b)),
+    "bonferroni": _Procedure("alpha", False, False, lambda m, s, b: decide_bonferroni(s, b)),
 }
 PROCEDURE_TAGS = tuple(_CATALOGUE)
 # The procedures a cell runs when none are named.

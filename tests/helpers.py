@@ -11,6 +11,7 @@ import numpy as np
 from hypothesis import strategies as st
 from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
 
+from poweralloc import allocate, procedures
 from poweralloc.allocate import (
     EPS,
     INNER_TOL,
@@ -34,6 +35,23 @@ from poweralloc.numerics import (
 
 # A p-value or budget in [0, 1], with its two ends drawn exactly.
 UNIT = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+
+
+def recording_scratches(monkeypatch) -> list:
+    """Make every scratch that ``allocate`` or ``procedures`` creates
+    record the arrays it hands out; returns the list they go into."""
+    taken = []
+
+    class Recording(allocate._Scratch):
+        __slots__ = ()
+
+        def take(self, *args, **kwargs):
+            taken.append(super().take(*args, **kwargs))
+            return taken[-1]
+
+    for module in (allocate, procedures):
+        monkeypatch.setattr(module, "_Scratch", Recording)
+    return taken
 
 
 def erfc_cdf(z: float) -> float:

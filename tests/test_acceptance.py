@@ -254,8 +254,8 @@ def test_criterion_12_one_pass_per_panel(monkeypatch):
     with criterion(12, "stepwise rules and W solve no pair twice, under M^2 / 4 at M=1000"):
         solved = []
         solve = procedures._size_profile
-        monkeypatch.setattr(procedures, "_size_profile", lambda gammas, log_d, anchor=None: (
-            solved.append(np.atleast_1d(log_d)) or solve(gammas, log_d, anchor)))
+        monkeypatch.setattr(procedures, "_size_profile", lambda gammas, log_d, *args: (
+            solved.append(np.atleast_1d(log_d)) or solve(gammas, log_d, *args)))
         for M, rep in ((20, 0), (100, 1), (128, 2), (1000, 0)):
             panel = generate_panel(ScenarioConfig(M=M, p=0.2, nu=2.0, qstar=0.1, reps=1,
                                                   seed=121), rep)

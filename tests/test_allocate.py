@@ -33,6 +33,7 @@ from poweralloc.allocate import (
     _solve_v,
 )
 
+import helpers
 from helpers import newton_solve_v, newton_tolerance, reference_solve_multiplier
 
 ALPHAS = (0.01, 0.05, 0.2)
@@ -275,6 +276,18 @@ def assert_matches_newton(gamma, c, v, log_phi):
     assert np.all(gap <= newton_tolerance(v_ref, reference)[~blind])
 
 
+def served_scratch(size: int, seed: int):
+    """A scratch that has served a larger solve than one of ``size``
+    elements, a broadcast one with a guess, so that every array it hands
+    out holds values of that solve."""
+    rng = np.random.default_rng(seed)
+    rows = size // 2 + 50
+    scratch = allocate._Scratch()
+    _solve_v(rng.uniform(0.0, 100.0, (rows, 1)), rng.uniform(-5000.0, 5000.0, (rows, 2)),
+             rng.uniform(-50.0, 50.0, (rows, 2)), scratch)
+    return scratch
+
+
 class TestInnerSolve:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -299,6 +312,9 @@ class TestInnerSolve:
             rng.uniform(-50.0, 5.0, tail))])
         v, log_phi = _solve_v(gamma, c)
         assert_matches_newton(gamma, c, v, log_phi)
+        # Through a scratch whose arrays hold another solve's values.
+        reused = _solve_v(gamma, c, scratch=served_scratch(gamma.size, seed))
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(reused, (v, log_phi)))
         k = int(cut * gamma.size)
         v_a, log_phi_a = _solve_v(gamma[:k], c[:k])
         v_b, log_phi_b = _solve_v(gamma[k:], c[k:])
@@ -321,9 +337,21 @@ class TestInnerSolve:
         gamma, c, guess = cases
         v, log_phi = _solve_v(gamma, c, guess=guess)
         assert_matches_newton(gamma, c, v, log_phi)
+        reused = _solve_v(gamma, c, guess, served_scratch(gamma.size, gamma.size))
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(reused, (v, log_phi)))
         v_cold, _ = _solve_v(gamma, c)
         for end in (V_LO, V_HI):
             assert np.array_equal(v == end, v_cold == end)
+
+
+    def test_the_solved_profile_is_not_in_the_scratch(self, monkeypatch):
+        # The search keeps its profiles, and returns one, past the next use
+        # of its scratch: none of them may be a view of it.
+        taken = helpers.recording_scratches(monkeypatch)
+        gammas = np.abs(np.random.default_rng(3).normal(2.0, 1.0, 300))
+        profile = _solve_multiplier(gammas, np.ones(gammas.size), 0.05)
+        assert taken
+        assert not any(np.shares_memory(a, t) for a in profile[1:] for t in taken)
 
 
 class TestSolveCost:

@@ -350,8 +350,22 @@ class TestDecide:
         assert cli.main(["decide", "--procedure", procedure, flag, "1.5",
                          "--input", str(path)]) == 2
         captured = capsys.readouterr()
-        assert f"poweralloc: {flag} must lie in [0, 1], got 1.5" in captured.err
+        interval = "[0, 1)" if procedure == "weak-fwer-opt" else "[0, 1]"
+        assert f"poweralloc: {flag} must lie in {interval}, got 1.5" in captured.err
         assert captured.out == ""
+
+    def test_a_budget_of_one(self, tmp_path, capsys):
+        # An allocation's budget lies below 1, so weak-fwer-opt refuses
+        # --alpha 1 by its flag; bonferroni's sizes alpha / M take it.
+        path = tmp_path / "p.csv"
+        write_csv(path, ["id", "pvalue", "gamma"], [["a", 0.01, 1.0], ["b", 0.3, 2.0]])
+        argv = ["decide", "--alpha", "1", "--input", str(path)]
+        assert cli.main([*argv, "--procedure", "weak-fwer-opt"]) == 2
+        captured = capsys.readouterr()
+        assert "poweralloc: --alpha must lie in [0, 1), got 1.0" in captured.err
+        assert captured.out == ""
+        assert cli.main([*argv, "--procedure", "bonferroni"]) == 0
+        assert json.loads(capsys.readouterr().out)["alpha"] == 1.0
 
     @pytest.mark.parametrize("procedure, flags, unread", [
         ("bh", ["--q", "0.1", "--alpha", "0.05"], "--alpha"),

@@ -2,6 +2,8 @@
 rules, their p-value-only baselines, and the structural invariants
 (prefix property, budget monotonicity, exchangeable reductions)."""
 
+import platform
+import sys
 import tracemalloc
 
 import numpy as np
@@ -117,8 +119,8 @@ def recording_profiles(monkeypatch) -> list:
     profiles = []
     solve = procedures._size_profile
 
-    def recording(gammas, log_d, anchor=None):
-        v, log1m = solve(gammas, log_d, anchor)
+    def recording(gammas, log_d, anchor=None, scratch=None):
+        v, log1m = solve(gammas, log_d, anchor, scratch)
         profiles.append((v.copy(), log1m.copy()))
         return v, log1m
 
@@ -195,6 +197,21 @@ class TestPanelBlocks:
                 assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
 
+    def test_what_a_pass_yields_is_not_in_its_scratch(self, monkeypatch):
+        # The statistics and the anchors outlive the block that made them,
+        # so none is a view of the scratch the next block reuses.
+        taken = helpers.recording_scratches(monkeypatch)
+        rng = np.random.default_rng(5)
+        gammas = np.abs(rng.normal(2.0, 1.0, 300))
+        log_d = allocate._log_marginal_value(gammas, rng.uniform(0.0, 1.0, 300) ** 2)
+        order = np.argsort(-log_d, kind="stable")
+        blocks = list(procedures._panel_blocks(gammas, log_d, np.argsort(order), order))
+        assert len(blocks) > 1 and taken
+        for *stats, (_, v, log1m) in blocks:
+            for a in (*stats, v, log1m):
+                assert not any(np.shares_memory(a, t) for t in taken)
+
+
 class TestPanelCost:
     """The work and memory of one M=1000 panel, counted rather than timed."""
 
@@ -219,6 +236,24 @@ class TestPanelCost:
         monkeypatch.setattr(allocate, "log_ndtr", counting)
         generalized_pvalues(model, s)
         assert sum(calls) <= 2.3 * s.size ** 2
+
+    @pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                        reason="counts the page faults of glibc's heap")
+    def test_page_faults_per_pass(self, panel):
+        # A pass takes its block arrays from one scratch, so after its first
+        # block it allocates none of them and the heap is not trimmed and
+        # faulted in again block after block (5,300 faults at M = 1000 when
+        # each block allocated its own).  The scratch itself is about 3 MB.
+        import resource
+
+        model, s = panel
+        faults = []
+        for _ in range(2):
+            procedures._panel_memo.cache_clear()
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            procedures._panel(model, s)
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        assert faults[1] <= 1500
 
     def test_allocation_peak(self, panel):
         model, s = panel
