@@ -343,7 +343,6 @@ class TestInnerSolve:
         for end in (V_LO, V_HI):
             assert np.array_equal(v == end, v_cold == end)
 
-
     def test_the_solved_profile_is_not_in_the_scratch(self, monkeypatch):
         # The search keeps its profiles, and returns one, past the next use
         # of its scratch: none of them may be a view of it.

@@ -196,7 +196,6 @@ class TestPanelBlocks:
             for got, want in zip(profiles, solved[i + 1:]):
                 assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
-
     def test_what_a_pass_yields_is_not_in_its_scratch(self, monkeypatch):
         # The statistics and the anchors outlive the block that made them,
         # so none is a view of the scratch the next block reuses.
@@ -241,19 +240,18 @@ class TestPanelCost:
                         reason="counts the page faults of glibc's heap")
     def test_page_faults_per_pass(self, panel):
         # A pass takes its block arrays from one scratch, so after its first
-        # block it allocates none of them and the heap is not trimmed and
-        # faulted in again block after block (5,300 faults at M = 1000 when
-        # each block allocated its own).  The scratch itself is about 3 MB.
+        # block it allocates none of them, and the heap is not trimmed and
+        # faulted in again block after block (about 5,000 faults when each
+        # block allocated its own).  The scratch itself is about 3 MB.
         import resource
 
         model, s = panel
-        faults = []
-        for _ in range(2):
-            procedures._panel_memo.cache_clear()
-            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-            procedures._panel(model, s)
-            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-        assert faults[1] <= 1500
+        procedures._panel_memo.cache_clear()
+        procedures._panel(model, s)
+        procedures._panel_memo.cache_clear()
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        procedures._panel(model, s)
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before <= 1500
 
     def test_allocation_peak(self, panel):
         model, s = panel
