@@ -379,7 +379,11 @@ def _solve_block(g, c, guess, v_out, log_phi_out, scratch) -> int:
             step[tail[ok]] = jump[ok]
         inside = np.logical_and(np.greater(step, lo, out=flag), np.less(step, hi, out=flag2),
                                 out=flag)
-        bisect = np.logical_not(inside, out=flag)  # true for a step that is not finite
+        # A step outside the bracket, or not finite, bisects.  Only active
+        # elements take one: a stopped element's step is never read, and
+        # on a paper panel nearly every step outside the bracket is one of
+        # those, rounded onto v.
+        bisect = np.logical_and(np.logical_not(inside, out=flag), active, out=flag)
         if bisect.any():
             # A step below v's resolution (v is an end of the bracket) moves
             # it by one ulp instead, so that the bracket closes around v
