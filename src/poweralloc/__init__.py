@@ -53,6 +53,7 @@ from .sim import (
     ReplicateTable,
     RiskEstimates,
     ScenarioConfig,
+    decide,
     efficiency_vs_sidak,
     generate_panel,
     run_cell,

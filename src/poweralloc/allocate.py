@@ -28,8 +28,18 @@ precision.
 
 Hypotheses that share an effect size share their size, so the system is
 solved once per distinct gamma, each weighted by its count in the budget
-sum: a panel with K distinct effect sizes costs a K-element solve, and an
-exchangeable panel a single one at the Sidak multiplier.
+sum: a panel with K distinct effect sizes costs a K-element solve.  Where
+every g_m(eta_S) is the same, as on an exchangeable panel, the Sidak sizes
+solve the system, and the panel gets them with no search.
+
+The allocations of a stack of panels (``optimal_sizes`` given a sequence
+of models, as the weak-FWER rule is given a Monte Carlo cell) are solved
+together: each panel's multiplier search is a lane of one lockstep
+``find_root`` call, and each of its steps solves the next profile of
+every running lane in one ``_size_profile`` call.  A lane keeps its own
+scalar arithmetic, its own budget sum and its own warm starts, so each
+allocation is bitwise the one its panel gets alone; one search is a
+stack of one lane.
 
 The one-parameter structure also gives the inverse map cheaply: the budget
 W at which test m first receives size s is the budget realized at the
@@ -45,7 +55,7 @@ run of multipliers that costs about two log Phi evaluations per
 A run of profiles shares one scratch (``_Scratch``), the named working
 arrays that every profile's solve takes its arrays of the profile's size
 from, so the run allocates them once.  The loop that runs the profiles
-owns it: ``_solve_multiplier`` makes one per search and
+owns it: ``_solve_multipliers`` makes one per lockstep search and
 ``procedures._panel_blocks`` one per panel pass, and a scratch dies with
 its loop.  A call given none makes its own.
 """
@@ -156,7 +166,7 @@ def _baseline(alpha: float, sizes, log1m, method: str) -> SizeAllocation:
 def sidak_sizes(M: int, alpha: float) -> SizeAllocation:
     """Equal sizes 1 - (1-alpha)^(1/M); meets the budget with equality."""
     M, alpha = _validate_count(M), _validate_alpha(alpha)
-    log1m = np.full(M, np.log1p(-alpha) / M)
+    log1m = np.full(M, _sidak_log1m(alpha, M))
     return _baseline(alpha, -np.expm1(log1m), log1m, "sidak")
 
 
@@ -442,15 +452,19 @@ def _tail_ratio(v, log1m) -> np.ndarray:
 def _size_profile(gammas, log_d, anchor=None, scratch=None) -> tuple[np.ndarray, np.ndarray]:
     """(v, log(1-eta)) for every (hypothesis, multiplier) pair.
 
-    ``log_d`` may be scalar or a K-vector; the result has shape (M,) or
-    (M, K).  Infinite multipliers yield zero sizes (log(1-eta) = 0).
+    ``gammas`` holds one panel's M effect sizes, or a stack of n panels'
+    as an (n, M) array.  ``log_d`` is a scalar, a K-vector, or for a stack
+    an (n, K) array of each panel's own multipliers; the result has shape
+    (M,), (M, K) or (n, M, K).  Infinite multipliers yield zero sizes
+    (log(1-eta) = 0).
 
     Without ``anchor`` every pair starts cold.  ``anchor`` is a solved
-    profile (t0, v, log Phi(v)) at log d = t0, one v per gamma, and each
-    pair starts from it by a second-order step in t = log d along v(t):
-    dv/dt = 1 / (r + gamma) and d2v/dt2 = r (v + r) / (r + gamma)^3 with
-    r = phi(v) / Phi(v).  Where that step is not finite, as at an infinite
-    multiplier or where r + gamma = 0, ``_solve_v`` starts the pair cold.
+    profile (t0, v, log Phi(v)) at log d = t0, with one v per gamma and one
+    t0 per panel, and each pair starts from it by a second-order step in
+    t = log d along v(t): dv/dt = 1 / (r + gamma) and
+    d2v/dt2 = r (v + r) / (r + gamma)^3 with r = phi(v) / Phi(v).  Where
+    that step is not finite, as at an infinite multiplier, at a t0 of NaN
+    or where r + gamma = 0, ``_solve_v`` starts the pair cold.
 
     The guess, c and the solve's arrays come from ``scratch`` (a fresh one
     when None), and the returned arrays are views of it: a caller that
@@ -458,14 +472,16 @@ def _size_profile(gammas, log_d, anchor=None, scratch=None) -> tuple[np.ndarray,
     """
     if scratch is None:
         scratch = _Scratch()
-    gammas = np.asarray(gammas, dtype=float)
+    g = np.asarray(gammas, dtype=float)
     log_d = np.asarray(log_d, dtype=float)
-    g = gammas.reshape(gammas.shape + (1,) * log_d.ndim)
+    if log_d.ndim:
+        g, log_d = g[..., :, None], log_d[..., None, :]
     shape = np.broadcast_shapes(g.shape, log_d.shape)
     c = scratch.take("c", shape)
     guess = None
     if anchor is not None:
         t0, v0, log1m0 = anchor
+        t0 = np.reshape(t0, np.shape(t0) + (1,) * (g.ndim - np.ndim(t0)))
         v0 = v0.reshape(g.shape)
         step = log_d - t0
         # v0 + step / (r + g) * (1 + step r (v0 + r) / (2 (r + g)^2)), in
@@ -486,23 +502,82 @@ def _size_profile(gammas, log_d, anchor=None, scratch=None) -> tuple[np.ndarray,
     return _solve_v(g, c, guess, scratch)
 
 
-def _constraint_gap(gammas, counts, v, log1m) -> tuple[float, float]:
-    """sum_m counts_m log(1 - eta_m) of a size profile, and its derivative
-    in log d."""
-    # d(sum log(1-eta)) / d(log d) = sum r/(r+gamma), r = phi(v)/Phi(v).
-    # Corner coordinates (r and gamma both ~0) contribute nothing.
+def _gap_slopes(gammas, v, log1m) -> np.ndarray:
+    """d log(1 - eta_m) / d log d = r / (r + gamma_m) for each coordinate of
+    a size profile, r = phi(v) / Phi(v).  Corner coordinates (r and gamma
+    both ~0) contribute nothing."""
     r = _tail_ratio(v, log1m)
     with np.errstate(invalid="ignore"):
         ratio = r / (r + gammas)
-    slope = float(counts @ np.where(np.isnan(ratio), 0.0, ratio))
-    return float(counts @ log1m), slope
+    return np.where(np.isnan(ratio), 0.0, ratio)
 
 
-def _solve_multiplier(gammas: np.ndarray, counts: np.ndarray, alpha: float):
-    """Root of sum_m counts_m log(1 - eta_m(d)) = log(1 - alpha) in log d;
-    returns the size profile (log d, v, log Phi(v)) at the root, one entry
-    of v and log Phi(v) per gamma.  A multiplier beyond the float range, as
-    at a zero budget, is returned as inf.
+def _profiles(gammas: list, log_ds: list, anchors: list, scratch) -> tuple[list, tuple]:
+    """The size profiles of several lanes from one ``_size_profile`` call:
+    lane k's effect sizes ``gammas[k]`` at log d = ``log_ds[k]``, each
+    warm-started from ``anchors[k]`` (cold where it is None).
+
+    Returns each lane's profile (log d, v, log Phi(v)), and the lanes'
+    effect sizes, v and log Phi(v) joined in lane order; the profiles are
+    views of the joined v and log Phi(v), which are fresh arrays.  A single
+    lane is solved as given, with nothing joined: its profile is solved as
+    one search on its own solves it.  Several are solved as a stack of
+    one-gamma panels, each at its own multiplier, and each element's
+    solve is its own, so every lane's profile is bitwise the one it would
+    get alone.
+    """
+    if len(gammas) == 1:
+        joined = gammas[0]
+        v, log1m = _size_profile(joined, log_ds[0], anchors[0], scratch)
+    else:
+        sizes = [g.size for g in gammas]
+        joined = np.concatenate(gammas)
+        anchor = None
+        if any(a is not None for a in anchors):
+            # A lane without an anchor starts cold from a t0 of NaN.
+            anchor = (np.repeat([math.nan if a is None else a[0] for a in anchors], sizes),
+                      *(np.concatenate([np.zeros(n) if a is None else a[i]
+                                        for a, n in zip(anchors, sizes)]) for i in (1, 2)))
+        v, log1m = _size_profile(joined[:, None], np.repeat(log_ds, sizes)[:, None], anchor,
+                                 scratch)
+    v, log1m = v.ravel().copy(), log1m.ravel().copy()
+    lanes, k0 = [], 0
+    for log_d, g in zip(log_ds, gammas):
+        lanes.append((log_d, v[k0:k0 + g.size], log1m[k0:k0 + g.size]))
+        k0 += g.size
+    return lanes, (joined, v, log1m)
+
+
+def _sidak_log1m(alpha: float, M) -> float:
+    """log(1 - eta_S) of the Sidak size eta_S = 1 - (1 - alpha)^(1/M)."""
+    return np.log1p(-alpha) / M
+
+
+class _Search:
+    """One lane of the multiplier search: one panel's distinct effect sizes
+    and their counts, the ends of its bracket in t = log d / scale, and
+    what it has evaluated: the ratio and its slope at each t, the last
+    size profile, which is the warm start of the next, and the profile of
+    least |ratio| with its t (often the same one)."""
+
+    __slots__ = ("gammas", "counts", "log_g", "lo", "hi", "evaluated", "last", "best", "best_t")
+
+    def __init__(self, gammas: np.ndarray, counts: np.ndarray, log1m_s: float, scale: float):
+        self.gammas, self.counts = gammas, counts
+        # log g_m(eta_S) from log(1 - eta_S), so that eta_S near 1 keeps its
+        # precision: log Phi(v_S) = log(1 - eta_S) at v_S = Phi^{-1}(1 - eta_S).
+        self.log_g = _log_g(gammas, float(ndtri_exp(log1m_s)), log1m_s)
+        self.lo, self.hi = float(self.log_g.min()) / scale, float(self.log_g.max()) / scale
+        self.evaluated: dict[float, tuple[float, float]] = {}
+        self.last = self.best = self.best_t = None
+
+
+def _solve_multipliers(panels: list, alpha: float) -> list:
+    """Root of sum_m counts_m log(1 - eta_m(d)) = log(1 - alpha) in log d
+    for each panel (gammas, counts) of ``panels``; returns each panel's
+    size profile (log d, v, log Phi(v)) at its root, one entry of v and
+    log Phi(v) per gamma.  A multiplier beyond the float range, as at a
+    zero budget, is returned as inf.
 
     With L(d) = sum_m counts_m log(1 - eta_m(d)), the search solves the log
     budget ratio -log(L / log(1 - alpha)) = 0 by Newton steps of slope
@@ -520,7 +595,10 @@ def _solve_multiplier(gammas: np.ndarray, counts: np.ndarray, alpha: float):
     only once a step would leave the bracket through it.  Where zero
     effects take the budget, L = log d is linear and the ratio convex, so
     its step from below overshoots the upper end; from that end the gap's
-    own Newton step is exact, and the search takes it there.
+    own Newton step is exact, and the search takes it there.  Where the
+    ends coincide, every g_m(eta_S) is the same, and the Sidak sizes meet
+    both conditions: the panel gets them, as ``sidak_sizes`` gives them,
+    with no search.
 
     Below 1, log d is measured in units t of the budget |log(1 - alpha)|
     (floored where the scaled gap would overflow).  The ratio is scaled so
@@ -528,118 +606,184 @@ def _solve_multiplier(gammas: np.ndarray, counts: np.ndarray, alpha: float):
     stops at |ratio| <= tol as it did on the gap: OUTER_TOL relative for
     small budgets and absolute for large ones.
 
-    The search's profiles share one scratch; the ones it keeps, and the
-    one it returns, are copied out of it.
+    The panels' searches are the lanes of one ``find_root`` call, so each
+    of its steps evaluates every running lane in one ``_profiles`` call; a
+    lane's arithmetic is its own, and its profile bitwise the one a search
+    of that panel alone returns.  The searches share one scratch; the
+    profiles they keep, and the ones returned, are copied out of it.
     """
     scratch = _Scratch()
-
-    def profile_at(log_d: float, anchor) -> tuple:
-        v, log1m = _size_profile(gammas, log_d, anchor, scratch)
-        return log_d, v.copy(), log1m.copy()
-
     target = math.log1p(-alpha)
-    log1m_s = target / counts.sum()
-    if log1m_s == 0.0:  # a budget this small gives every test size 0
-        return profile_at(math.inf, None)
-    # log g_m(eta_S) from log(1 - eta_S), so that eta_S near 1 keeps its
-    # precision: log Phi(v_S) = log(1 - eta_S) at v_S = Phi^{-1}(1 - eta_S).
-    log_g = _log_g(gammas, float(ndtri_exp(log1m_s)), log1m_s)
     scale = min(1.0, max(-target, 1e-200))
     # The ratio's unit: the gap of a ratio near 0 is ratio * scale.
     unit = -target / scale
     # Below the scale's floor the gap is no longer in units of the budget,
     # so the tolerance shrinks with it to stay relative to |log(1 - alpha)|.
     tol = OUTER_TOL * min(1.0, unit)
-    lo, hi = float(log_g.min()) / scale, float(log_g.max()) / scale
-    evaluated: dict[float, tuple[float, float]] = {}
-    # The last size profile, the warm start of the next, and the one of
-    # least |ratio| with its t; often the same one.
-    last = best = best_t = None
-
-    def ratio(t: float) -> float:  # t = log d / scale
-        nonlocal last, best, best_t
-        last = profile_at(t * scale, last)
-        total, slope = _constraint_gap(gammas, counts, *last[1:])
-        if total == 0.0:  # every size rounds to 0: far above the root
-            evaluated[t] = (math.inf, math.nan)
+    out: list = [None] * len(panels)
+    zero, keys, lanes = [], [], []
+    for k, (gammas, counts) in enumerate(panels):
+        log1m_s = target / counts.sum()
+        if log1m_s == 0.0:  # a budget this small gives every test size 0
+            zero.append(k)
+            continue
+        search = _Search(gammas, counts, log1m_s, scale)
+        if search.lo == search.hi:
+            log1m = float(_sidak_log1m(alpha, counts.sum()))
+            v = float(ndtri_exp(log1m))
+            out[k] = (float(_log_g(gammas, v, log1m).max()),
+                      np.full(gammas.size, v), np.full(gammas.size, log1m))
         else:
-            # -log(L / target) through log1p of the relative gap, which
-            # keeps its precision near the root and overflows only far
-            # from it, where the difference of the two logs is exact enough.
-            rel = (total - target) / target
-            value = unit * (-math.log1p(rel) if abs(rel) < 0.5
-                            else math.log(-target) - math.log(-total))
-            # d/dt of -unit * log(L / target) is -unit * scale * L' / L;
-            # unit * scale = -target, and scale itself cancels.
-            d_value = slope * (target / total)
-            if t == hi and total != target:
-                # The search evaluates the upper Sidak end only when a step
-                # of the ratio overshot it, as where zero effects take the
-                # budget and L = log d is linear: the gap's own Newton step
-                # is exact there.
-                d_value = value * slope / ((total - target) / scale)
-            evaluated[t] = (value, d_value)
-        if best is None or abs(evaluated[t][0]) < abs(evaluated[best_t][0]):
-            best_t, best = t, last
-        return evaluated[t][0]
+            keys.append(k)
+            lanes.append(search)
 
-    if lo == hi:
-        root = lo
-    else:
-        # The root finder takes Newton steps only from points it has
-        # already evaluated, so each slope comes with its value.  At most
-        # `halvings` bisections narrow the bracket to tol; the cap leaves
-        # twice that again for Newton steps and the two ends.
-        start = float(counts @ log_g) / counts.sum() / scale
-        bracket = Bracket(lo, hi, -math.inf, math.inf)
-        halvings = max(0, math.ceil(math.log2(hi - lo) - math.log2(tol)))
-        root = find_root(
-            ratio,
-            bracket,
-            tol=tol,
-            max_iter=3 * halvings + 4,
-            df=lambda t: evaluated[t][1],
-            x0=start,
-        ).root
-    if root not in evaluated:
-        ratio(root)
-    # Far in the upper tail a size is resolved to about v^2 1e-15 of
-    # itself, so profiles warm-started from different v can differ by more
-    # than tol in the ratio at the same t: the root is the point of least
-    # finite |ratio| evaluated, whose profile is kept.
-    if math.isfinite(evaluated[best_t][0]):
-        root = best_t
-    profile = best if root == best_t else last
-    # The Sidak multiplier of an exchangeable panel still carries the
-    # rounding of the inner solves, and a bracket that narrows below
-    # tol can stop with a ratio of slope * tol: one Newton step from the
-    # root removes either.  Where the bracket has closed to adjacent
-    # floats, that step rounds onto the other end, which is no better.
-    value, slope = evaluated[root]
-    if abs(value) > tol and slope > 0.0 and root - value / slope not in evaluated:
-        root -= value / slope
-    log_d = root * scale
-    if profile[0] == log_d:
-        return profile
-    return profile_at(log_d, profile)
+    def solve(ks: list, log_ds: list, anchors: list) -> None:
+        profiles = _profiles([panels[k][0] for k in ks], log_ds, anchors, scratch)[0]
+        for k, profile in zip(ks, profiles):
+            out[k] = profile
+
+    if zero:
+        solve(zero, [math.inf] * len(zero), [None] * len(zero))
+    if not lanes:
+        return out
+
+    def ratios(which: list, ts: list) -> list:  # t = log d / scale, one per lane
+        searches = [lanes[i] for i in which]
+        profiles, (gammas, v, log1m) = _profiles(
+            [s.gammas for s in searches], [t * scale for t in ts],
+            [s.last for s in searches], scratch)
+        slopes = _gap_slopes(gammas, v, log1m)
+        values, k0 = [], 0
+        for s, t, profile in zip(searches, ts, profiles):
+            seg = slice(k0, k0 + s.gammas.size)
+            k0 = seg.stop
+            s.last = profile
+            total, slope = float(s.counts @ log1m[seg]), float(s.counts @ slopes[seg])
+            if total == 0.0:  # every size rounds to 0: far above the root
+                s.evaluated[t] = (math.inf, math.nan)
+            else:
+                # -log(L / target) through log1p of the relative gap, which
+                # keeps its precision near the root and overflows only far
+                # from it, where the difference of the two logs is exact
+                # enough.
+                rel = (total - target) / target
+                value = unit * (-math.log1p(rel) if abs(rel) < 0.5
+                                else math.log(-target) - math.log(-total))
+                # d/dt of -unit * log(L / target) is -unit * scale * L' / L;
+                # unit * scale = -target, and scale itself cancels.
+                d_value = slope * (target / total)
+                if t == s.hi and total != target:
+                    # The search evaluates the upper Sidak end only when a
+                    # step of the ratio overshot it, as where zero effects
+                    # take the budget and L = log d is linear: the gap's own
+                    # Newton step is exact there.
+                    d_value = value * slope / ((total - target) / scale)
+                s.evaluated[t] = (value, d_value)
+            if s.best is None or abs(s.evaluated[t][0]) < abs(s.evaluated[s.best_t][0]):
+                s.best_t, s.best = t, profile
+            values.append(s.evaluated[t][0])
+        return values
+
+    # The root finder takes Newton steps only from points it has already
+    # evaluated, so each slope comes with its value.  At most `halvings`
+    # bisections narrow a bracket to tol; the cap leaves twice that again
+    # for Newton steps and the two ends.
+    roots = [result.root for result in find_root(
+        ratios,
+        [Bracket(s.lo, s.hi, -math.inf, math.inf) for s in lanes],
+        tol=tol,
+        max_iter=[3 * max(0, math.ceil(math.log2(s.hi - s.lo) - math.log2(tol))) + 4
+                  for s in lanes],
+        df=lambda i, t: lanes[i].evaluated[t][1],
+        x0=[float(s.counts @ s.log_g) / s.counts.sum() / scale for s in lanes],
+    )]
+    again = [i for i, s in enumerate(lanes) if roots[i] not in s.evaluated]
+    if again:
+        ratios(again, [roots[i] for i in again])
+    final = []
+    for i, s in enumerate(lanes):
+        root = roots[i]
+        # Far in the upper tail a size is resolved to about v^2 1e-15 of
+        # itself, so profiles warm-started from different v can differ by
+        # more than tol in the ratio at the same t: the root is the point
+        # of least finite |ratio| evaluated, whose profile is kept.
+        if math.isfinite(s.evaluated[s.best_t][0]):
+            root = s.best_t
+        profile = s.best if root == s.best_t else s.last
+        # A bracket that narrows below tol can stop with a ratio of
+        # slope * tol: one Newton step from the root removes it.  Where the
+        # bracket has closed to adjacent floats, that step rounds onto the
+        # other end, which is no better.
+        value, slope = s.evaluated[root]
+        if abs(value) > tol and slope > 0.0 and root - value / slope not in s.evaluated:
+            root -= value / slope
+        log_d = root * scale
+        if profile[0] == log_d:
+            out[keys[i]] = profile
+        else:
+            final.append((i, log_d, profile))
+    if final:
+        solve([keys[i] for i, _, _ in final], [log_d for _, log_d, _ in final],
+              [profile for _, _, profile in final])
+    return out
 
 
-def optimal_sizes(model: RocModel, alpha: float) -> SizeAllocation:
+def _models(model) -> tuple[RocModel, ...]:
+    """The panels of ``model``: one ``RocModel``, or a nonempty sequence of
+    them with one M, a stack of panels."""
+    if isinstance(model, RocModel):
+        return (model,)
+    models = tuple(model)
+    if not models or not all(isinstance(m, RocModel) for m in models):
+        raise ValueError("need a RocModel or a nonempty sequence of them")
+    if any(m.M != models[0].M for m in models):
+        raise ValueError("the models of a stack must share one M")
+    return models
+
+
+def optimal_sizes(model, alpha: float) -> SizeAllocation:
     """Power-optimal size vector under weak FWER budget alpha.
 
     Satisfies rho_m'(eta_m)(1 - eta_m) = d for a common d and
-    sum log(1 - eta_m) = log(1 - alpha); for an exchangeable model this is
-    exactly the Sidak allocation.  Equal effect sizes get bitwise-equal
-    sizes, and a zero budget gives every test size 0 (and multiplier inf).
-    The system is solved once per distinct gamma.  Raises AllocationError
-    when the sizes miss the budget by more than BUDGET_TOL, which happens
-    once gamma^2/2 is so large that log d has no precision left
-    (gamma ~ 1e8).
+    sum log(1 - eta_m) = log(1 - alpha); an exchangeable model gets exactly
+    the Sidak allocation, bitwise ``sidak_sizes``.  Equal effect sizes get
+    bitwise-equal sizes, and a zero budget gives every test size 0 (and
+    multiplier inf).  The system is solved once per distinct gamma.  Raises
+    AllocationError when the sizes miss the budget by more than BUDGET_TOL,
+    which happens once gamma^2/2 is so large that log d has no precision
+    left (distinct gammas near 1e8).
+
+    ``model`` may be a sequence of R models with one M, a stack of panels:
+    their searches run in lockstep (``_solve_multipliers``), each
+    allocation is bitwise the one its model gets alone, and every field but
+    ``alpha`` and ``method`` gains a leading axis of R.
     """
     alpha = _validate_alpha(alpha)
-    gammas, inverse, counts = np.unique(model.gammas, return_inverse=True, return_counts=True)
-    counts = counts.astype(float)
-    log_d, v, log1m = _solve_multiplier(gammas, counts, alpha)
+    models = _models(model)
+    uniques = [np.unique(m.gammas, return_inverse=True, return_counts=True) for m in models]
+    panels = [(gammas, counts.astype(float)) for gammas, _, counts in uniques]
+    allocations = [
+        _allocation(alpha, gammas, inverse, counts, profile)
+        for (gammas, counts), (_, inverse, _), profile in zip(
+            panels, uniques, _solve_multipliers(panels, alpha))
+    ]
+    if isinstance(model, RocModel):
+        return allocations[0]
+    return SizeAllocation(
+        alpha=alpha,
+        sizes=np.stack([a.sizes for a in allocations]),
+        log1m_sizes=np.stack([a.log1m_sizes for a in allocations]),
+        lagrange=np.array([a.lagrange for a in allocations]),
+        constraint_residual=np.array([a.constraint_residual for a in allocations]),
+        stationarity_residual=np.array([a.stationarity_residual for a in allocations]),
+        method="optimal",
+    )
+
+
+def _allocation(alpha: float, gammas, inverse, counts, profile) -> SizeAllocation:
+    """The allocation of one panel from the profile (log d, v, log Phi(v))
+    of its distinct effect sizes ``gammas``, which ``inverse`` expands."""
+    log_d, v, log1m = profile
     constraint = float(counts @ log1m) - math.log1p(-alpha)
     if not abs(constraint) <= BUDGET_TOL:
         raise AllocationError(

@@ -40,8 +40,8 @@ from .allocate import AllocationError, bonferroni_sizes, optimal_sizes, sidak_si
 from .model import RocModel
 from .numerics import BracketingError, ConvergenceError
 from .procedures import _size_condition, generalized_pvalues
-from .sim import (PROCEDURE_TAGS, _CATALOGUE, _DEFAULT_PROCEDURES, _decide, _integral,
-                  _power_vs_sidak, _real, run_table)
+from .sim import (PROCEDURE_TAGS, _CATALOGUE, _DEFAULT_PROCEDURES, _integral, _power_vs_sidak,
+                  _real, decide, run_table)
 
 SCHEMA_VERSION = "2"
 
@@ -375,7 +375,7 @@ def _cmd_decide(args) -> int:
         gammas = _gammas(columns.pop("gamma"), lines)
         model = RocModel.from_gammas(gammas)
 
-    decision = _decide(procedure, model, pvalues, budget)
+    decision = decide(procedure, model, pvalues, budget)
     w = condition = None
     if model is not None:
         # The stepwise rule, every row's W and, for fdr-opt, the size

@@ -10,13 +10,22 @@ length halves at least every other iteration.  Unlike a guard that forces
 a bisection whenever the bracket has not halved, this lets a Newton
 iteration that approaches the root from one side, as it does on a convex
 or concave function, run to convergence without a bisection.
+
+Many searches can run in lockstep, one lane per bracket: each step asks
+for the next point of every running lane in one call, so a caller whose
+function costs a fixed overhead per call, such as a numpy solve, pays it
+once per step rather than once per search.  Each lane keeps its own
+state and applies the rule with its own scalar float operations
+(``_Lane``), so its result is bitwise that of a search of its own, and a
+lane leaves the lockstep when it stops.  A single search is one lane.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 __all__ = [
     "Bracket",
@@ -78,13 +87,113 @@ class RootResult:
     iterations: int
 
 
+class _Lanes(tuple):
+    """The results of a lockstep search, one ``RootResult`` per lane, in
+    the order of the brackets; ``iterations`` is their total."""
+
+    __slots__ = ()
+
+    @property
+    def iterations(self) -> int:
+        return sum(lane.iterations for lane in self)
+
+
+class _Lane:
+    """One search's state between two evaluations of ``f``.
+
+    ``advance`` starts the next iteration: it returns the search's outcome
+    (a ``RootResult``, or the ``ConvergenceError`` it would raise) when the
+    search stops before evaluating, and otherwise leaves the point to
+    evaluate in ``cand``.  ``update`` takes the value there and returns the
+    outcome when that value ends the search, else None.
+    """
+
+    __slots__ = ("a", "b", "fa", "fb", "x", "fx", "step_two_ago", "step_one_ago",
+                 "lo_open", "hi_open", "start", "tol", "max_iter", "iteration", "cand")
+
+    def __init__(self, bracket: Bracket, tol: float, max_iter: int, x0: float | None):
+        if tol <= 0.0:
+            raise ValueError("tol must be positive")
+        self.a, self.b = a, b = bracket.lo, bracket.hi
+        self.fa, self.fb = fa, fb = bracket.f_lo, bracket.f_hi
+        self.x, self.fx = (a, fa) if abs(fa) <= abs(fb) else (b, fb)
+        self.step_two_ago = self.step_one_ago = b - a
+        # An end with an infinite value has not been evaluated: a step that
+        # would leave the bracket through it evaluates it instead.
+        self.lo_open, self.hi_open = math.isinf(fa), math.isinf(fb)
+        self.start = x0 if x0 is not None and a < x0 < b else None
+        self.tol, self.max_iter, self.iteration = tol, max_iter, 0
+
+    def advance(self, df) -> RootResult | ConvergenceError | None:
+        a, b, x, fx = self.a, self.b, self.x, self.fx
+        if self.iteration == self.max_iter:
+            return ConvergenceError(
+                f"no convergence in {self.max_iter} iterations: "
+                f"x={x:.17g}, residual={fx:.6g}, bracket width={b - a:.6g}",
+                RootResult(x, fx, self.max_iter),
+            )
+        self.iteration += 1
+        if abs(fx) <= self.tol or (b - a) <= self.tol or not a < 0.5 * (a + b) < b:
+            return RootResult(x, fx, self.iteration - 1)
+
+        if self.start is not None:
+            cand, self.start = self.start, None
+        else:
+            fa, fb = self.fa, self.fb
+            cand = math.nan
+            if df is not None and math.isfinite(fx):
+                slope = df(x)
+                if slope != 0.0 and math.isfinite(slope):
+                    cand = x - fx / slope
+            if not (a < cand < b) and math.isfinite(fb - fa) and fb != fa:
+                cand = b - fb * (b - a) / (fb - fa)
+            if cand == x:  # a step below x's resolution moves it by one ulp
+                cand = math.nextafter(x, b if x == a else a)
+            if cand >= b and self.hi_open:
+                cand, self.hi_open = b, False
+            elif cand <= a and self.lo_open:
+                cand, self.lo_open = a, False
+            # Stagnation guard: a candidate outside the bracket, or one
+            # that has not halved the step of two iterations ago, bisects.
+            elif not (a < cand < b) or abs(cand - x) > 0.5 * self.step_two_ago:
+                cand = 0.5 * (a + b)
+            self.step_two_ago, self.step_one_ago = self.step_one_ago, abs(cand - x)
+        self.cand = cand
+        return None
+
+    def update(self, fc: float) -> RootResult | None:
+        cand, a, b = self.cand, self.a, self.b
+        if fc == 0.0:
+            return RootResult(cand, 0.0, self.iteration)
+        if cand in (a, b):
+            # An end whose value has the other sign than the one it was
+            # given for is itself the root, up to the rounding of f.
+            if (fc < 0.0) != ((self.fa if cand == a else self.fb) < 0.0):
+                return RootResult(cand, fc, self.iteration)
+            if cand == a:
+                self.fa = fc
+            else:
+                self.fb = fc
+        elif (fc < 0.0) == (self.fa < 0.0):
+            self.a, self.fa, self.lo_open = cand, fc, False
+        else:
+            self.b, self.fb, self.hi_open = cand, fc, False
+        self.x, self.fx = (self.a, self.fa) if abs(self.fa) <= abs(self.fb) else (self.b, self.fb)
+        return None
+
+
+def _each(value, n: int) -> list:
+    """``value`` once per lane: a list or tuple as it is, else n copies."""
+    return list(value) if isinstance(value, (list, tuple)) else [value] * n
+
+
 def find_root(
-    f: Callable[[float], float],
-    bracket: Bracket,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    df: Callable[[float], float] | None = None,
-    x0: float | None = None,
+    f: Callable,
+    bracket: Bracket | Sequence[Bracket],
+    tol: float | Sequence[float] = DEFAULT_TOL,
+    max_iter: int | Sequence[int] = DEFAULT_MAX_ITER,
+    df: Callable | None = None,
+    x0: float | None | Sequence[float | None] = None,
 ) -> RootResult:
     """Find a root of ``f`` inside ``bracket``.
 
@@ -104,64 +213,50 @@ def find_root(
     of them shrink geometrically, so ``max_iter`` has to leave room for
     them too.  ``f`` may return an infinite value, which counts by its sign
     only.  Deterministic for identical inputs.
+
+    Given a sequence of brackets, it runs one search per bracket, a lane,
+    in lockstep: each step takes every running lane's next point and
+    evaluates them all in one call ``f(lanes, points)``, which returns
+    their values in that order (``lanes`` are the indices of the brackets).
+    A lane applies the rule above with the scalar float operations of a
+    search of its own, and ``df(lane, x)`` gives its slopes, so each lane's
+    result is bitwise the one that search returns; ``tol``, ``max_iter``
+    and ``x0`` may be given once for all lanes or once per lane.  A lane
+    that stops leaves the lockstep.  The results come back as a tuple with
+    one ``RootResult`` per lane, whose ``iterations`` is the lanes' total;
+    when lanes exhaust their ``max_iter``, the error of the first of them
+    is raised once every lane has stopped.  A single bracket is a search of
+    one lane, with ``f(x)`` and ``df(x)``.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    a, b = bracket.lo, bracket.hi
-    fa, fb = bracket.f_lo, bracket.f_hi
-    x, fx = (a, fa) if abs(fa) <= abs(fb) else (b, fb)
-    step_two_ago = step_one_ago = b - a
-    # An end with an infinite value has not been evaluated: a step that
-    # would leave the bracket through it evaluates it instead.
-    lo_open, hi_open = math.isinf(fa), math.isinf(fb)
-    start = x0 if x0 is not None and a < x0 < b else None
-    for iteration in range(1, max_iter + 1):
-        if abs(fx) <= tol or (b - a) <= tol or not a < 0.5 * (a + b) < b:
-            return RootResult(x, fx, iteration - 1)
+    if isinstance(bracket, Bracket):
+        result, = _lockstep(lambda lanes, points: [f(points[0])], [bracket], [tol],
+                            [max_iter], None if df is None else lambda lane, x: df(x), [x0])
+        return result
+    n = len(bracket)
+    return _Lanes(_lockstep(f, bracket, _each(tol, n), _each(max_iter, n), df, _each(x0, n)))
 
-        if start is not None:
-            cand, start = start, None
-        else:
-            cand = math.nan
-            if df is not None and math.isfinite(fx):
-                slope = df(x)
-                if slope != 0.0 and math.isfinite(slope):
-                    cand = x - fx / slope
-            if not (a < cand < b) and math.isfinite(fb - fa) and fb != fa:
-                cand = b - fb * (b - a) / (fb - fa)
-            if cand == x:  # a step below x's resolution moves it by one ulp
-                cand = math.nextafter(x, b if x == a else a)
-            if cand >= b and hi_open:
-                cand, hi_open = b, False
-            elif cand <= a and lo_open:
-                cand, lo_open = a, False
-            # Stagnation guard: a candidate outside the bracket, or one
-            # that has not halved the step of two iterations ago, bisects.
-            elif not (a < cand < b) or abs(cand - x) > 0.5 * step_two_ago:
-                cand = 0.5 * (a + b)
-            step_two_ago, step_one_ago = step_one_ago, abs(cand - x)
 
-        fc = f(cand)
-        if fc == 0.0:
-            return RootResult(cand, 0.0, iteration)
-        if cand in (a, b):
-            # An end whose value has the other sign than the one it was
-            # given for is itself the root, up to the rounding of f.
-            if (fc < 0.0) != ((fa if cand == a else fb) < 0.0):
-                return RootResult(cand, fc, iteration)
-            if cand == a:
-                fa = fc
-            else:
-                fb = fc
-        elif (fc < 0.0) == (fa < 0.0):
-            a, fa, lo_open = cand, fc, False
-        else:
-            b, fb, hi_open = cand, fc, False
-        x, fx = (a, fa) if abs(fa) <= abs(fb) else (b, fb)
-
-    best = RootResult(x, fx, max_iter)
-    raise ConvergenceError(
-        f"no convergence in {max_iter} iterations: "
-        f"x={x:.17g}, residual={fx:.6g}, bracket width={b - a:.6g}",
-        best,
-    )
+def _lockstep(f, brackets, tols, max_iters, df, x0s) -> list[RootResult]:
+    """The lanes of ``find_root``, one per bracket, stepped together."""
+    lanes = [_Lane(*args) for args in zip(brackets, tols, max_iters, x0s)]
+    slopes = [None if df is None else functools.partial(df, k) for k in range(len(lanes))]
+    outcomes: list = [None] * len(lanes)
+    running = list(range(len(lanes)))
+    while running:
+        stepping = []
+        for k in running:
+            outcomes[k] = lanes[k].advance(slopes[k])
+            if outcomes[k] is None:
+                stepping.append(k)
+        if not stepping:
+            break
+        values = f(stepping, [lanes[k].cand for k in stepping])
+        running = []
+        for k, fc in zip(stepping, values):
+            outcomes[k] = lanes[k].update(fc)
+            if outcomes[k] is None:
+                running.append(k)
+    for outcome in outcomes:
+        if isinstance(outcome, ConvergenceError):
+            raise outcome
+    return outcomes

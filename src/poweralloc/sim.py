@@ -6,9 +6,16 @@ with unit variance and a null mean of zero, and p-values are upper-tail.
 The allocator-driven procedures receive the generated effect sizes for
 every hypothesis (nulls included) as their effect-size inputs.
 
-A replicate solves one panel: ``run_cell`` calls each requested rule on
-the same model and p-values, and the model-based stepwise rules of one
-replicate share one pass over its panel (see ``procedures``).
+A cell is decided as a stack: ``run_cell`` draws its replicates' panels,
+one model per replicate, and hands each requested rule the whole stack,
+an (R, M) array of p-values with its R models, through ``decide``.  The
+model-based stepwise rules share one pass per replicate panel, and at
+M <= 128 a pass is one block, so the passes of many replicates are one
+solve; the weak-FWER rule runs the replicates' multiplier searches in
+lockstep (see ``procedures`` and ``allocate``).  Every replicate's
+decision is bitwise the one it gets alone.  A cell of more than
+``CELL_BLOCK`` p-values is decided a stack of whole replicates at a time,
+so a cell's working memory does not grow with its replicate count.
 
 Loss accounting is by array: a cell keeps one (reps, M) rejection matrix
 per procedure next to the (reps, M) truth matrix, and the per-replicate
@@ -26,9 +33,8 @@ from __future__ import annotations
 
 import math
 import struct
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import ndtr
@@ -53,6 +59,7 @@ __all__ = [
     "ReplicateTable",
     "RiskEstimates",
     "ScenarioConfig",
+    "decide",
     "efficiency_vs_sidak",
     "generate_panel",
     "run_cell",
@@ -64,7 +71,7 @@ class _Procedure(NamedTuple):
     budget: str  # the name of the rule's budget: "alpha" or "q"
     below_one: bool  # whether the budget lies in [0, 1), not [0, 1]
     reads_gammas: bool  # whether the rule reads the effect sizes
-    rule: Callable[[RocModel | None, np.ndarray, float], Decision]
+    rule: Callable[[Sequence[RocModel] | RocModel | None, np.ndarray, float], Decision]
 
 
 # The rules are looked up in this module each time they run, not bound
@@ -82,6 +89,9 @@ _CATALOGUE = {
 PROCEDURE_TAGS = tuple(_CATALOGUE)
 # The procedures a cell runs when none are named.
 _DEFAULT_PROCEDURES = ("fdr-opt", "bh")
+
+# The most p-values a cell decides in one stack (1 MB of them).
+CELL_BLOCK = 1 << 17
 
 _MASK64 = (1 << 64) - 1
 # Values that Python would read as a number but a parameter refuses.
@@ -145,6 +155,11 @@ class ScenarioConfig:
         repeated = sorted({t for t in self.procedures if self.procedures.count(t) > 1})
         if repeated:
             raise ValueError(f"repeated procedure tags {repeated}; give each tag once")
+        if self.qstar == 1.0:
+            below_one = [t for t in self.procedures if _CATALOGUE[t].below_one]
+            if below_one:
+                raise ValueError(f"qstar must lie in [0, 1) for {below_one}, whose budget "
+                                 f"is an allocation's, got {self.qstar!r}")
 
 
 @dataclass(frozen=True)
@@ -240,14 +255,13 @@ def _power_vs_sidak(gammas: np.ndarray, sizes: np.ndarray, alpha: float) -> floa
     return float(100.0 * roc(gammas, sizes).sum() / roc(gammas, sidak).sum())
 
 
-def _decide(tag: str, model: RocModel | None, s: np.ndarray, budget: float) -> Decision:
+def decide(tag: str, model, s, budget: float) -> Decision:
+    """The decision of the procedure ``tag`` (one of ``PROCEDURE_TAGS``) at
+    ``budget``: on one panel, its model and p-values, or on a stack of
+    panels, a sequence of R models and an (R, M) array of p-values, whose
+    Decision has a leading axis of R.  The p-value-only rules ignore
+    ``model``."""
     return _CATALOGUE[tag].rule(model, s, budget)
-
-
-def _mean_se(values: np.ndarray, reps: int) -> tuple[float, float]:
-    mean = float(values.mean())
-    se = float(values.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
-    return mean, se
 
 
 def _replicate_table(reject: np.ndarray, theta: np.ndarray) -> ReplicateTable:
@@ -274,11 +288,16 @@ def _replicate_table(reject: np.ndarray, theta: np.ndarray) -> ReplicateTable:
 
 
 def _estimates(table: ReplicateTable, reps: int) -> RiskEstimates:
-    fdr, se_fdr = _mean_se(table.fdp, reps)
-    mdr, se_mdr = _mean_se(table.mdr_std, reps)
-    fwer, se_fwer = _mean_se((table.false_positives >= 1).astype(float), reps)
-    etp, se_etp = _mean_se(table.true_positives.astype(float), reps)
-    efp, se_efp = _mean_se(table.false_positives.astype(float), reps)
+    """The mean and standard error over the replicates of the false
+    discovery proportion, the standardized missed-discovery rate, any false
+    positive (the FWER), and the true and false positive counts; each row's
+    mean and standard deviation are those of the row alone."""
+    values = np.stack([table.fdp, table.mdr_std, table.false_positives >= 1,
+                       table.true_positives, table.false_positives]).astype(float)
+    means = values.mean(axis=1)
+    ses = values.std(axis=1, ddof=1) / math.sqrt(reps) if reps > 1 else np.zeros(5)
+    (fdr, mdr, fwer, etp, efp), (se_fdr, se_mdr, se_fwer, se_etp, se_efp) = (
+        means.tolist(), ses.tolist())
     return RiskEstimates(
         fdr=fdr, se_fdr=se_fdr, mdr_std=mdr, se_mdr_std=se_mdr,
         fwer=fwer, se_fwer=se_fwer,
@@ -288,17 +307,25 @@ def _estimates(table: ReplicateTable, reps: int) -> RiskEstimates:
 
 def run_cell(config: ScenarioConfig) -> CellResult:
     """Run every requested procedure over the cell's replicates and average
-    the replicate losses.  Identical configs give identical results."""
-    reps = config.reps
+    the replicate losses.  Identical configs give identical results.
+
+    The replicates are decided as stacks of at most ``CELL_BLOCK`` p-values
+    (see the module docstring)."""
+    reps, M = config.reps, config.M
     tags = config.procedures
-    theta = np.empty((reps, config.M), dtype=np.int8)
-    rejects = {tag: np.empty((reps, config.M), dtype=bool) for tag in tags}
-    for rep in range(reps):
-        panel = generate_panel(config, rep)
-        theta[rep] = panel.theta.theta
-        model = RocModel.from_gammas(panel.xi)
+    theta = np.empty((reps, M), dtype=np.int8)
+    s = np.empty((reps, M))
+    rejects = {tag: np.empty((reps, M), dtype=bool) for tag in tags}
+    per_stack = max(1, CELL_BLOCK // M)
+    for r0 in range(0, reps, per_stack):
+        rows = slice(r0, min(reps, r0 + per_stack))
+        models = []
+        for rep in range(rows.start, rows.stop):
+            panel = generate_panel(config, rep)
+            theta[rep], s[rep] = panel.theta.theta, panel.s
+            models.append(RocModel.from_gammas(panel.xi))
         for tag in tags:
-            rejects[tag][rep] = _decide(tag, model, panel.s, config.qstar).reject
+            rejects[tag][rows] = decide(tag, models, s[rows], config.qstar).reject
     replicates = {tag: _replicate_table(rejects[tag], theta) for tag in tags}
     estimates = {tag: _estimates(replicates[tag], reps) for tag in tags}
     return CellResult(config=config, estimates=estimates, replicates=replicates)
@@ -325,6 +352,10 @@ def run_table(
         for M in Ms for p in ps for nu in nus
     ]
     if workers > 1 and len(configs) > 1:
+        # Imported here: only a parallel run needs multiprocessing, and
+        # importing it costs every process that imports this module.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(run_cell, configs))
     return [run_cell(config) for config in configs]

@@ -11,7 +11,7 @@ import numpy as np
 from hypothesis import strategies as st
 from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
 
-from poweralloc import allocate, procedures
+from poweralloc import RocModel, allocate, procedures, sim
 from poweralloc.allocate import (
     EPS,
     INNER_TOL,
@@ -545,3 +545,23 @@ def reference_decide_stepdown_sidak(s, qstar: float) -> Decision:
         alpha_threshold=float(s_sorted[j - 1]) if j > 0 else 0.0,
         trace=trace,
     )
+
+
+def reference_run_cell(config) -> tuple:
+    """The per-replicate cell that the stacked ``sim.run_cell`` replaced,
+    kept as its differential reference: each replicate's panel is decided
+    by each rule on its own.  Returns the CellResult and the (reps, M)
+    rejection matrix of each procedure."""
+    reps = config.reps
+    tags = config.procedures
+    theta = np.empty((reps, config.M), dtype=np.int8)
+    rejects = {tag: np.empty((reps, config.M), dtype=bool) for tag in tags}
+    for rep in range(reps):
+        panel = sim.generate_panel(config, rep)
+        theta[rep] = panel.theta.theta
+        model = RocModel.from_gammas(panel.xi)
+        for tag in tags:
+            rejects[tag][rep] = sim.decide(tag, model, panel.s, config.qstar).reject
+    replicates = {tag: sim._replicate_table(rejects[tag], theta) for tag in tags}
+    estimates = {tag: sim._estimates(replicates[tag], reps) for tag in tags}
+    return sim.CellResult(config=config, estimates=estimates, replicates=replicates), rejects

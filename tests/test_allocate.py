@@ -29,7 +29,7 @@ from poweralloc.allocate import (
     V_HI,
     V_LO,
     _size_profile,
-    _solve_multiplier,
+    _solve_multipliers,
     _solve_v,
 )
 
@@ -108,6 +108,29 @@ class TestOptimalSizes:
             model = RocModel.from_gammas(np.full(M, 1.0))
             alloc = optimal_sizes(model, alpha)
             np.testing.assert_allclose(alloc.sizes, sidak_sizes(M, alpha).sizes, rtol=1e-9)
+
+    @settings(max_examples=100, deadline=None)
+    @given(M=st.integers(1, 300),
+           gamma=st.one_of(st.sampled_from([0.0, 1e-300, 1.0, 1e8]), st.floats(0.0, 1e8)),
+           alpha=ANY_ALPHA)
+    def test_an_exchangeable_panel_gets_the_sidak_sizes(self, M, gamma, alpha):
+        # Bitwise, with no search: every g_m(eta_S) is the same.
+        alloc = optimal_sizes(RocModel.from_gammas(np.full(M, gamma)), alpha)
+        sidak = sidak_sizes(M, alpha)
+        assert alloc.sizes.tobytes() == sidak.sizes.tobytes()
+        assert alloc.log1m_sizes.tobytes() == sidak.log1m_sizes.tobytes()
+        assert alloc.stationarity_residual == 0.0
+
+    def test_random_exchangeable_panels_get_the_sidak_sizes(self, monkeypatch):
+        searches = []
+        monkeypatch.setattr(allocate, "find_root", lambda *a, **k: searches.append(1))
+        rng = np.random.default_rng(24)
+        for _ in range(300):
+            M, gamma = int(rng.integers(1, 60)), float(rng.choice([0.0, 1e8, rng.uniform(0, 8)]))
+            alpha = float(rng.uniform(0.0, 0.999))
+            alloc = optimal_sizes(RocModel.from_gammas(np.full(M, gamma)), alpha)
+            assert alloc.sizes.tobytes() == sidak_sizes(M, alpha).sizes.tobytes()
+        assert not searches
 
     def test_matches_grid_oracle_m2(self):
         model = RocModel.from_gammas([1.0, 2.0])
@@ -348,9 +371,82 @@ class TestInnerSolve:
         # of its scratch: none of them may be a view of it.
         taken = helpers.recording_scratches(monkeypatch)
         gammas = np.abs(np.random.default_rng(3).normal(2.0, 1.0, 300))
-        profile = _solve_multiplier(gammas, np.ones(gammas.size), 0.05)
+        profile, = _solve_multipliers([(gammas, np.ones(gammas.size))], 0.05)
         assert taken
         assert not any(np.shares_memory(a, t) for a in profile[1:] for t in taken)
+
+
+# Panels of 1 to 40 effects: the paper's, clusters, exchangeable ones,
+# near-zero effects, and large ones.
+PANEL_KINDS = (
+    lambda rng, M: np.abs(rng.normal(2.0, 1.0, M)),
+    lambda rng, M: rng.choice([0.0, 0.5, 2.0, 7.0], M),
+    lambda rng, M: np.full(M, rng.choice([0.0, 1.0, 40.0])),
+    lambda rng, M: 10.0 ** rng.uniform(-300.0, 1.5, M),
+    lambda rng, M: rng.choice([0.0, 30.0, 60.0], M),
+)
+
+
+class TestLockstep:
+    """The multiplier searches of a stack of panels run in lockstep, and
+    each panel's allocation is bitwise the one its model gets alone."""
+
+    @staticmethod
+    def recording_searches(monkeypatch) -> list:
+        results = []
+        find_root = allocate.find_root
+
+        def recording(*args, **kwargs):
+            results.append(find_root(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(allocate, "find_root", recording)
+        return results
+
+    @settings(max_examples=60, deadline=None)
+    @given(M=st.integers(1, 40), kinds=st.lists(st.integers(0, len(PANEL_KINDS) - 1),
+                                                min_size=1, max_size=12),
+           alpha=ANY_ALPHA, seed=st.integers(0, 2**32 - 1))
+    def test_stack_equals_each_panel_alone(self, M, kinds, alpha, seed):
+        rng = np.random.default_rng(seed)
+        models = [RocModel.from_gammas(PANEL_KINDS[k](rng, M)) for k in kinds]
+        with pytest.MonkeyPatch.context() as patch:
+            searches = self.recording_searches(patch)
+            stacked = optimal_sizes(models, alpha)
+            lanes = [lane for result in searches for lane in result]
+            searches.clear()
+            alone = [optimal_sizes(model, alpha) for model in models]
+            # The searches that ran alone, lane by lane: roots, residuals
+            # and iteration counts.
+            assert lanes == [lane for result in searches for lane in result]
+        assert len(searches) <= len(models)
+        for r, one in enumerate(alone):
+            assert stacked.sizes[r].tobytes() == one.sizes.tobytes()
+            assert stacked.log1m_sizes[r].tobytes() == one.log1m_sizes.tobytes()
+            for name in ("lagrange", "constraint_residual", "stationarity_residual"):
+                assert getattr(stacked, name)[r] == getattr(one, name), name
+        assert stacked.sizes.shape == (len(models), M)
+
+    def test_lanes_converge_at_different_steps(self, monkeypatch):
+        # One search per stack, whose lanes take different numbers of
+        # steps, each that of its panel alone.
+        rng = np.random.default_rng(5)
+        models = [RocModel.from_gammas(PANEL_KINDS[k](rng, 20)) for k in (0, 1, 3, 4, 0, 3)]
+        searches = self.recording_searches(monkeypatch)
+        optimal_sizes(models, 0.1)
+        lanes, = searches
+        assert len(lanes) == 6 and len({lane.iterations for lane in lanes}) > 2
+        assert lanes.iterations == sum(lane.iterations for lane in lanes)
+        searches.clear()
+        for model in models:
+            optimal_sizes(model, 0.1)
+        assert list(lanes) == [result[0] for result in searches]
+
+    def test_a_stack_needs_models_of_one_m(self):
+        with pytest.raises(ValueError, match="one M"):
+            optimal_sizes([RocModel.from_gammas([1.0]), RocModel.from_gammas([1.0, 2.0])], 0.1)
+        with pytest.raises(ValueError, match="nonempty sequence"):
+            optimal_sizes([], 0.1)
 
 
 class TestSolveCost:
@@ -393,7 +489,7 @@ class TestClustered:
         # of itself, but not by more than 1e-12 of the budget.
         model = RocModel.from_gammas(gammas)
         alloc = optimal_sizes(model, alpha)
-        direct_log1m = _solve_multiplier(gammas, np.ones(gammas.size), alpha)[2]
+        direct_log1m = _solve_multipliers([(gammas, np.ones(gammas.size))], alpha)[0][2]
         np.testing.assert_allclose(alloc.log1m_sizes, direct_log1m, rtol=1e-12,
                                    atol=1e-12 * min(1.0, -math.log1p(-alpha)))
         for g in np.unique(gammas):

@@ -154,8 +154,10 @@ class TestAllocate:
         assert captured.out == ""
 
     def test_unsolvable_panel_is_numerical_error(self, tmp_path):
+        # Distinct effects this large leave log d no precision; equal ones
+        # get the Sidak sizes with no search.
         path = tmp_path / "extreme.csv"
-        write_csv(path, ["id", "gamma"], [["a", 1e8], ["b", 1e8]])
+        write_csv(path, ["id", "gamma"], [["a", 1e8], ["b", 1e8 + 1e3]])
         proc = run_cli("allocate", "--alpha", "0.05", "--input", str(path), expect=3)
         assert "numerical" in proc.stderr
 
@@ -701,6 +703,27 @@ class TestSimulate:
         err = self.refused(capsys, tmp_path, "procedures", ["bh", "bh", "fdr-opt"])
         assert "repeated procedure tags ['bh']" in err
 
+    def test_allocation_budget_of_one_names_qstar_and_the_tag(self, capsys, tmp_path):
+        # weak-fwer-opt's budget is an allocation's, which must be below 1.
+        spec = {"M": [4], "p": [0.2], "nu": [2], "qstar": 1.0, "reps": 2, "seed": 0,
+                "procedures": ["fdr-opt", "weak-fwer-opt"]}
+        config = tmp_path / "grid.json"
+        config.write_text(json.dumps(spec))
+        out = tmp_path / "o.csv"
+        assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "qstar must lie in [0, 1) for ['weak-fwer-opt']" in err
+        assert "alpha" not in err
+
+    def test_step_rules_run_at_a_budget_of_one(self, tmp_path):
+        config = tmp_path / "grid.json"
+        config.write_text(json.dumps({"M": [4], "p": [0.2], "nu": [2], "qstar": 1.0, "reps": 3,
+                                      "procedures": ["fdr-opt", "bonferroni"]}))
+        out = tmp_path / "o.csv"
+        assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        assert {r["procedure"] for r in parse_csv(out.read_text())} == {"fdr-opt", "bonferroni"}
+
     def test_string_procedures_names_the_key(self, capsys, tmp_path):
         # A string is not split into one-letter tags.
         err = self.refused(capsys, tmp_path, "procedures", "bh")
@@ -717,6 +740,15 @@ class TestSimulate:
 
 
 class TestUsage:
+    def test_import_loads_no_multiprocessing(self):
+        # Only a parallel ``simulate`` needs a process pool; importing the
+        # CLI does not load it.
+        code = ("import sys, poweralloc.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True)
+        assert proc.stdout.strip() == "[]"
+
     def test_unknown_subcommand(self):
         run_cli("frobnicate", expect=2)
 

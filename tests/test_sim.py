@@ -2,9 +2,14 @@
 cell/table runs with their determinism contracts."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import helpers
 
 from poweralloc import (
     PROCEDURE_TAGS,
@@ -75,6 +80,15 @@ class TestGeneratePanel:
             make_config(procedures=("nope",))
         with pytest.raises(ValueError, match=r"repeated procedure tags \['bh'\]"):
             make_config(procedures=("bh", "bh", "fdr-opt"))
+
+    def test_an_allocation_budget_of_one_is_refused_by_name(self):
+        # The weak-FWER rule's budget is an allocation's, below 1; the
+        # other rules take a budget of 1.
+        with pytest.raises(ValueError, match=r"qstar must lie in \[0, 1\) for \['weak-fwer-opt'\]"):
+            make_config(qstar=1.0, procedures=("bh", "weak-fwer-opt"))
+        for tags in (("fdr-opt", "bonferroni"), PROCEDURE_TAGS[1:]):
+            config = make_config(qstar=1.0, reps=3, procedures=tags)
+            assert set(run_cell(config).estimates) == set(tags)
 
     def test_integral_floats_are_stored_as_counts(self):
         config = make_config(M=4.0, reps=2.0, seed=3.0)
@@ -202,8 +216,9 @@ class TestRunCell:
 class TestSharedPanel:
     """A cell asking for both stepwise rules makes one pass over each
     replicate's panel, with the results of cells that each run one of the
-    rules.  A pass at M <= 128 is one block, one size-profile call; above,
-    it stops where W saturates."""
+    rules.  A pass at M <= 128 is one block, so the passes of
+    SOLVE_BLOCK // M^2 replicates are one size-profile call; above, each
+    replicate's pass stops where W saturates."""
 
     RULES = ("fdr-opt", "strong-fwer-opt")
 
@@ -212,9 +227,23 @@ class TestSharedPanel:
         procedures._panel_memo.cache_clear()
         return run_cell(config)
 
+    @staticmethod
+    def assert_stacked_passes(panel_solves, M, reps):
+        # Each column of each replicate is solved once, in as few solves
+        # as SOLVE_BLOCK allows.
+        per_solve = SOLVE_BLOCK // (M * M)
+        assert len(panel_solves) == math.ceil(reps / per_solve)
+        assert all(len(blocks) == 1 for blocks in panel_solves)
+        assert sum(map(sum, panel_solves)) == reps * M
+
     def test_one_solve_per_replicate(self, panel_solves):
-        self.cold_cell(make_config(reps=7, procedures=self.RULES + ("bh", "weak-fwer-opt")))
-        assert panel_solves == [[20]] * 7
+        for M, reps in ((20, 7), (50, 7), (100, 3)):
+            panel_solves.clear()
+            self.cold_cell(make_config(M=M, reps=reps,
+                                       procedures=self.RULES + ("bh", "weak-fwer-opt")))
+            self.assert_stacked_passes(panel_solves, M, reps)
+        # 20^2 * 40 pairs fit one solve; 50^2 * 6 and 100^2 * 1.
+        assert panel_solves == [[100]] * 3
 
     @pytest.mark.parametrize("M", [1, 5, 60, 300])
     @pytest.mark.parametrize("p", [0.0, 0.4])
@@ -222,7 +251,7 @@ class TestSharedPanel:
         reps = 4
         both = self.cold_cell(make_config(M=M, p=p, reps=reps, procedures=self.RULES))
         if M * M <= SOLVE_BLOCK:
-            assert panel_solves == [[M]] * reps
+            self.assert_stacked_passes(panel_solves, M, reps)
         else:
             # The rules share one pass per replicate, which stops where W
             # saturates: with the columns they read past it, no more than
@@ -236,6 +265,61 @@ class TestSharedPanel:
                 x = getattr(both.replicates[tag], field.name)
                 y = getattr(alone.replicates[tag], field.name)
                 assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+class TestStackedCell:
+    """A cell decides its replicates as one stack, and each replicate's
+    decisions are bitwise those of the per-replicate cell it replaced."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        M=st.one_of(st.integers(1, 140), st.sampled_from([1, 90, 91, 128, 129])),
+        reps=st.integers(1, 12),
+        tags=st.lists(st.sampled_from(PROCEDURE_TAGS), min_size=1, unique=True),
+        p=st.sampled_from([0.0, 0.4, 1.0]),
+        nu=st.sampled_from([0.0, 1.0, 3.0]),
+        qstar=st.sampled_from([0.0, 0.1, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_the_per_replicate_cell(self, M, reps, tags, p, nu, qstar, seed):
+        assume(qstar < 1.0 or "weak-fwer-opt" not in tags)
+        config = make_config(M=M, reps=reps, procedures=tuple(tags), p=p, nu=nu, qstar=qstar,
+                             seed=seed)
+        rejects = []
+
+        def recording(reject, theta):
+            rejects.append(reject.copy())
+            return _replicate_table(reject, theta)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sim, "_replicate_table", recording)
+            stacked = run_cell(config)
+        reference, reference_rejects = helpers.reference_run_cell(config)
+        for tag, got in zip(config.procedures, rejects, strict=True):
+            assert got.tobytes() == reference_rejects[tag].tobytes(), tag
+            assert stacked.estimates[tag] == reference.estimates[tag], tag
+            for field in dataclasses.fields(ReplicateTable):
+                x = getattr(stacked.replicates[tag], field.name)
+                y = getattr(reference.replicates[tag], field.name)
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), (tag, field.name)
+
+    def test_a_large_cell_is_decided_in_stacks(self, monkeypatch):
+        # More than CELL_BLOCK p-values are decided a stack of whole
+        # replicates at a time, with the same results.
+        config = make_config(M=30, reps=9, procedures=PROCEDURE_TAGS)
+        whole = run_cell(config)
+        stacks = []
+        decide = sim.decide
+
+        def recording(tag, model, s, budget):
+            stacks.append(s.shape)
+            return decide(tag, model, s, budget)
+
+        monkeypatch.setattr(sim, "CELL_BLOCK", 4 * 30)
+        monkeypatch.setattr(sim, "decide", recording)
+        split = run_cell(config)
+        assert stacks == [(4, 30)] * 6 + [(4, 30)] * 6 + [(1, 30)] * 6
+        assert split.estimates == whole.estimates
 
 
 class TestRunTable:
