@@ -520,11 +520,10 @@ def _profiles(gammas: list, log_ds: list, anchors: list, scratch) -> tuple[list,
     Returns each lane's profile (log d, v, log Phi(v)), and the lanes'
     effect sizes, v and log Phi(v) joined in lane order; the profiles are
     views of the joined v and log Phi(v), which are fresh arrays.  A single
-    lane is solved as given, with nothing joined: its profile is solved as
-    one search on its own solves it.  Several are solved as a stack of
-    one-gamma panels, each at its own multiplier, and each element's
-    solve is its own, so every lane's profile is bitwise the one it would
-    get alone.
+    lane is solved as given, with nothing joined.  Several are solved as a
+    stack of one-gamma panels, each at its own multiplier; each element's
+    solve is its own, so every lane's profile is bitwise the one it gets
+    alone.
     """
     if len(gammas) == 1:
         joined = gammas[0]

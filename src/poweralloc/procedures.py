@@ -293,8 +293,8 @@ SATURATED = -40.0
 class _Panel:
     """The O(M) reductions of one pass over the panel, by column.
 
-    Column m sizes every hypothesis at d_m (log d_m is ``log_d[m]``).  The
-    pass solves the columns in the scan order ``order``, whose inverse is
+    Column m sizes every hypothesis, of effect size ``gammas``, at d_m
+    (log d_m is ``log_d[m]``).  The pass solves the columns in the scan order ``order``, whose inverse is
     ``rank``, and stops after the block where W saturates: the first
     ``solved`` of them are solved.  ``w[m]`` is W_m
     for every m, 1.0 past the solved prefix.  For the solved columns
