@@ -32,12 +32,14 @@ sum: a panel with K distinct effect sizes costs a K-element solve.  Where
 every g_m(eta_S) is the same, as on an exchangeable panel, the Sidak sizes
 solve the system, and the panel gets them with no search.
 
-The allocations of a stack of panels (``optimal_sizes`` given a sequence
-of models, as the weak-FWER rule is given a Monte Carlo cell) are solved
-together: each panel's multiplier search is a lane of one lockstep
-``find_root`` call, and each of its steps solves the next profile of
-every running lane in one ``_size_profile`` call.  A lane keeps its own
-scalar arithmetic, its own budget sum and its own warm starts, so each
+The panels of a stack (``stacked``), such as the replicates of a Monte
+Carlo cell, are still asked about one at a time, but their allocations
+are solved together: the first ``optimal_sizes`` call on one of them at
+a budget runs each panel's multiplier search as a lane of one lockstep
+``find_root`` call, each of whose steps solves the next profile of every
+running lane in one ``_size_profile`` call, and the stack keeps the
+allocations for the later calls.  A lane keeps its own scalar
+arithmetic, its own budget sum and its own warm starts, so each
 allocation is bitwise the one its panel gets alone; one search is a
 stack of one lane.
 
@@ -62,6 +64,7 @@ its loop.  A call given none makes its own.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -727,20 +730,58 @@ def _solve_multipliers(panels: list, alpha: float) -> list:
     return out
 
 
-def _models(model) -> tuple[RocModel, ...]:
-    """The panels of ``model``: one ``RocModel``, or a nonempty sequence of
-    them with one M, a stack of panels."""
-    if isinstance(model, RocModel):
-        return (model,)
-    models = tuple(model)
+class _Stack:
+    """The panels of an open ``stacked`` block: their models, their
+    p-values, and what has been solved for them together, by key."""
+
+    __slots__ = ("models", "s", "rows", "kept")
+
+    def __init__(self, models: tuple, s):
+        self.models, self.s, self.kept = models, s, {}
+        self.rows = {id(m): r for r, m in enumerate(models)}
+
+
+_open_stack: _Stack | None = None
+
+
+@contextlib.contextmanager
+def stacked(models, s):
+    """Within the block, the R panels of ``models`` and of ``s``, their
+    p-values as an (R, M) array, are solved together though they are
+    asked about one at a time: the first ``optimal_sizes`` call on one of
+    them at a budget solves the allocations of all of them
+    (``_solve_multipliers``), and the stepwise rules of ``procedures``
+    solve their passes a block of panels at a time.  The stack keeps what
+    it solved until the block ends.  Each result is bitwise the one its
+    panel gets alone.
+
+    A model belongs to the stack by identity.  The innermost open stack
+    is the one that serves.
+    """
+    global _open_stack
+    models = tuple(models)
     if not models or not all(isinstance(m, RocModel) for m in models):
-        raise ValueError("need a RocModel or a nonempty sequence of them")
-    if any(m.M != models[0].M for m in models):
-        raise ValueError("the models of a stack must share one M")
-    return models
+        raise ValueError("need a nonempty sequence of RocModels")
+    s = np.asarray(s, dtype=float)
+    if s.shape != (len(models), models[0].M) or any(m.M != s.shape[1] for m in models):
+        raise ValueError(f"{len(models)} models of M={[m.M for m in models]} for "
+                         f"p-values of shape {s.shape}")
+    outer, _open_stack = _open_stack, _Stack(models, s)
+    try:
+        yield
+    finally:
+        _open_stack = outer
 
 
-def optimal_sizes(model, alpha: float) -> SizeAllocation:
+def _stack_row(model) -> tuple[_Stack | None, int | None]:
+    """The open stack and ``model``'s row in it, or (None, None) when the
+    model is not one of its panels."""
+    stack = _open_stack
+    r = None if stack is None else stack.rows.get(id(model))
+    return (None, None) if r is None else (stack, r)
+
+
+def optimal_sizes(model: RocModel, alpha: float) -> SizeAllocation:
     """Power-optimal size vector under weak FWER budget alpha.
 
     Satisfies rho_m'(eta_m)(1 - eta_m) = d for a common d and
@@ -752,31 +793,30 @@ def optimal_sizes(model, alpha: float) -> SizeAllocation:
     which happens once gamma^2/2 is so large that log d has no precision
     left (distinct gammas near 1e8).
 
-    ``model`` may be a sequence of R models with one M, a stack of panels:
-    their searches run in lockstep (``_solve_multipliers``), each
-    allocation is bitwise the one its model gets alone, and every field but
-    ``alpha`` and ``method`` gains a leading axis of R.
+    A model of an open stack (``stacked``) gets the allocation that one
+    lockstep search over all the stack's models made at this budget, at
+    the first call; an error of any of them is raised there.
     """
     alpha = _validate_alpha(alpha)
-    models = _models(model)
+    stack, r = _stack_row(model)
+    if stack is None:
+        return _allocations([model], alpha)[0]
+    key = ("sizes", alpha)
+    if key not in stack.kept:
+        stack.kept[key] = _allocations(stack.models, alpha)
+    return stack.kept[key][r]
+
+
+def _allocations(models, alpha: float) -> list[SizeAllocation]:
+    """The allocation of each model at ``alpha``, their searches run in
+    lockstep (``_solve_multipliers``)."""
     uniques = [np.unique(m.gammas, return_inverse=True, return_counts=True) for m in models]
     panels = [(gammas, counts.astype(float)) for gammas, _, counts in uniques]
-    allocations = [
+    return [
         _allocation(alpha, gammas, inverse, counts, profile)
         for (gammas, counts), (_, inverse, _), profile in zip(
             panels, uniques, _solve_multipliers(panels, alpha))
     ]
-    if isinstance(model, RocModel):
-        return allocations[0]
-    return SizeAllocation(
-        alpha=alpha,
-        sizes=np.stack([a.sizes for a in allocations]),
-        log1m_sizes=np.stack([a.log1m_sizes for a in allocations]),
-        lagrange=np.array([a.lagrange for a in allocations]),
-        constraint_residual=np.array([a.constraint_residual for a in allocations]),
-        stationarity_residual=np.array([a.stationarity_residual for a in allocations]),
-        method="optimal",
-    )
 
 
 def _allocation(alpha: float, gammas, inverse, counts, profile) -> SizeAllocation:

@@ -182,19 +182,14 @@ class _Lane:
         return None
 
 
-def _each(value, n: int) -> list:
-    """``value`` once per lane: a list or tuple as it is, else n copies."""
-    return list(value) if isinstance(value, (list, tuple)) else [value] * n
-
-
 def find_root(
     f: Callable,
     bracket: Bracket | Sequence[Bracket],
-    tol: float | Sequence[float] = DEFAULT_TOL,
+    tol: float = DEFAULT_TOL,
     max_iter: int | Sequence[int] = DEFAULT_MAX_ITER,
     df: Callable | None = None,
     x0: float | None | Sequence[float | None] = None,
-) -> RootResult:
+) -> RootResult | tuple[RootResult, ...]:
     """Find a root of ``f`` inside ``bracket``.
 
     Terminates when |f(x)| <= tol, when the bracket width falls below tol,
@@ -220,25 +215,27 @@ def find_root(
     their values in that order (``lanes`` are the indices of the brackets).
     A lane applies the rule above with the scalar float operations of a
     search of its own, and ``df(lane, x)`` gives its slopes, so each lane's
-    result is bitwise the one that search returns; ``tol``, ``max_iter``
-    and ``x0`` may be given once for all lanes or once per lane.  A lane
-    that stops leaves the lockstep.  The results come back as a tuple with
+    result is bitwise the one that search returns.  ``tol`` is every
+    lane's, and ``max_iter`` and ``x0`` are sequences with one entry per
+    lane.  A lane that stops leaves the lockstep.  The results come back as a tuple with
     one ``RootResult`` per lane, whose ``iterations`` is the lanes' total;
     when lanes exhaust their ``max_iter``, the error of the first of them
     is raised once every lane has stopped.  A single bracket is a search of
     one lane, with ``f(x)`` and ``df(x)``.
     """
     if isinstance(bracket, Bracket):
-        result, = _lockstep(lambda lanes, points: [f(points[0])], [bracket], [tol],
+        result, = _lockstep(lambda lanes, points: [f(points[0])], [bracket], tol,
                             [max_iter], None if df is None else lambda lane, x: df(x), [x0])
         return result
-    n = len(bracket)
-    return _Lanes(_lockstep(f, bracket, _each(tol, n), _each(max_iter, n), df, _each(x0, n)))
+    if not len(bracket) == len(max_iter) == len(x0):
+        raise ValueError("need one max_iter and one x0 per bracket")
+    return _Lanes(_lockstep(f, bracket, tol, max_iter, df, x0))
 
 
-def _lockstep(f, brackets, tols, max_iters, df, x0s) -> list[RootResult]:
+def _lockstep(f, brackets, tol, max_iters, df, x0s) -> list[RootResult]:
     """The lanes of ``find_root``, one per bracket, stepped together."""
-    lanes = [_Lane(*args) for args in zip(brackets, tols, max_iters, x0s)]
+    lanes = [_Lane(bracket, tol, max_iter, x0)
+             for bracket, max_iter, x0 in zip(brackets, max_iters, x0s)]
     slopes = [None if df is None else functools.partial(df, k) for k in range(len(lanes))]
     outcomes: list = [None] * len(lanes)
     running = list(range(len(lanes)))

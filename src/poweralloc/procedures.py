@@ -5,7 +5,7 @@ of the panel sizes every hypothesis at d_m, and W_m, the budget-scale
 p-value, and the two model-based stepwise rules read only statistics of
 those columns.  This module is their one panel engine:
 
-* The scan order is descending log d_m, ties by index (``_panel_memo``).
+* The scan order is descending log d_m, ties by index (``_passes``).
   It is the budget-scale order of W, taken exactly: W rounds to 1.0 once
   its log budget is below about -37, which at M = 1000 ties most of a
   panel.  A p-value of 0 pins log d = +inf (first), one of 1 pins -inf
@@ -25,17 +25,17 @@ those columns.  This module is their one panel engine:
   block where W is exactly 1.0 (``SATURATED``): the sum of log(1 - eta)
   does not increase along the scan, so every later column has W = 1.0
   too.  On a paper panel at M = 1000 it solves about a sixth of the
-  columns; at M <= 128 the pass is one block of the whole panel.
-* Every rule also takes a stack of R panels: a sequence of R models and
-  an (R, M) array of p-values, as ``sim.run_cell`` hands it a cell's
-  replicates.  Its Decision has a leading axis of R, and each row is
-  bitwise the decision of that panel alone.  The stack's passes are made
-  together: at M <= 128, where a pass is one block, SOLVE_BLOCK // M^2
-  panels are one ``_panel_blocks`` call, a single solve; above, each panel
-  has its own pass with its own stop.
-* A one-entry memo keyed on the exact bytes of the gammas and the
-  p-values, of one panel or of a stack, serves the passes to every later
-  call on the same input, so the two stepwise rules of a cell share them.
+  columns; at M <= 128 the pass is one block of the whole panel.  A
+  one-entry memo keyed on the exact bytes of the gammas and the p-values
+  serves it to every later call on the same panel.
+* The panels of a stack (``allocate.stacked``), such as the replicates
+  of a Monte Carlo cell, are still decided one at a time, but at
+  M <= 128 their passes are made together: the first panel that asks for
+  its pass solves those of the SOLVE_BLOCK // M^2 panels of its block in
+  one ``_panel_blocks`` call over their (n, M) stack, and the stack keeps
+  that block's passes for the other panels and rules.  Every solve in a
+  block is its own, so each pass is bitwise the panel's alone.  Above
+  M = 128 each panel has its own pass, from the memo.
 * A stepwise rule solves columns past the stop only where its cutoff may
   lie there: when every solved step passes, the step-down rule resumes
   the pass from its anchor up to the first failing block, and the step-up
@@ -43,13 +43,12 @@ those columns.  This module is their one panel engine:
   column at a time.
 
 So the two stepwise rules and ``generalized_pvalues`` on one panel cost
-one pass and the columns each rule reads past it, and on a stack one pass
-per panel.  The rules:
+one pass and the columns each rule reads past it.  The rules:
 
 * ``decide_weak_fwer`` - fixed-budget rule: reject m iff its p-value is at
   most its optimally allocated size (a weighted-p-value rule; rejections
-  need not be ordered like the raw p-values).  A stack's allocations are
-  solved in lockstep (``allocate.optimal_sizes``).
+  need not be ordered like the raw p-values).  The allocations of a
+  stack's panels come from one lockstep search (``allocate.stacked``).
 * ``decide_strong_fwer`` - step-down rule controlling the FWER for every
   configuration of true nulls: it rejects the longest prefix along which
   the running product of survival sizes stays at or above 1 - q.
@@ -68,7 +67,6 @@ products of survival sizes are accumulated in log space.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -80,9 +78,9 @@ from .allocate import (
     SizeConditionReport,
     _Scratch,
     _log_marginal_value,
-    _models,
     _size_condition_report,
     _size_profile,
+    _stack_row,
     _validate_count,
     optimal_sizes,
 )
@@ -143,16 +141,11 @@ class Decision:
     p-value for the baselines, and W for the model rules, the left
     endpoint of the half-open interval of budgets realizing the same
     decision.  That W is the ``generalized_pvalues`` entry of the deciding
-    hypothesis, bitwise.
-
-    The decisions of a stack of R panels are one Decision whose fields gain
-    a leading axis of R: ``reject`` and the trace arrays are (R, M), and
-    ``cutoff_index`` and ``alpha_threshold`` are arrays of R, each row
-    bitwise the decision of its panel alone."""
+    hypothesis, bitwise."""
 
     reject: np.ndarray
-    cutoff_index: int | np.ndarray
-    alpha_threshold: float | np.ndarray
+    cutoff_index: int
+    alpha_threshold: float
     trace: ProcedureTrace | None = None
 
     def __post_init__(self):
@@ -189,31 +182,19 @@ def _budget(q: float, name: str) -> float:
     return q
 
 
-def _inputs(model, s, budget: float = 0.0, name: str = "q") -> tuple[np.ndarray, float]:
+def _inputs(model: RocModel | None, s, budget: float = 0.0,
+            name: str = "q") -> tuple[np.ndarray, float]:
     """The p-values as a float array and the budget as a float, checked:
     a nonempty 1-d sequence in [0, 1], one per hypothesis of ``model``
-    when there is one, or a stack of R such panels as an (R, M) array with
-    a sequence of R models of that M; and a budget in [0, 1]."""
+    when there is one, and a budget in [0, 1]."""
     s = np.atleast_1d(np.asarray(s, dtype=float))
-    if s.ndim > 2 or s.size < 1:
-        raise ValueError("need a nonempty 1-d p-value sequence, or an (R, M) stack of them")
+    if s.ndim != 1 or s.size < 1:
+        raise ValueError("need a nonempty 1-d p-value sequence")
     if not np.all(np.isfinite(s)) or np.any(s < 0.0) or np.any(s > 1.0):
         raise ValueError("p-values must lie in [0, 1]")
     budget = _budget(budget, name)
-    if model is None:
-        return s, budget
-    if s.ndim == 1:
-        if not isinstance(model, RocModel):
-            raise ValueError("one panel of p-values needs one RocModel")
-        if model.M != s.size:
-            raise ValueError(f"model has M={model.M} but got {s.size} p-values")
-        return s, budget
-    if isinstance(model, RocModel):
-        raise ValueError("a stack of p-value panels needs a sequence of models, one per panel")
-    models = _models(model)
-    if (len(models), models[0].M) != s.shape:
-        raise ValueError(f"{len(models)} models of M={models[0].M} for a stack of "
-                         f"{s.shape[0]} panels of {s.shape[1]} p-values")
+    if model is not None and model.M != s.size:
+        raise ValueError(f"model has M={model.M} but got {s.size} p-values")
     return s, budget
 
 
@@ -229,7 +210,7 @@ def _column_sums(a: np.ndarray) -> np.ndarray:
 
 
 def _rows(index: np.ndarray) -> tuple:
-    """The index of ``a[r, index[r]]`` for each row r of an (R, M) array,
+    """The index of ``a[r, index[r]]`` for each row r of an (n, M) array,
     or of ``a[index]`` for a 1-d one: ``np.take_along_axis``'s on the last
     axis, without its checks, which cost more than the gather on a small
     panel."""
@@ -274,8 +255,7 @@ def _panel_blocks(gammas, log_d, rank, cols, anchor=None):
         np.negative(eta, out=eta)
         size_sums, size_max = _column_sums(eta), eta.max(axis=-2)
         ranked_before = scratch.take("ranked_before", log1m.shape, bool)
-        np.copyto(log1m, 0.0, where=np.less(rank[..., :, None],
-                                            rank[_rows(block)][..., None, :],
+        np.copyto(log1m, 0.0, where=np.less(rank[..., :, None], rank[_rows(block)][..., None, :],
                                             out=ranked_before))
         log_products = _column_sums(log1m)
         yield block, log_sums, size_sums, size_max, log_products, anchor
@@ -293,8 +273,8 @@ SATURATED = -40.0
 class _Panel:
     """The O(M) reductions of one pass over the panel, by column.
 
-    Column m sizes every hypothesis, of effect size ``gammas``, at d_m
-    (log d_m is ``log_d[m]``).  The pass solves the columns in the scan order ``order``, whose inverse is
+    Column m sizes every hypothesis at d_m (log d_m is ``log_d[m]``).  The
+    pass solves the columns in the scan order ``order``, whose inverse is
     ``rank``, and stops after the block where W saturates: the first
     ``solved`` of them are solved.  ``w[m]`` is W_m
     for every m, 1.0 past the solved prefix.  For the solved columns
@@ -303,12 +283,8 @@ class _Panel:
     over the hypotheses j not ranked before m, and ``size_max`` the
     largest size; all three are NaN past the prefix.  ``anchor`` is the
     warm start that resumes the pass (``_panel_blocks``).
-
-    The passes over a stack of R panels are one _Panel whose arrays are
-    (R, M), with one ``solved`` count and one ``anchor`` per panel.
     """
 
-    gammas: np.ndarray
     order: np.ndarray
     rank: np.ndarray
     log_d: np.ndarray
@@ -316,102 +292,111 @@ class _Panel:
     log_products: np.ndarray
     size_sums: np.ndarray
     size_max: np.ndarray
-    solved: int | tuple[int, ...]
-    anchor: tuple | None | tuple[tuple | None, ...]
+    solved: int
+    anchor: tuple | None
 
 
-def _panel(model, s: np.ndarray) -> _Panel:
-    """The reductions of the panel of ``(model, s)``, or of each panel of a
-    stack, solved once for consecutive calls on the same inputs.
+def _panel(model: RocModel, s: np.ndarray) -> _Panel:
+    """The reductions of the panel of ``(model, s)``, solved once for
+    consecutive calls on the same inputs.
 
-    The memo is keyed on the exact bytes of the gammas and the p-values, so
-    a changed or mutated input is solved afresh, and it holds only O(M)
-    arrays per panel; ``_panel_memo.cache_clear()`` empties it.  A single
-    panel and a stack of that one panel share its entry.
+    A panel of an open stack (``allocate.stacked``) at M <= 128 gets its
+    pass from the stack, which keeps the passes of one block of its
+    panels, solved together.  Any other panel gets it from a memo keyed on
+    the exact bytes of the gammas and the p-values, so a changed or
+    mutated input is solved afresh; it holds only the O(M) arrays of one
+    panel, and ``_panel_memo.cache_clear()`` empties it.
     """
-    gammas = model.gammas if isinstance(model, RocModel) else np.stack([m.gammas for m in model])
-    panel = _panel_memo(gammas.tobytes(), s.tobytes(), s.shape[-1])
-    if s.ndim == 2:
-        return panel
-    return _Panel(*(getattr(panel, f.name)[0] for f in dataclasses.fields(_Panel)))
+    M = s.size
+    stack, r = _stack_row(model)
+    if stack is None or M * M > SOLVE_BLOCK or stack.s[r].tobytes() != s.tobytes():
+        return _panel_memo(model.gammas.tobytes(), s.tobytes())
+    per_solve = SOLVE_BLOCK // (M * M)
+    block, i = divmod(r, per_solve)
+    kept = stack.kept.get("passes")
+    if kept is None or kept[0] != block:
+        rows = slice(block * per_solve, (block + 1) * per_solve)
+        gammas = np.stack([m.gammas for m in stack.models[rows]])
+        kept = stack.kept["passes"] = (block, _passes(gammas, stack.s[rows]))
+    return kept[1][i]
 
 
 @functools.lru_cache(maxsize=1)
-def _panel_memo(gammas: bytes, s: bytes, M: int) -> _Panel:
-    gammas, s = np.frombuffer(gammas).reshape(-1, M), np.frombuffer(s).reshape(-1, M)
-    R = s.shape[0]
-    log_d = _log_marginal_value(gammas, s)
-    order = np.argsort(-log_d, axis=-1, kind="stable")  # the scan order
-    rank = np.empty((R, M), dtype=np.intp)
-    rank[_rows(order)] = np.arange(M)
-    log_sums = np.full((R, M), -np.inf)  # W = 1.0 past the solved prefix
-    log_products, size_sums, size_max = (np.full((R, M), np.nan) for _ in range(3))
-    solved, anchors = [0] * R, [None] * R
-    # At M <= 128 a pass is one block of the whole panel, so the passes of
-    # SOLVE_BLOCK // M^2 panels fit one solve, a stack; above, each panel
-    # has a pass of its own, which stops after the first block where W is
-    # exactly 1.0: the sum of log(1 - eta) does not increase along the scan.
-    per_solve = max(1, SOLVE_BLOCK // (M * M))
-    for r0 in range(0, R, per_solve):
-        rows = r0 if per_solve == 1 or R - r0 == 1 else slice(r0, r0 + per_solve)
-        for cols, *stats, anchor in _panel_blocks(gammas[rows], log_d[rows], rank[rows],
-                                                  order[rows]):
-            for arr, stat in zip((log_sums, size_sums, size_max, log_products), stats):
-                arr[rows][_rows(cols)] = stat
-            if isinstance(rows, slice):
-                solved[rows] = [M] * len(solved[rows])
-                continue
-            solved[rows] += cols.size
-            anchors[rows] = anchor
-            if log_sums[rows, cols[-1]] < SATURATED:
-                break
-    # W = 0.0 - expm1(sum): a column whose sum is 0.0 has W 0.0, not -0.0.
-    panel = _Panel(gammas, order, rank, log_d, 0.0 - np.expm1(log_sums), log_products,
-                   size_sums, size_max, tuple(solved), tuple(anchors))
-    for arr in (order, rank, log_d, panel.w, log_products, size_sums, size_max):
-        arr.setflags(write=False)
+def _panel_memo(gammas: bytes, s: bytes) -> _Panel:
+    panel, = _passes(np.frombuffer(gammas)[None], np.frombuffer(s)[None])
     return panel
 
 
+def _passes(gammas: np.ndarray, s: np.ndarray) -> list[_Panel]:
+    """The passes over the n panels of the (n, M) arrays ``gammas`` and
+    ``s``, one _Panel each.
+
+    At M <= 128 a pass is one block of the whole panel, so the passes of
+    n <= SOLVE_BLOCK // M^2 panels are one stacked ``_panel_blocks`` call,
+    one solve.  Above, n is 1, and the pass stops after the first block
+    where W is exactly 1.0: the sum of log(1 - eta) does not increase
+    along the scan.
+    """
+    n, M = s.shape
+    log_d = _log_marginal_value(gammas, s)
+    order = np.argsort(-log_d, axis=-1, kind="stable")  # the scan order
+    rank = np.empty((n, M), dtype=np.intp)
+    rank[_rows(order)] = np.arange(M)
+    log_sums = np.full((n, M), -np.inf)  # W = 1.0 past the solved prefix
+    log_products, size_sums, size_max = (np.full((n, M), np.nan) for _ in range(3))
+    stats = (log_sums, size_sums, size_max, log_products)
+    solved, anchor = 0, None
+    if M * M <= SOLVE_BLOCK:
+        (cols, *block, _), = _panel_blocks(gammas, log_d, rank, order)
+        for arr, stat in zip(stats, block):
+            arr[_rows(cols)] = stat
+        solved = M
+    else:
+        for cols, *block, anchor in _panel_blocks(gammas[0], log_d[0], rank[0], order[0]):
+            for arr, stat in zip(stats, block):
+                arr[0, cols] = stat
+            solved += cols.size
+            if log_sums[0, cols[-1]] < SATURATED:
+                break
+    # W = 0.0 - expm1(sum): a column whose sum is 0.0 has W 0.0, not -0.0.
+    w = 0.0 - np.expm1(log_sums)
+    for arr in (order, rank, log_d, w, log_products, size_sums, size_max):
+        arr.setflags(write=False)
+    return [_Panel(order[i], rank[i], log_d[i], w[i], log_products[i], size_sums[i],
+                   size_max[i], solved, anchor) for i in range(n)]
+
+
 def _scan(order: np.ndarray, order_stats: np.ndarray, passing: np.ndarray,
-          statistic: np.ndarray, threshold: np.ndarray, *, step_up: bool,
-          stacked: bool) -> Decision:
-    """The decisions of a stepwise rule from its per-step ``passing`` along
-    ``order``, for each row of these (R, M) arrays; ``threshold`` may be
-    one row for all.
+          statistic: np.ndarray, threshold: np.ndarray, *, step_up: bool) -> Decision:
+    """The decision of a stepwise rule from its per-step ``passing`` along
+    ``order``.
 
     Step-up rejects through the last passing step, step-down through the
     step before the first failing one.  ``statistic`` is the step-up size
     sum or the step-down log survival product, traced against
-    ``threshold``.  Unless ``stacked``, the one row's decision is returned
-    as a Decision of one panel.
+    ``threshold``.
     """
-    R, M = order.shape
+    M = order.size
     if step_up:
-        j = np.where(passing.any(axis=1), M - np.argmax(passing[:, ::-1], axis=1), 0)
+        hits = np.flatnonzero(passing)
+        j = int(hits[-1]) + 1 if hits.size else 0
     else:
-        j = np.where(passing.all(axis=1), M, np.argmin(passing, axis=1))
-    reject = np.empty((R, M), dtype=bool)
-    reject[_rows(order)] = np.arange(M) < j[:, None]
-    deciding = order_stats[np.arange(R), np.maximum(j - 1, 0)]
-    alpha_threshold = np.where(j > 0, deciding, 0.0)
-    unevaluated = np.full((R, M), np.nan)
-    trace = (order_stats, unevaluated if step_up else np.exp(statistic),
-             statistic if step_up else unevaluated, np.broadcast_to(threshold, (R, M)))
-    if stacked:
-        return Decision(reject=reject, cutoff_index=j, alpha_threshold=alpha_threshold,
-                        trace=ProcedureTrace(*trace))
-    return Decision(reject=reject[0], cutoff_index=int(j[0]),
-                    alpha_threshold=float(alpha_threshold[0]),
-                    trace=ProcedureTrace(*(a[0] for a in trace)))
+        j = int(np.argmin(passing)) if not passing.all() else M
+    reject = np.zeros(M, dtype=bool)
+    reject[order[:j]] = True
+    unevaluated = np.full(M, np.nan)
+    trace = ProcedureTrace(
+        order_stats=order_stats,
+        survival_product=unevaluated if step_up else np.exp(statistic),
+        size_sum=statistic if step_up else unevaluated,
+        threshold=threshold,
+    )
+    return Decision(reject=reject, cutoff_index=j,
+                    alpha_threshold=float(order_stats[j - 1]) if j > 0 else 0.0,
+                    trace=trace)
 
 
-def _stack(s: np.ndarray) -> np.ndarray:
-    """``s`` as an (R, M) stack: one panel becomes a stack of one."""
-    return s.reshape(-1, s.shape[-1])
-
-
-def generalized_pvalues(model, s) -> np.ndarray:
+def generalized_pvalues(model: RocModel, s) -> np.ndarray:
     """Budget-scale p-values W_m: the smallest weak-FWER budget at which
     hypothesis m is rejected by the optimal allocation.
 
@@ -419,8 +404,7 @@ def generalized_pvalues(model, s) -> np.ndarray:
     ``optimal_sizes(model, W_m).sizes[m] == S_m``; in an exchangeable model
     W_m = 1 - (1 - S_m)^M.  A hypothesis whose p-value exceeds every size
     it can be allocated at a budget below 1 in floating point, a p-value
-    of 1 included, gets W_m = 1.  For a stack of panels (a sequence of
-    models and an (R, M) array of p-values), W has shape (R, M).
+    of 1 included, gets W_m = 1.
     """
     s, _ = _inputs(model, s)
     return _panel(model, s).w.copy()
@@ -432,11 +416,9 @@ def _size_condition(model: RocModel, s) -> SizeConditionReport:
     ``check_size_condition`` accepts, which the step-up rule's FDR
     guarantee assumes; the first worst budget in input order is reported.
     With no candidate budget in (0, 1) the condition holds vacuously, and
-    the worst budget and ratio are NaN.  One panel only.
+    the worst budget and ratio are NaN.
     """
     s, _ = _inputs(model, s)
-    if s.ndim != 1:
-        raise ValueError("the size condition is reported for one panel at a time")
     panel = _panel(model, s)
     budgets = (panel.w > 0.0) & (panel.w < 1.0)
     if not budgets.any():
@@ -445,23 +427,18 @@ def _size_condition(model: RocModel, s) -> SizeConditionReport:
                                   panel.size_sums[budgets], s.size)
 
 
-def decide_weak_fwer(model, s, alpha: float) -> Decision:
+def decide_weak_fwer(model: RocModel, s, alpha: float) -> Decision:
     """Reject m iff S_m <= eta_m(alpha) under the optimal allocation.
 
     Controls the FWER at alpha under the joint null; not a stepwise rule
     (cutoff_index simply counts rejections, which still form a prefix of
-    the budget-scale ordering).  A stack of panels, a sequence of models
-    with an (R, M) array of p-values, has its allocations solved in
-    lockstep (``optimal_sizes``)."""
+    the budget-scale ordering)."""
     s, alpha = _inputs(model, s, alpha, "alpha")
     reject = s <= optimal_sizes(model, alpha).sizes
-    if s.ndim == 2:
-        return Decision(reject=reject, cutoff_index=reject.sum(axis=1),
-                        alpha_threshold=np.full(s.shape[0], alpha))
     return Decision(reject=reject, cutoff_index=int(reject.sum()), alpha_threshold=alpha)
 
 
-def decide_strong_fwer(model, s, qstar: float) -> Decision:
+def decide_strong_fwer(model: RocModel, s, qstar: float) -> Decision:
     """Step-down rule with strong FWER control at qstar.
 
     Along the budget-scale ordering (descending log d, ties by index),
@@ -472,29 +449,24 @@ def decide_strong_fwer(model, s, qstar: float) -> Decision:
 
     Where every step of the panel's solved prefix survives and qstar < 1,
     the pass resumes along the scan until a step fails; the trace leaves
-    the steps after the last block solved NaN.  A stack of panels is
-    decided panel by panel from one ``_panel``.
+    the steps after the last block solved NaN.
     """
     s, qstar = _inputs(model, s, qstar)
-    panel = _panel(model, _stack(s))
-    M = s.shape[-1]
+    panel = _panel(model, s)
     bound = math.log1p(-qstar) if qstar < 1.0 else -math.inf
-    log_products = panel.log_products[_rows(panel.order)]
-    for r, k in enumerate(panel.solved):
-        if k == M or qstar == 1.0 or np.any(log_products[r, :k] < bound):
-            continue
-        for cols, _, _, _, block, _ in _panel_blocks(panel.gammas[r], panel.log_d[r],
-                                                     panel.rank[r], panel.order[r, k:],
-                                                     panel.anchor[r]):
-            log_products[r, k:k + cols.size] = block
+    log_products = panel.log_products[panel.order]
+    k = panel.solved
+    if k < s.size and qstar < 1.0 and not np.any(log_products[:k] < bound):
+        for cols, _, _, _, block, _ in _panel_blocks(model.gammas, panel.log_d, panel.rank,
+                                                     panel.order[k:], panel.anchor):
+            log_products[k:k + cols.size] = block
             k += cols.size
             if np.any(block < bound):
                 break
     # A step fails where its product is below the bound; the steps left
     # unevaluated (NaN) lie past the first failing one, or pass at qstar = 1.
-    return _scan(panel.order, panel.w[_rows(panel.order)],
-                 ~(log_products < bound), log_products, np.full(M, 1.0 - qstar),
-                 step_up=False, stacked=s.ndim == 2)
+    return _scan(panel.order, panel.w[panel.order], ~(log_products < bound), log_products,
+                 np.full(s.size, 1.0 - qstar), step_up=False)
 
 
 def _last_passing(size_sum, line: np.ndarray, lo: int) -> int | None:
@@ -517,7 +489,7 @@ def _last_passing(size_sum, line: np.ndarray, lo: int) -> int | None:
     return None
 
 
-def decide_fdr_opt(model, s, qstar: float) -> Decision:
+def decide_fdr_opt(model: RocModel, s, qstar: float) -> Decision:
     """Step-up rule with FDR control at qstar.
 
     Rejects the J largest-significance hypotheses in the budget-scale
@@ -529,70 +501,59 @@ def decide_fdr_opt(model, s, qstar: float) -> Decision:
 
     The steps past the panel's solved prefix are searched for the last
     passing one (``_last_passing``), one column at a time; the trace
-    leaves the steps the search does not evaluate NaN.  A stack of panels
-    is decided panel by panel from one ``_panel``.
+    leaves the steps the search does not evaluate NaN.
     """
     s, qstar = _inputs(model, s, qstar)
-    panel = _panel(model, _stack(s))
-    M = s.shape[-1]
-    size_sums = panel.size_sums[_rows(panel.order)]
-    line = qstar * np.arange(1, M + 1)
-    for r, solved in enumerate(panel.solved):
-        if solved == M:
-            continue
+    panel = _panel(model, s)
+    size_sums = panel.size_sums[panel.order]
+    line = qstar * np.arange(1, s.size + 1)
 
-        def size_sum(k: int, r=r) -> float:
-            if np.isnan(size_sums[r, k]):
-                column = _panel_blocks(panel.gammas[r], panel.log_d[r], panel.rank[r],
-                                       panel.order[r, k:k + 1])
-                size_sums[r, k] = next(column)[2][0]  # the column's size sum
-            return size_sums[r, k]
+    def size_sum(k: int) -> float:
+        if np.isnan(size_sums[k]):
+            column = _panel_blocks(model.gammas, panel.log_d, panel.rank, panel.order[k:k + 1])
+            size_sums[k] = next(column)[2][0]  # the column's size sum
+        return size_sums[k]
 
-        # Every step the search evaluates past the one it finds fails, so
-        # the scan's last passing step is that one, or else the prefix's.
-        _last_passing(size_sum, line, solved)
-    return _scan(panel.order, panel.w[_rows(panel.order)], size_sums <= line,
-                 size_sums, line, step_up=True, stacked=s.ndim == 2)
+    # Every step the search evaluates past the one it finds fails, so the
+    # scan's last passing step is that one, or else the prefix's.
+    if panel.solved < s.size:
+        _last_passing(size_sum, line, panel.solved)
+    return _scan(panel.order, panel.w[panel.order], size_sums <= line, size_sums, line,
+                 step_up=True)
 
 
 def decide_bh(s, qstar: float) -> Decision:
     """Benjamini-Hochberg step-up on raw p-values: reject the J smallest
-    with J = max{m : S_(m) <= qstar * m / M}.  Takes one panel, or an
-    (R, M) stack of them."""
+    with J = max{m : S_(m) <= qstar * m / M}."""
     s, qstar = _inputs(None, s, qstar)
-    M = s.shape[-1]
-    order = np.argsort(_stack(s), axis=-1, kind="stable")
-    s_sorted = _stack(s)[_rows(order)]
+    M = s.size
+    order = np.argsort(s, kind="stable")
+    s_sorted = s[order]
     steps = np.arange(1, M + 1)
     return _scan(order, s_sorted, s_sorted <= qstar * steps / M, M * s_sorted, qstar * steps,
-                 step_up=True, stacked=s.ndim == 2)
+                 step_up=True)
 
 
 def decide_stepdown_sidak(s, qstar: float) -> Decision:
     """Step-down Sidak on raw p-values: step i requires
     S_(i) <= 1 - (1 - qstar)^(1/(M - i + 1)); rejects the longest passing
-    prefix.  Takes one panel, or an (R, M) stack of them."""
+    prefix."""
     s, qstar = _inputs(None, s, qstar)
-    M = s.shape[-1]
-    order = np.argsort(_stack(s), axis=-1, kind="stable")
-    s_sorted = _stack(s)[_rows(order)]
+    M = s.size
+    order = np.argsort(s, kind="stable")
+    s_sorted = s[order]
     remaining = M - np.arange(M)
     thresholds = -np.expm1(np.log1p(-qstar) / remaining) if qstar < 1.0 else np.ones(M)
     # log(1 - S) is -inf at a p-value of 1, where the product is 0.
-    log_survival = np.log1p(-s_sorted, out=np.full(s_sorted.shape, -np.inf),
-                            where=s_sorted < 1.0)
+    log_survival = np.log1p(-s_sorted, out=np.full(M, -np.inf), where=s_sorted < 1.0)
     return _scan(order, s_sorted, s_sorted <= thresholds, remaining * log_survival, thresholds,
-                 step_up=False, stacked=s.ndim == 2)
+                 step_up=False)
 
 
 def decide_bonferroni(s, alpha: float) -> Decision:
-    """Fixed-threshold Bonferroni baseline: reject m iff S_m <= alpha / M.
-    Takes one panel, or an (R, M) stack of them."""
+    """Fixed-threshold Bonferroni baseline: reject m iff S_m <= alpha / M."""
     s, alpha = _inputs(None, s, alpha, "alpha")
-    reject = s <= alpha / s.shape[-1]
-    if s.ndim == 2:
-        return Decision(reject=reject, cutoff_index=reject.sum(axis=1),
-                        alpha_threshold=np.full(s.shape[0], alpha))
+    reject = s <= alpha / s.size
     return Decision(reject=reject, cutoff_index=int(reject.sum()), alpha_threshold=alpha)
 
 

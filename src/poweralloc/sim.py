@@ -7,15 +7,17 @@ The allocator-driven procedures receive the generated effect sizes for
 every hypothesis (nulls included) as their effect-size inputs.
 
 A cell is decided as a stack: ``run_cell`` draws its replicates' panels,
-one model per replicate, and hands each requested rule the whole stack,
-an (R, M) array of p-values with its R models, through ``decide``.  The
-model-based stepwise rules share one pass per replicate panel, and at
-M <= 128 a pass is one block, so the passes of many replicates are one
-solve; the weak-FWER rule runs the replicates' multiplier searches in
-lockstep (see ``procedures`` and ``allocate``).  Every replicate's
-decision is bitwise the one it gets alone.  A cell of more than
-``CELL_BLOCK`` p-values is decided a stack of whole replicates at a time,
-so a cell's working memory does not grow with its replicate count.
+one model per replicate, and opens them as one stack
+(``allocate.stacked``).  It then decides replicate by replicate, each
+rule once per replicate through ``decide``, but the rules' solves are
+made for the stack: the weak-FWER rule's first call runs every
+replicate's multiplier search in lockstep, and at M <= 128, where a
+pass is one block, the model-based stepwise rules solve the passes of
+SOLVE_BLOCK // M^2 replicates at once, which both rules share (see
+``procedures`` and ``allocate``).  Every replicate's decision is bitwise
+the one it gets alone.  A cell of more than ``CELL_BLOCK`` p-values is
+stacked a run of whole replicates at a time, so a cell's working memory
+does not grow with its replicate count.
 
 Loss accounting is by array: a cell keeps one (reps, M) rejection matrix
 per procedure next to the (reps, M) truth matrix, and the per-replicate
@@ -34,12 +36,12 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 from scipy.special import ndtr
 
-from .allocate import _validate_count, optimal_sizes, sidak_sizes
+from .allocate import _validate_count, optimal_sizes, sidak_sizes, stacked
 from .model import RocModel, roc
 from .procedures import (
     Decision,
@@ -71,7 +73,7 @@ class _Procedure(NamedTuple):
     budget: str  # the name of the rule's budget: "alpha" or "q"
     below_one: bool  # whether the budget lies in [0, 1), not [0, 1]
     reads_gammas: bool  # whether the rule reads the effect sizes
-    rule: Callable[[Sequence[RocModel] | RocModel | None, np.ndarray, float], Decision]
+    rule: Callable[[RocModel | None, np.ndarray, float], Decision]
 
 
 # The rules are looked up in this module each time they run, not bound
@@ -90,7 +92,7 @@ PROCEDURE_TAGS = tuple(_CATALOGUE)
 # The procedures a cell runs when none are named.
 _DEFAULT_PROCEDURES = ("fdr-opt", "bh")
 
-# The most p-values a cell decides in one stack (1 MB of them).
+# The most p-values a cell opens as one stack (1 MB of them).
 CELL_BLOCK = 1 << 17
 
 _MASK64 = (1 << 64) - 1
@@ -255,12 +257,11 @@ def _power_vs_sidak(gammas: np.ndarray, sizes: np.ndarray, alpha: float) -> floa
     return float(100.0 * roc(gammas, sizes).sum() / roc(gammas, sidak).sum())
 
 
-def decide(tag: str, model, s, budget: float) -> Decision:
+def decide(tag: str, model: RocModel | None, s, budget: float) -> Decision:
     """The decision of the procedure ``tag`` (one of ``PROCEDURE_TAGS``) at
-    ``budget``: on one panel, its model and p-values, or on a stack of
-    panels, a sequence of R models and an (R, M) array of p-values, whose
-    Decision has a leading axis of R.  The p-value-only rules ignore
-    ``model``."""
+    ``budget`` on one panel, its model and p-values; the p-value-only rules
+    ignore ``model``.  Within ``allocate.stacked``, a panel of the stack
+    is solved with the others (see the module docstring)."""
     return _CATALOGUE[tag].rule(model, s, budget)
 
 
@@ -309,23 +310,22 @@ def run_cell(config: ScenarioConfig) -> CellResult:
     """Run every requested procedure over the cell's replicates and average
     the replicate losses.  Identical configs give identical results.
 
-    The replicates are decided as stacks of at most ``CELL_BLOCK`` p-values
+    The replicates are solved as stacks of at most ``CELL_BLOCK`` p-values
     (see the module docstring)."""
     reps, M = config.reps, config.M
     tags = config.procedures
     theta = np.empty((reps, M), dtype=np.int8)
-    s = np.empty((reps, M))
     rejects = {tag: np.empty((reps, M), dtype=bool) for tag in tags}
     per_stack = max(1, CELL_BLOCK // M)
     for r0 in range(0, reps, per_stack):
-        rows = slice(r0, min(reps, r0 + per_stack))
-        models = []
-        for rep in range(rows.start, rows.stop):
-            panel = generate_panel(config, rep)
-            theta[rep], s[rep] = panel.theta.theta, panel.s
-            models.append(RocModel.from_gammas(panel.xi))
-        for tag in tags:
-            rejects[tag][rows] = decide(tag, models, s[rows], config.qstar).reject
+        rows = range(r0, min(reps, r0 + per_stack))
+        panels = [generate_panel(config, rep) for rep in rows]
+        models = [RocModel.from_gammas(panel.xi) for panel in panels]
+        with stacked(models, np.stack([panel.s for panel in panels])):
+            for rep, panel, model in zip(rows, panels, models):
+                theta[rep] = panel.theta.theta
+                for tag in tags:
+                    rejects[tag][rep] = decide(tag, model, panel.s, config.qstar).reject
     replicates = {tag: _replicate_table(rejects[tag], theta) for tag in tags}
     estimates = {tag: _estimates(replicates[tag], reps) for tag in tags}
     return CellResult(config=config, estimates=estimates, replicates=replicates)

@@ -388,8 +388,9 @@ PANEL_KINDS = (
 
 
 class TestLockstep:
-    """The multiplier searches of a stack of panels run in lockstep, and
-    each panel's allocation is bitwise the one its model gets alone."""
+    """The multiplier searches of a stack of panels run in lockstep at the
+    first call on one of them, and each panel's allocation is bitwise the
+    one its model gets alone."""
 
     @staticmethod
     def recording_searches(monkeypatch) -> list:
@@ -412,20 +413,23 @@ class TestLockstep:
         models = [RocModel.from_gammas(PANEL_KINDS[k](rng, M)) for k in kinds]
         with pytest.MonkeyPatch.context() as patch:
             searches = self.recording_searches(patch)
-            stacked = optimal_sizes(models, alpha)
+            with allocate.stacked(models, np.zeros((len(models), M))):
+                stacked = [optimal_sizes(model, alpha) for model in models]
+                # Kept: asking again searches no more.
+                again = [optimal_sizes(model, alpha) for model in models]
+                assert all(a is b for a, b in zip(again, stacked))
+            assert len(searches) <= 1
             lanes = [lane for result in searches for lane in result]
             searches.clear()
             alone = [optimal_sizes(model, alpha) for model in models]
             # The searches that ran alone, lane by lane: roots, residuals
             # and iteration counts.
             assert lanes == [lane for result in searches for lane in result]
-        assert len(searches) <= len(models)
-        for r, one in enumerate(alone):
-            assert stacked.sizes[r].tobytes() == one.sizes.tobytes()
-            assert stacked.log1m_sizes[r].tobytes() == one.log1m_sizes.tobytes()
-            for name in ("lagrange", "constraint_residual", "stationarity_residual"):
-                assert getattr(stacked, name)[r] == getattr(one, name), name
-        assert stacked.sizes.shape == (len(models), M)
+        for one, other in zip(stacked, alone, strict=True):
+            assert one.sizes.tobytes() == other.sizes.tobytes()
+            assert one.log1m_sizes.tobytes() == other.log1m_sizes.tobytes()
+            for name in ("alpha", "lagrange", "constraint_residual", "stationarity_residual"):
+                assert getattr(one, name) == getattr(other, name), name
 
     def test_lanes_converge_at_different_steps(self, monkeypatch):
         # One search per stack, whose lanes take different numbers of
@@ -433,7 +437,9 @@ class TestLockstep:
         rng = np.random.default_rng(5)
         models = [RocModel.from_gammas(PANEL_KINDS[k](rng, 20)) for k in (0, 1, 3, 4, 0, 3)]
         searches = self.recording_searches(monkeypatch)
-        optimal_sizes(models, 0.1)
+        with allocate.stacked(models, np.zeros((len(models), 20))):
+            for model in models:
+                optimal_sizes(model, 0.1)
         lanes, = searches
         assert len(lanes) == 6 and len({lane.iterations for lane in lanes}) > 2
         assert lanes.iterations == sum(lane.iterations for lane in lanes)
@@ -442,11 +448,30 @@ class TestLockstep:
             optimal_sizes(model, 0.1)
         assert list(lanes) == [result[0] for result in searches]
 
-    def test_a_stack_needs_models_of_one_m(self):
-        with pytest.raises(ValueError, match="one M"):
-            optimal_sizes([RocModel.from_gammas([1.0]), RocModel.from_gammas([1.0, 2.0])], 0.1)
-        with pytest.raises(ValueError, match="nonempty sequence"):
-            optimal_sizes([], 0.1)
+    def test_only_the_stacks_models_are_served_by_it(self, monkeypatch):
+        # A model outside the stack, or any model once the stack is closed,
+        # is solved alone, with the same allocation.
+        models = [RocModel.from_gammas([1.0, 2.0]), RocModel.from_gammas([0.5, 3.0])]
+        outsider = RocModel.from_gammas([1.0, 2.0])
+        searches = self.recording_searches(monkeypatch)
+        with allocate.stacked(models, np.zeros((2, 2))):
+            inside = optimal_sizes(outsider, 0.1)
+            assert [len(result) for result in searches] == [1]
+            optimal_sizes(models[0], 0.1)
+            assert [len(result) for result in searches] == [1, 2]
+        assert allocate._open_stack is None
+        for alloc in (optimal_sizes(models[0], 0.1), optimal_sizes(outsider, 0.1)):
+            assert alloc.sizes.tobytes() == inside.sizes.tobytes()
+
+    def test_a_stack_is_checked(self):
+        one, two = RocModel.from_gammas([1.0]), RocModel.from_gammas([1.0, 2.0])
+        for models, s in (([], np.zeros((0, 1))), ([one, [1.0]], np.zeros((2, 1))),
+                          ([one, two], np.zeros((2, 1))),
+                          ([one], np.zeros((1, 2))), ([one], np.zeros(1))):
+            with pytest.raises(ValueError):
+                with allocate.stacked(models, s):
+                    pass
+        assert allocate._open_stack is None
 
 
 class TestSolveCost:

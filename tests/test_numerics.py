@@ -286,23 +286,24 @@ class TestLockstep:
     """Searches run as the lanes of one call equal the searches run one by
     one, bitwise: roots, residuals and each lane's iteration count."""
 
-    # (f, df, bracket ends or values, x0, tol, max_iter) per lane.
+    TOL = 1e-13
+    # (f, df, bracket ends or values, x0, max_iter) per lane.
     LANES = [
         # Newton from an interior start, a few steps.
-        (lambda x: x ** 3 - 8.0, lambda x: 3.0 * x * x, (0.0, 5.0), 1.0, 1e-13, 60),
+        (lambda x: x ** 3 - 8.0, lambda x: 3.0 * x * x, (0.0, 5.0), 1.0, 60),
         # Flat away from the root: many bisections, so it stops late.
-        (lambda x: math.tanh(50.0 * (x - 0.731)), None, (-10.0, 10.0), None, 1e-12, 200),
+        (lambda x: math.tanh(50.0 * (x - 0.731)), None, (-10.0, 10.0), None, 200),
         # Starts on its root: the first evaluation is 0.
-        (lambda x: x - 0.5, lambda x: 1.0, (0.0, 1.0), 0.5, 1e-12, 50),
+        (lambda x: x - 0.5, lambda x: 1.0, (0.0, 1.0), 0.5, 50),
         # Secant only, an end of known sign but no value.
-        (lambda x: math.exp(x) - 2.0, math.exp, (-10.0, 1.0, -math.inf, math.inf), -5.0,
-         1e-12, 50),
+        (lambda x: math.exp(x) - 2.0, math.exp, (-10.0, 1.0, -math.inf, math.inf), -5.0, 50),
         # Stops at once: an end of value 0 is the root.
-        (lambda x: x - 1.0, None, (1.0, 2.0, 0.0, 1.0), None, 1e-12, 50),
-        # One step, then the step function never meets tol.
-        (lambda x: -1.0 if x < 512.89 else 1.0, None, (512.0, 513.0), None, 1e-14, 200),
+        (lambda x: x - 1.0, None, (1.0, 2.0, 0.0, 1.0), None, 50),
+        # The step function never meets tol; it stops once the bracket
+        # holds no float, whose spacing at 512 is above tol.
+        (lambda x: -1.0 if x < 512.89 else 1.0, None, (512.0, 513.0), None, 200),
     ]
-    FAILING = (lambda x: math.cos(x) - x, None, (0.0, 1.0), None, 5e-324, 3)
+    FAILING = (lambda x: math.cos(x) - x, None, (0.0, 1.0), None, 3)
 
     @staticmethod
     def bracket(f, ends):
@@ -317,15 +318,15 @@ class TestLockstep:
 
         return find_root(
             f, [self.bracket(lane[0], lane[2]) for lane in lanes],
-            tol=[lane[4] for lane in lanes], max_iter=[lane[5] for lane in lanes],
+            tol=self.TOL, max_iter=[lane[4] for lane in lanes],
             # A lane with no slope gets NaN, which takes the secant step as
             # a search without ``df`` does.
             df=lambda k, x: math.nan if lanes[k][1] is None else lanes[k][1](x),
             x0=[lane[3] for lane in lanes])
 
     def scalar(self, lane):
-        f, df, ends, x0, tol, max_iter = lane
-        return find_root(f, self.bracket(f, ends), tol=tol, max_iter=max_iter, df=df, x0=x0)
+        f, df, ends, x0, max_iter = lane
+        return find_root(f, self.bracket(f, ends), tol=self.TOL, max_iter=max_iter, df=df, x0=x0)
 
     def test_lanes_equal_scalar_searches(self):
         calls = []
@@ -352,10 +353,16 @@ class TestLockstep:
         assert lockstep.value.best == scalar.value.best
 
     def test_the_first_failing_lane_is_raised(self):
-        cap_two = self.FAILING[:5] + (2,)
+        cap_two = self.FAILING[:4] + (2,)
         with pytest.raises(ConvergenceError) as lockstep:
             self.lockstep([self.LANES[0], self.FAILING, cap_two])
         assert lockstep.value.best.iterations == 3
+
+    def test_lanes_need_one_max_iter_and_x0_each(self):
+        lanes = self.LANES[:2]
+        brackets = [self.bracket(lane[0], lane[2]) for lane in lanes]
+        with pytest.raises(ValueError, match="one max_iter and one x0 per bracket"):
+            find_root(lambda which, points: points, brackets, max_iter=[50], x0=[None, None])
 
     def test_a_scalar_call_is_one_lane(self):
         for lane in self.LANES:

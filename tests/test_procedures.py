@@ -332,6 +332,24 @@ class TestPanelMemo:
         assert_same_decision(strong, cold(decide_strong_fwer, model, s, 0.1))
         assert_same_decision(fdr, cold(decide_fdr_opt, model, s, 0.1))
 
+    def test_a_stack_serves_only_its_own_panels(self, panel_solves):
+        # Within a stack, its panels share one solve per block; a model of
+        # the stack given other p-values, or a model outside it, is solved
+        # alone, and every decision is the one its panel gets alone.
+        rng = np.random.default_rng(8)
+        M = 30
+        models = [RocModel.from_gammas(np.abs(rng.normal(2.0, 1.0, M))) for _ in range(3)]
+        s = rng.uniform(0.0, 0.05, (3, M))
+        asks = [(m, row) for m, row in zip(models, s)]
+        asks += [(models[0], s[1]), (RocModel.from_gammas(models[0].gammas), s[0])]
+        with allocate.stacked(models, s):
+            inside = [(decide_fdr_opt(m, row, 0.1), decide_strong_fwer(m, row, 0.1))
+                      for m, row in asks]
+        assert [sum(blocks) for blocks in panel_solves] == [3 * M, M, M]
+        for (m, row), (fdr, strong) in zip(asks, inside):
+            assert_same_decision(fdr, cold(decide_fdr_opt, m, row, 0.1))
+            assert_same_decision(strong, cold(decide_strong_fwer, m, row, 0.1))
+
     def test_negative_zero_is_another_input(self, panel_solves):
         model = RocModel.from_gammas([0.0, 1.0, 2.0])
         for first, second in ((0.0, -0.0), (-0.0, 0.0)):

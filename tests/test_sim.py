@@ -3,6 +3,7 @@ cell/table runs with their determinism contracts."""
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from poweralloc import (
     PROCEDURE_TAGS,
     RocModel,
     ScenarioConfig,
+    allocate,
     decide_bh,
     decide_bonferroni,
     decide_fdr_opt,
@@ -304,22 +306,67 @@ class TestStackedCell:
                 assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), (tag, field.name)
 
     def test_a_large_cell_is_decided_in_stacks(self, monkeypatch):
-        # More than CELL_BLOCK p-values are decided a stack of whole
+        # More than CELL_BLOCK p-values are stacked a run of whole
         # replicates at a time, with the same results.
         config = make_config(M=30, reps=9, procedures=PROCEDURE_TAGS)
         whole = run_cell(config)
         stacks = []
-        decide = sim.decide
+        stacked = sim.stacked
 
-        def recording(tag, model, s, budget):
-            stacks.append(s.shape)
-            return decide(tag, model, s, budget)
+        def recording(models, s):
+            stacks.append((len(models), s.shape))
+            return stacked(models, s)
 
         monkeypatch.setattr(sim, "CELL_BLOCK", 4 * 30)
-        monkeypatch.setattr(sim, "decide", recording)
+        monkeypatch.setattr(sim, "stacked", recording)
         split = run_cell(config)
-        assert stacks == [(4, 30)] * 6 + [(4, 30)] * 6 + [(1, 30)] * 6
+        assert stacks == [(4, (4, 30)), (4, (4, 30)), (1, (1, 30))]
         assert split.estimates == whole.estimates
+
+    def test_each_rule_is_called_once_per_replicate(self, monkeypatch):
+        # Through the names of sim and procedures, as a wrapper put on them
+        # sees the calls; the solves behind them are made for the stack:
+        # one multiplier search per cell and one pass solve per block.
+        calls = []
+
+        def counting(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        for name in ("generate_panel", "decide_fdr_opt", "decide_strong_fwer",
+                     "decide_weak_fwer", "decide_bh"):
+            counting(sim, name)
+        counting(procedures, "optimal_sizes")
+        counting(allocate, "find_root")
+        counting(procedures, "_panel_blocks")
+        reps = 7
+        run_cell(make_config(M=20, reps=reps, procedures=(
+            "fdr-opt", "bh", "strong-fwer-opt", "weak-fwer-opt")))
+        assert {name: calls.count(name) for name in set(calls)} == {
+            "generate_panel": reps, "decide_fdr_opt": reps, "decide_strong_fwer": reps,
+            "decide_weak_fwer": reps, "decide_bh": reps, "optimal_sizes": reps,
+            "find_root": 1, "_panel_blocks": 1}
+
+    def test_a_closed_stack_retains_nothing(self):
+        # What a stack solved, its passes and allocations, goes with it.
+        config = make_config(M=20, reps=200, procedures=PROCEDURE_TAGS)
+        run_cell(config)
+        procedures._panel_memo.cache_clear()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run_cell(config)
+            retained = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert allocate._open_stack is None
+        assert procedures._panel_memo.cache_info().currsize == 0
+        assert retained <= 2**14
 
 
 class TestRunTable:
