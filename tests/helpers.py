@@ -550,8 +550,9 @@ def reference_decide_stepdown_sidak(s, qstar: float) -> Decision:
 def reference_run_cell(config) -> tuple:
     """The per-replicate cell that the stacked ``sim.run_cell`` replaced,
     kept as its differential reference: each replicate's panel is decided
-    by each rule on its own.  Returns the CellResult and the (reps, M)
-    rejection matrix of each procedure."""
+    by each rule on its own, with no stack open, so every solve is that
+    panel's alone.  Returns the CellResult and the (reps, M) rejection
+    matrix of each procedure."""
     reps = config.reps
     tags = config.procedures
     theta = np.empty((reps, config.M), dtype=np.int8)
