@@ -57,9 +57,10 @@ run of multipliers that costs about two log Phi evaluations per
 A run of profiles shares one scratch (``_Scratch``), the named working
 arrays that every profile's solve takes its arrays of the profile's size
 from, so the run allocates them once.  The loop that runs the profiles
-owns it: ``_solve_multipliers`` makes one per lockstep search and
-``procedures._panel_blocks`` one per panel pass, and a scratch dies with
-its loop.  A call given none makes its own.
+owns it: ``procedures._panel_blocks`` makes one per panel pass, and a
+scratch dies with its loop.  A call given none makes its own, as each
+step of the multiplier search does: a search keeps only its profiles
+between steps, not the working arrays of a 10^5-element solve.
 """
 
 from __future__ import annotations
@@ -515,22 +516,22 @@ def _gap_slopes(gammas, v, log1m) -> np.ndarray:
     return np.where(np.isnan(ratio), 0.0, ratio)
 
 
-def _profiles(gammas: list, log_ds: list, anchors: list, scratch) -> tuple[list, tuple]:
+def _profiles(gammas: list, log_ds: list, anchors: list) -> tuple[list, tuple]:
     """The size profiles of several lanes from one ``_size_profile`` call:
     lane k's effect sizes ``gammas[k]`` at log d = ``log_ds[k]``, each
     warm-started from ``anchors[k]`` (cold where it is None).
 
     Returns each lane's profile (log d, v, log Phi(v)), and the lanes'
     effect sizes, v and log Phi(v) joined in lane order; the profiles are
-    views of the joined v and log Phi(v), which are fresh arrays.  A single
-    lane is solved as given, with nothing joined.  Several are solved as a
-    stack of one-gamma panels, each at its own multiplier; each element's
-    solve is its own, so every lane's profile is bitwise the one it gets
-    alone.
+    views of the joined v and log Phi(v), which are fresh arrays, and the
+    solve's scratch is dropped.  A single lane is solved as given, with
+    nothing joined.  Several are solved as a stack of one-gamma panels,
+    each at its own multiplier; each element's solve is its own, so every
+    lane's profile is bitwise the one it gets alone.
     """
     if len(gammas) == 1:
         joined = gammas[0]
-        v, log1m = _size_profile(joined, log_ds[0], anchors[0], scratch)
+        v, log1m = _size_profile(joined, log_ds[0], anchors[0])
     else:
         sizes = [g.size for g in gammas]
         joined = np.concatenate(gammas)
@@ -540,8 +541,7 @@ def _profiles(gammas: list, log_ds: list, anchors: list, scratch) -> tuple[list,
             anchor = (np.repeat([math.nan if a is None else a[0] for a in anchors], sizes),
                       *(np.concatenate([np.zeros(n) if a is None else a[i]
                                         for a, n in zip(anchors, sizes)]) for i in (1, 2)))
-        v, log1m = _size_profile(joined[:, None], np.repeat(log_ds, sizes)[:, None], anchor,
-                                 scratch)
+        v, log1m = _size_profile(joined[:, None], np.repeat(log_ds, sizes)[:, None], anchor)
     v, log1m = v.ravel().copy(), log1m.ravel().copy()
     lanes, k0 = [], 0
     for log_d, g in zip(log_ds, gammas):
@@ -611,10 +611,8 @@ def _solve_multipliers(panels: list, alpha: float) -> list:
     The panels' searches are the lanes of one ``find_root`` call, so each
     of its steps evaluates every running lane in one ``_profiles`` call; a
     lane's arithmetic is its own, and its profile bitwise the one a search
-    of that panel alone returns.  The searches share one scratch; the
-    profiles they keep, and the ones returned, are copied out of it.
+    of that panel alone returns.
     """
-    scratch = _Scratch()
     target = math.log1p(-alpha)
     scale = min(1.0, max(-target, 1e-200))
     # The ratio's unit: the gap of a ratio near 0 is ratio * scale.
@@ -640,7 +638,7 @@ def _solve_multipliers(panels: list, alpha: float) -> list:
             lanes.append(search)
 
     def solve(ks: list, log_ds: list, anchors: list) -> None:
-        profiles = _profiles([panels[k][0] for k in ks], log_ds, anchors, scratch)[0]
+        profiles = _profiles([panels[k][0] for k in ks], log_ds, anchors)[0]
         for k, profile in zip(ks, profiles):
             out[k] = profile
 
@@ -653,7 +651,7 @@ def _solve_multipliers(panels: list, alpha: float) -> list:
         searches = [lanes[i] for i in which]
         profiles, (gammas, v, log1m) = _profiles(
             [s.gammas for s in searches], [t * scale for t in ts],
-            [s.last for s in searches], scratch)
+            [s.last for s in searches])
         slopes = _gap_slopes(gammas, v, log1m)
         values, k0 = [], 0
         for s, t, profile in zip(searches, ts, profiles):

@@ -17,9 +17,10 @@ row by its physical line in the file (blank lines and the extra lines of a
 quoted multi-line field count).  Outputs are UTF-8 with '.' decimals and
 probabilities printed to 12 significant digits; JSON reports carry
 schema_version "2".  The per-hypothesis records of ``allocate`` and
-``decide`` are formatted and written RECORD_CHUNK at a time, with values
-that are the same on every CSV row formatted once.  Exit codes: 0 success,
-2 on usage/validation problems, 3 on numerical failure.
+``decide`` are written RECORD_CHUNK at a time, a JSON chunk by one ``%``
+that formats its floats in the records' templates; values the same on
+every CSV row are formatted once.  Exit codes: 0 success, 2 on
+usage/validation problems, 3 on numerical failure.
 """
 
 from __future__ import annotations
@@ -47,21 +48,13 @@ SCHEMA_VERSION = "2"
 
 
 def _fmt(x) -> str:
-    if x is None:
-        return ""
-    x = float(x) + 0.0  # -0.0 + 0.0 is 0.0
-    if math.isnan(x):
-        return ""
-    return f"{x:.12g}"
+    x = math.nan if x is None else float(x) + 0.0  # -0.0 + 0.0 is 0.0
+    return "" if x != x else f"{x:.12g}"
 
 
 def _jnum(x):
-    if x is None:
-        return None
-    x = float(x) + 0.0
-    if math.isnan(x):
-        return None
-    return float(f"{x:.12g}")
+    text = _fmt(x)
+    return float(text) if text else None
 
 
 # ---------------------------------------------------------------------------
@@ -123,16 +116,16 @@ def _floats(values: list, name: str, lines: list[int], ok, complaint) -> np.ndar
     """The column as floats.  The first row that is missing, not a
     number, or fails ``ok`` raises ValueError naming its line, with
     ``complaint(x)`` for the last kind."""
+    bad = len(values)
     try:
-        x = np.array([float(v) for v in values], dtype=float)
-        bad = len(values)
+        x = np.fromiter(map(float, values), float, bad)
     except (TypeError, ValueError):
         for bad, v in enumerate(values):
             try:
                 float(v)
             except (TypeError, ValueError):
                 break
-        x = np.array([float(v) for v in values[:bad]], dtype=float)
+        x = np.fromiter(map(float, values[:bad]), float, bad)
     wrong = np.flatnonzero(~ok(x))
     if wrong.size:
         i = int(wrong[0])
@@ -162,62 +155,70 @@ def _pvalues(values, lines) -> np.ndarray:
 RECORD_CHUNK = 4096
 # Where the records go in a JSON document: no other value can hold a NUL.
 _RECORDS = "\0records"
+# A float cell's formats in a record template (see ``_formats``).
+_FORMATS = ("%.12g", "%.12g.0", "%s")
 
 
-def _csv_numbers(x: np.ndarray) -> list[str]:
-    """``_fmt`` of each element."""
-    return ["" if v != v else f"{v:.12g}" for v in (x + 0.0).tolist()]  # -0.0 + 0.0 is 0.0
-
-
-def _json_numbers(x: np.ndarray) -> list[str]:
-    """``json.dumps(_jnum(v))``, that is ``repr(float(f"{v + 0.0:.12g}"))``,
-    of each element, with null for NaN and +-Infinity for +-inf.
-
-    Two decimals of at most 12 significant digits lie more than a double's
-    spacing apart wherever that spacing is below 1e-12 relative (every
-    normal double), so there repr gives back the digits of ``.12g`` and
-    the texts differ only in layout: repr adds ".0" to an integral value
-    and writes 1e12 <= |v| < 1e16 without an exponent.  Those magnitudes,
-    subnormals and non-finite values take the definition itself.
-    """
-    cells = [c if "." in c or "e" in c else c + ".0" for c in _csv_numbers(x)]
+def _formats(x: np.ndarray) -> np.ndarray:
+    """Per element of ``x`` (no -0.0), the index in ``_FORMATS`` of a
+    format that prints ``json.dumps(_jnum(v))``, the repr of the float of
+    its ``.12g`` text.  Where a double's spacing is below 1e-12 relative,
+    repr keeps those digits, adds ".0" to an integer and drops the exponent
+    of 1e12 <= |v| < 1e16; those, subnormals, non-finite values and
+    non-integers within 1e-11 of one take the definition."""
     a = np.abs(x)
-    slow = ~np.isfinite(a) | ((a >= 9e11) & (a < 2e16)) | ((a > 0.0) & (a < 3e-308))
-    for i in np.flatnonzero(slow).tolist():
-        cells[i] = json.dumps(_jnum(x[i]))
-    return cells
-
-
-def _cells(values, as_json: bool) -> list:
-    """One chunk of a column as text: a list holds text (or anything
-    ``csv.writer`` prints as it is), a float array numbers and a bool or
-    int array integers."""
-    if isinstance(values, list):
-        return [encode_basestring_ascii(v) for v in values] if as_json else values
-    if values.dtype.kind == "f":
-        return _json_numbers(values) if as_json else _csv_numbers(values)
-    return [str(v) for v in values.astype(np.int64).tolist()]
+    with np.errstate(invalid="ignore"):
+        off = np.abs(x - np.rint(x))
+    text = ~np.isfinite(a) | ((a >= 9e11) & (a < 2e16)) | ((a > 0.0) & (a < 3e-308))
+    text |= (off > 0.0) & (off <= 1e-11 * a)
+    return np.where(text, 2, (off == 0.0) & (a < 9e11))
 
 
 def _write_json(stream, doc: dict) -> None:
     """``json.dump(doc, stream, indent=2)`` and a newline, where
-    ``doc["records"]`` maps each record field to a column (see ``_cells``)
-    and stands for the list of per-row records."""
+    ``doc["records"]`` maps each record field to a column (as in
+    ``_cells``) and stands for the list of per-row records.  A chunk
+    is one ``%`` over its records' templates (see ``_formats``)."""
     head, tail = json.dumps({**doc, "records": _RECORDS}, indent=2).split(
         json.dumps(_RECORDS))
-    columns = list(doc["records"].values())
-    n = len(columns[0])
-    if not n:
-        stream.write(f"{head}[]{tail}\n")
-        return
-    template = "    {\n" + ",\n".join(
-        f"      {json.dumps(key)}: %s" for key in doc["records"]) + "\n    }"
+    keys, columns = zip(*doc["records"].items())
+    n, width = len(columns[0]), len(columns)
+    choices = [("%s",) if isinstance(col, list) else _FORMATS if col.dtype.kind == "f"
+               else ("%d",) for col in columns]
+    variants = ["    {\n" + ",\n".join(f"      {json.dumps(k)}: {f}" for k, f in zip(keys, specs))
+                + "\n    }" for specs in itertools.product(*choices)]
     text = head + "[\n"
     for lo in range(0, n, RECORD_CHUNK):
-        rows = zip(*[_cells(col[lo:lo + RECORD_CHUNK], True) for col in columns])
-        stream.write(text + ",\n".join([template % row for row in rows]))
+        hi = min(n, lo + RECORD_CHUNK)
+        cells = [None] * ((hi - lo) * width)
+        variant = np.zeros(hi - lo, dtype=np.intp)
+        for j, col in enumerate(columns):
+            col = col[lo:hi]
+            if isinstance(col, list):
+                cells[j::width] = map(encode_basestring_ascii, col)
+            elif col.dtype.kind != "f":
+                cells[j::width] = col.tolist()
+            else:
+                col = col + 0.0  # -0.0 + 0.0 is 0.0
+                cells[j::width] = values = col.tolist()
+                chosen = _formats(col)
+                for i in np.flatnonzero(chosen == 2).tolist():
+                    cells[j + i * width] = json.dumps(_jnum(values[i]))
+                variant = 3 * variant + chosen
+        records = ",\n".join(map(variants.__getitem__, variant.tolist()))
+        stream.write(text + records % tuple(cells))
         text = ",\n"
-    stream.write(f"\n  ]{tail}\n")
+    stream.write(f"\n  ]{tail}\n" if n else f"{head}[]{tail}\n")
+
+
+def _cells(values) -> list:
+    """A list holds text, a float array numbers (``_fmt``) and a bool or
+    int array integers."""
+    if isinstance(values, list):
+        return values
+    if values.dtype.kind == "f":
+        return ["" if v != v else f"{v:.12g}" for v in (values + 0.0).tolist()]
+    return values.astype(np.int64).tolist()
 
 
 def _write_csv(stream, columns: dict) -> None:
@@ -231,7 +232,7 @@ def _write_csv(stream, columns: dict) -> None:
     for lo in range(0, max(n, 1), RECORD_CHUNK):  # once at least, for the header
         hi = min(n, lo + RECORD_CHUNK)
         writer.writerows(zip(*[
-            itertools.repeat(col, hi - lo) if isinstance(col, str) else _cells(col[lo:hi], False)
+            itertools.repeat(col, hi - lo) if isinstance(col, str) else _cells(col[lo:hi])
             for col in columns.values()
         ]))
         stream.write(buffer.getvalue())
@@ -293,14 +294,11 @@ def _cmd_allocate(args) -> int:
         allocation = optimal_sizes(RocModel.from_gammas(gammas), alpha)
     elif method == "sidak":
         allocation = sidak_sizes(M, alpha)
-    elif method == "bonferroni":
+    else:  # argparse allows no other method
         allocation = bonferroni_sizes(M, alpha)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown method {method!r}")
 
-    efficiency = None
-    if gammas is not None and 0.0 < alpha < 1.0:
-        efficiency = _power_vs_sidak(gammas, allocation.sizes, alpha)
+    efficiency = (_power_vs_sidak(gammas, allocation.sizes, alpha)
+                  if gammas is not None and alpha > 0.0 else None)
     _print_allocation(args.out, alpha, method, ids, gammas, clusters, allocation, efficiency)
     return 0
 
@@ -368,10 +366,8 @@ def _cmd_decide(args) -> int:
     gammas = None
     if entry.reads_gammas:
         if "gamma" not in columns or not all(columns["gamma"]):
-            raise ValueError(
-                f"--procedure {procedure} uses the power-optimal allocation and "
-                f"needs a 'gamma' column on every input row"
-            )
+            raise ValueError(f"--procedure {procedure} uses the power-optimal allocation "
+                             f"and needs a 'gamma' column on every input row")
         gammas = _gammas(columns.pop("gamma"), lines)
         model = RocModel.from_gammas(gammas)
 
@@ -493,7 +489,7 @@ def _cmd_simulate(args) -> int:
                 _fmt(est.fwer), _fmt(est.etp), _fmt(est.efp),
             ])
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        _write_csv(fh, {name: [row[k] for row in rows_out] for k, name in enumerate(header)})
+        _write_csv(fh, dict(zip(header, map(list, zip(*rows_out)))))
     return 0
 
 

@@ -253,7 +253,7 @@ def efficiency_vs_sidak(model: RocModel, alpha: float) -> float:
 
 def _power_vs_sidak(gammas: np.ndarray, sizes: np.ndarray, alpha: float) -> float:
     """100 * sum rho_m(sizes_m) / sum rho_m(eta_Sidak) at budget alpha."""
-    sidak = sidak_sizes(gammas.size, alpha).sizes
+    sidak = sidak_sizes(gammas.size, alpha).sizes[:1]  # one size, broadcast
     return float(100.0 * roc(gammas, sizes).sum() / roc(gammas, sidak).sum())
 
 
