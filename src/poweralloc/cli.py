@@ -297,8 +297,9 @@ def _cmd_allocate(args) -> int:
     else:  # argparse allows no other method
         allocation = bonferroni_sizes(M, alpha)
 
-    efficiency = (_power_vs_sidak(gammas, allocation.sizes, alpha)
-                  if gammas is not None and alpha > 0.0 else None)
+    efficiency = None
+    if gammas is not None and 0.0 < alpha < 1.0:
+        efficiency = _power_vs_sidak(gammas, allocation.sizes, alpha)
     _print_allocation(args.out, alpha, method, ids, gammas, clusters, allocation, efficiency)
     return 0
 
@@ -366,8 +367,10 @@ def _cmd_decide(args) -> int:
     gammas = None
     if entry.reads_gammas:
         if "gamma" not in columns or not all(columns["gamma"]):
-            raise ValueError(f"--procedure {procedure} uses the power-optimal allocation "
-                             f"and needs a 'gamma' column on every input row")
+            raise ValueError(
+                f"--procedure {procedure} uses the power-optimal allocation and "
+                f"needs a 'gamma' column on every input row"
+            )
         gammas = _gammas(columns.pop("gamma"), lines)
         model = RocModel.from_gammas(gammas)
 
@@ -489,7 +492,7 @@ def _cmd_simulate(args) -> int:
                 _fmt(est.fwer), _fmt(est.etp), _fmt(est.efp),
             ])
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        _write_csv(fh, dict(zip(header, map(list, zip(*rows_out)))))
+        _write_csv(fh, {name: [row[k] for row in rows_out] for k, name in enumerate(header)})
     return 0
 
 

@@ -589,6 +589,28 @@ class TestOutputCost:
     def test_few_write_calls(self, monkeypatch, panel, out):
         assert self.run(monkeypatch, panel, out) <= 64
 
+    def test_only_odd_cells_take_the_definition(self, monkeypatch, panel):
+        # A record cell whose JSON text the record template cannot give is
+        # json.dumps(_jnum(x)), one cell at a time.  Only non-finite, huge
+        # and subnormal cells may take it: not the exact zeros among the
+        # sizes, nor other integers.
+        calls, columns = [], []
+        jnum, write_json = cli._jnum, cli._write_json
+
+        def counting_write(stream, doc):
+            columns.extend(doc["records"][key] for key in ("gamma", "eta"))
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(cli, "_jnum", lambda x: calls.append(x) or jnum(x))
+                write_json(stream, doc)
+
+        monkeypatch.setattr(cli, "_write_json", counting_write)
+        self.run(monkeypatch, panel, "json")
+        x = np.abs(np.concatenate(columns))
+        assert x.size == 2 * self.M
+        assert np.count_nonzero(x == 0.0) > 100
+        odd = ~np.isfinite(x) | (x >= 9e11) | ((x > 0.0) & (x < 2.2250738585072014e-308))
+        assert len(calls) <= np.count_nonzero(odd)
+
     def test_json_allocation_peak(self, monkeypatch, panel):
         self.run(monkeypatch, panel, "json")  # imports and caches outside the count
         tracemalloc.start()

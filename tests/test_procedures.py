@@ -30,6 +30,7 @@ from poweralloc import (
     optimal_sizes,
     procedures,
     sidak_sizes,
+    sim,
 )
 from poweralloc.allocate import LOG_PHI_FLUSH
 
@@ -740,3 +741,68 @@ class TestAgainstReference:
         assert (fdr.cutoff_index > solved) == ("step-up" in past)
         evaluated = np.count_nonzero(~np.isnan(strong.trace.survival_product))
         assert (evaluated > solved) == ("step-down" in past)
+
+
+def assert_weak_rule_is_w_within_budget(model, s, alpha, reject):
+    """``reject`` is W <= alpha wherever W lies clear of alpha by more than
+    a float tie.  W_m is the least budget whose allocation rejects m, so
+    this compares the multiplier search of the weak rule with the panel
+    pass that gives W: two engines for one definition."""
+    w = generalized_pvalues(model, s)
+    clear = np.abs(w - alpha) > 1e-9 * alpha + s.size * LOG_PHI_FLUSH
+    np.testing.assert_array_equal(reject[clear], (w <= alpha)[clear])
+
+
+class TestWeakFwerAgainstW:
+    """The weak rule at alpha rejects exactly the hypotheses whose W is at
+    most alpha, one panel at a time and within a stacked cell."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        panel=st.one_of(st.sampled_from([1, 128, 129]), st.integers(1, 300)).flatmap(
+            lambda m: st.tuples(
+                arrays(float, m, elements=helpers.UNIT, fill=st.nothing()),
+                arrays(float, m, elements=st.one_of(st.just(0.0), st.floats(0.0, 100.0)),
+                       fill=st.nothing()))),
+        alpha=st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True),
+                        st.sampled_from([0.05, 0.999, 1.0 - 2.0**-53])),
+    )
+    def test_rejects_where_w_is_within_the_budget(self, panel, alpha):
+        s, gammas = panel
+        model = RocModel.from_gammas(gammas)
+        assert_weak_rule_is_w_within_budget(model, s, alpha,
+                                            decide_weak_fwer(model, s, alpha).reject)
+
+    @pytest.mark.parametrize("case, alpha", [
+        ("paper", 0.1), ("paper", 0.999), ("zero_effects", 0.0), ("zero_effects", 0.1),
+        ("zero_effects", 0.999),
+    ])
+    def test_past_the_saturation_stop(self, case, alpha):
+        # The pass stops where W saturates at 1.0, and no budget below 1
+        # rejects a hypothesis past that stop.  The zero-effects panel has
+        # p-values of 0 and 1 and gammas of 0.
+        gammas, s, _ = getattr(TestAgainstReference, case)(alpha)
+        model = RocModel.from_gammas(gammas)
+        decision = decide_weak_fwer(model, s, alpha)
+        assert procedures._panel(model, s).solved < s.size
+        assert_weak_rule_is_w_within_budget(model, s, alpha, decision.reject)
+
+    @pytest.mark.parametrize("M, p, nu", [(20, 0.4, 4.0), (100, 0.1, 1.0), (129, 0.2, 2.0)])
+    def test_a_stacked_cell(self, monkeypatch, M, p, nu):
+        # run_cell decides its replicates within one stack, whose lockstep
+        # search serves every replicate's weak rule.
+        seen = []
+        decide = sim.decide
+
+        def recording(tag, model, s, budget):
+            decision = decide(tag, model, s, budget)
+            seen.append((model, s.copy(), decision.reject))
+            return decision
+
+        monkeypatch.setattr(sim, "decide", recording)
+        config = sim.ScenarioConfig(M=M, p=p, nu=nu, qstar=0.1, reps=10, seed=25,
+                                    procedures=("weak-fwer-opt",))
+        sim.run_cell(config)
+        assert len(seen) == config.reps
+        for model, s, reject in seen:
+            assert_weak_rule_is_w_within_budget(model, s, config.qstar, reject)
