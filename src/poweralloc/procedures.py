@@ -12,35 +12,42 @@ those columns.  This module is their one panel engine:
   (last).
 * ``_panel_blocks`` solves the columns given to it in blocks of
   ``SOLVE_BLOCK // M``, each warm-started from the block before it along
-  the scan (``allocate._size_profile``), and reduces each block to its
-  column statistics before the next is solved, so no (M, M) array is ever
-  held.  The statistics are the sums of log(1 - eta), which give W; the
-  size sums, which are the step-up statistic; the largest sizes, which
-  with the size sums give the size condition; and the sums of
-  log(1 - eta) over the hypotheses not ranked before m, which are the
-  step-down statistic.  Each call is a pass that owns one scratch
-  (``allocate._Scratch``), from which every block takes its (M, block)
-  arrays, so after its first block a pass allocates none of them.
-* One pass (``_panel``) runs it over the scan and stops after the first
-  block where W is exactly 1.0 (``SATURATED``): the sum of log(1 - eta)
-  does not increase along the scan, so every later column has W = 1.0
-  too.  On a paper panel at M = 1000 it solves about a sixth of the
-  columns; at M <= 128 the pass is one block of the whole panel.  A
-  one-entry memo keyed on the exact bytes of the gammas and the p-values
-  serves it to every later call on the same panel.
+  the scan (``allocate._size_profile``), or cold for a stack of panels,
+  and reduces each block to its column statistics before the next is
+  solved, so no (M, M) array is ever held.  The statistics are the sums
+  of log(1 - eta), which give W; the size sums, which are the step-up
+  statistic; the largest sizes, which with the size sums give the size
+  condition; and the sums of log(1 - eta) over the hypotheses not ranked
+  before m, which are the step-down statistic.  A pass owns one scratch (``allocate._Scratch``),
+  from which every block takes its (M, block) arrays, so after its first
+  block it allocates none of them.
+* One pass (``_passes``) solves the scan a block at a time and stops
+  after the first block where W is exactly 1.0 (``SATURATED``): the sum
+  of log(1 - eta) does not increase along the scan, so every later column
+  has W = 1.0 too.  Above M = 128 a block is SOLVE_BLOCK // M columns,
+  warm-started; at M <= 128 it is ``PASS_BLOCK`` (16) columns, solved
+  cold, so every pair is solved as one cold solve of the whole panel
+  would solve it.  The blocks' bounds depend on M alone.  On a paper
+  panel the pass solves about a sixth of the columns at M = 1000 and
+  about half at M = 100.  A one-entry memo keyed on the exact bytes of
+  the gammas and the p-values serves it to every later call on the same
+  panel.
 * The panels of a stack (``allocate.stacked``), such as the replicates
   of a Monte Carlo cell, are still decided one at a time, but at
   M <= 128 their passes are made together: the first panel that asks for
-  its pass solves those of the SOLVE_BLOCK // M^2 panels of its block in
-  one ``_panel_blocks`` call over their (n, M) stack, and the stack keeps
-  that block's passes for the other panels and rules.  Every solve in a
-  block is its own, so each pass is bitwise the panel's alone.  Above
-  M = 128 each panel has its own pass, from the memo.
+  its pass makes those of the SOLVE_BLOCK // (16 M) panels of its group,
+  one ``_panel_blocks`` call per block of 16 columns of each panel not
+  yet saturated, and the stack keeps the group's passes for the other
+  panels and rules.  Every solve in a block is its own, so each pass,
+  where it stops included, is bitwise the panel's alone.  Above M = 128
+  each panel has its own pass, from the memo.
 * A stepwise rule solves columns past the stop only where its cutoff may
   lie there: when every solved step passes, the step-down rule resumes
   the pass from its anchor up to the first failing block, and the step-up
   rule searches the ranks past the stop for the last passing one, a
-  column at a time.
+  column at a time, unless the last solved step's S already exceeds
+  q M.  Both read those columns as the pass would have: cold at
+  M <= 128, the step-down resume being one block there.
 
 So the two stepwise rules and ``generalized_pvalues`` on one panel cost
 one pass and the columns each rule reads past it.  The rules:
@@ -111,10 +118,10 @@ class ProcedureTrace:
     ``size_sum`` the step-up cumulative-size statistic and ``threshold``
     the bound each step's statistic is held to.  A procedure fills the
     steps of its own path that it evaluated and leaves the rest, and the
-    whole other path, NaN, which the CLI prints as null.  The baselines and
-    the model rules at M <= 128 evaluate every step; above, the model rules
-    evaluate the steps of the panel's solved prefix and the ones they read
-    past it, which include every step that decides the cutoff.
+    whole other path, NaN, which the CLI prints as null.  The baselines
+    evaluate every step; the model rules evaluate the steps of the panel's
+    solved prefix and the ones they read past it, which include every step
+    that decides the cutoff.
     """
 
     order_stats: np.ndarray
@@ -190,7 +197,7 @@ def _inputs(model: RocModel | None, s, budget: float = 0.0,
     s = np.atleast_1d(np.asarray(s, dtype=float))
     if s.ndim != 1 or s.size < 1:
         raise ValueError("need a nonempty 1-d p-value sequence")
-    if not np.all(np.isfinite(s)) or np.any(s < 0.0) or np.any(s > 1.0):
+    if not (s.min() >= 0.0 and s.max() <= 1.0):  # NaN and +-inf fail too
         raise ValueError("p-values must lie in [0, 1]")
     budget = _budget(budget, name)
     if model is not None and model.M != s.size:
@@ -217,15 +224,15 @@ def _rows(index: np.ndarray) -> tuple:
     return (index,) if index.ndim == 1 else (np.arange(index.shape[0])[:, None], index)
 
 
-def _panel_blocks(gammas, log_d, rank, cols, anchor=None):
+def _panel_blocks(gammas, log_d, rank, cols, anchor=None, scratch=None):
     """Solve the columns ``cols`` of the panel in blocks, in the order
     given, and yield ``(block, log_sums, size_sums, size_max, log_products,
     anchor)`` for each: the columns of the block and their statistics (see
     ``_Panel``), and the warm start of the block after it.
 
     ``rank`` is the scan rank of each hypothesis, which the step-down sums
-    mask by.  The columns are solved SOLVE_BLOCK // M at a time, so a panel
-    of M <= 128 given all its columns is one block.  The first block starts
+    mask by.  The columns are solved SOLVE_BLOCK // M at a time, so the
+    columns of a panel of M <= 128 are one block.  The first block starts
     from ``anchor``, cold when it is None; every later one is anchored at
     the last finite column of the block before it (``_size_profile``).  A
     pass resumed from the anchor of the block where another stopped, on
@@ -235,12 +242,12 @@ def _panel_blocks(gammas, log_d, rank, cols, anchor=None):
     and ``cols`` (n, K), is solved SOLVE_BLOCK // (n M) columns of each at
     a time, and its blocks and statistics are (n, k); every pair's solve
     is its own, so each panel's statistics are bitwise its pass's alone.
-    A stack is never resumed, so it starts cold and yields no anchor.
+    A stack is solved cold, ``anchor`` being None, and yields it as given.
 
-    The blocks share the pass's scratch; what it yields, the anchors
-    included, are fresh arrays.
+    The blocks share ``scratch``, a fresh one when None; what it yields,
+    the anchors included, are fresh arrays.
     """
-    scratch = _Scratch()
+    scratch = _Scratch() if scratch is None else scratch
     per_block = max(1, SOLVE_BLOCK // gammas.size)
     for k0 in range(0, cols.shape[-1], per_block):
         block = cols[..., k0:k0 + per_block]
@@ -260,6 +267,9 @@ def _panel_blocks(gammas, log_d, rank, cols, anchor=None):
         log_products = _column_sums(log1m)
         yield block, log_sums, size_sums, size_max, log_products, anchor
 
+
+# The columns of each panel in one block of a pass at M <= 128.
+PASS_BLOCK = 16
 
 # A column whose sum of log(1 - eta) is below this has W = -expm1(sum) =
 # 1.0 exactly: exp(-40) = 4.2e-18 is below half an ulp of 1 (2^-54 =
@@ -282,7 +292,8 @@ class _Panel:
     ``log_products`` the step-down statistic, the sum of log(1 - eta_j)
     over the hypotheses j not ranked before m, and ``size_max`` the
     largest size; all three are NaN past the prefix.  ``anchor`` is the
-    warm start that resumes the pass (``_panel_blocks``).
+    warm start that resumes the pass (``_panel_blocks``), None at
+    M <= 128, where a resume is cold as the pass is.
     """
 
     order: np.ndarray
@@ -301,17 +312,18 @@ def _panel(model: RocModel, s: np.ndarray) -> _Panel:
     consecutive calls on the same inputs.
 
     A panel of an open stack (``allocate.stacked``) at M <= 128 gets its
-    pass from the stack, which keeps the passes of one block of its
-    panels, solved together.  Any other panel gets it from a memo keyed on
-    the exact bytes of the gammas and the p-values, so a changed or
-    mutated input is solved afresh; it holds only the O(M) arrays of one
-    panel, and ``_panel_memo.cache_clear()`` empties it.
+    pass from the stack, which keeps the passes of one group of
+    SOLVE_BLOCK // (16 M) of its panels, made together.  Any other panel
+    gets it from a memo keyed on the exact bytes of the gammas and the
+    p-values, so a changed or mutated input is solved afresh; it holds
+    only the O(M) arrays of one panel, and ``_panel_memo.cache_clear()``
+    empties it.
     """
     M = s.size
     stack, r = _stack_row(model)
     if stack is None or M * M > SOLVE_BLOCK or stack.s[r].tobytes() != s.tobytes():
         return _panel_memo(model.gammas.tobytes(), s.tobytes())
-    per_solve = SOLVE_BLOCK // (M * M)
+    per_solve = SOLVE_BLOCK // (PASS_BLOCK * M)
     block, i = divmod(r, per_solve)
     kept = stack.kept.get("passes")
     if kept is None or kept[0] != block:
@@ -331,11 +343,13 @@ def _passes(gammas: np.ndarray, s: np.ndarray) -> list[_Panel]:
     """The passes over the n panels of the (n, M) arrays ``gammas`` and
     ``s``, one _Panel each.
 
-    At M <= 128 a pass is one block of the whole panel, so the passes of
-    n <= SOLVE_BLOCK // M^2 panels are one stacked ``_panel_blocks`` call,
-    one solve.  Above, n is 1, and the pass stops after the first block
-    where W is exactly 1.0: the sum of log(1 - eta) does not increase
-    along the scan.
+    Each pass stops after the first block where W is exactly 1.0: the
+    sum of log(1 - eta) does not increase along the scan.  At M <= 128 the
+    n <= SOLVE_BLOCK // (16 M) panels are solved together, cold, one
+    stacked ``_panel_blocks`` call per block of ``PASS_BLOCK`` columns of
+    each panel still live, and a panel leaves the stack after the block
+    where it saturates.  Above, n is 1 and each block of SOLVE_BLOCK // M
+    columns is warm-started from the one before it.
     """
     n, M = s.shape
     log_d = _log_marginal_value(gammas, s)
@@ -345,25 +359,28 @@ def _passes(gammas: np.ndarray, s: np.ndarray) -> list[_Panel]:
     log_sums = np.full((n, M), -np.inf)  # W = 1.0 past the solved prefix
     log_products, size_sums, size_max = (np.full((n, M), np.nan) for _ in range(3))
     stats = (log_sums, size_sums, size_max, log_products)
-    solved, anchor = 0, None
-    if M * M <= SOLVE_BLOCK:
-        (cols, *block, _), = _panel_blocks(gammas, log_d, rank, order)
+    stack = M * M <= SOLVE_BLOCK
+    width = PASS_BLOCK if stack else max(1, SOLVE_BLOCK // M)
+    solved, live, anchor, scratch = np.full(n, M), np.arange(n), None, _Scratch()
+    for k0 in range(0, M, width):
+        cols = order[live, k0:k0 + width]
+        panels = gammas[live], log_d[live], rank[live], cols
+        if not stack:  # one panel, each block warm-started from the one before
+            panels = [a[0] for a in panels]
+        (_, *block, anchor), = _panel_blocks(*panels, anchor, scratch)
         for arr, stat in zip(stats, block):
-            arr[_rows(cols)] = stat
-        solved = M
-    else:
-        for cols, *block, anchor in _panel_blocks(gammas[0], log_d[0], rank[0], order[0]):
-            for arr, stat in zip(stats, block):
-                arr[0, cols] = stat
-            solved += cols.size
-            if log_sums[0, cols[-1]] < SATURATED:
-                break
+            arr[live[:, None], cols] = stat
+        saturated = log_sums[live, cols[:, -1]] < SATURATED
+        solved[live[saturated]] = k0 + cols.shape[1]
+        live = live[~saturated]
+        if not live.size:
+            break
     # W = 0.0 - expm1(sum): a column whose sum is 0.0 has W 0.0, not -0.0.
     w = 0.0 - np.expm1(log_sums)
     for arr in (order, rank, log_d, w, log_products, size_sums, size_max):
         arr.setflags(write=False)
     return [_Panel(order[i], rank[i], log_d[i], w[i], log_products[i], size_sums[i],
-                   size_max[i], solved, anchor) for i in range(n)]
+                   size_max[i], int(solved[i]), anchor) for i in range(n)]
 
 
 def _scan(order: np.ndarray, order_stats: np.ndarray, passing: np.ndarray,
@@ -500,8 +517,10 @@ def decide_fdr_opt(model: RocModel, s, qstar: float) -> Decision:
     the candidate budgets.
 
     The steps past the panel's solved prefix are searched for the last
-    passing one (``_last_passing``), one column at a time; the trace
-    leaves the steps the search does not evaluate NaN.
+    passing one (``_last_passing``), one column at a time, unless the
+    prefix's last S already exceeds qstar * M: S does not decrease, so no
+    later step passes.  The trace leaves the steps the search does not
+    evaluate NaN.
     """
     s, qstar = _inputs(model, s, qstar)
     panel = _panel(model, s)
@@ -515,8 +534,10 @@ def decide_fdr_opt(model: RocModel, s, qstar: float) -> Decision:
         return size_sums[k]
 
     # Every step the search evaluates past the one it finds fails, so the
-    # scan's last passing step is that one, or else the prefix's.
-    if panel.solved < s.size:
+    # scan's last passing step is that one, or else the prefix's.  S does
+    # not decrease, so none past the prefix passes where the prefix's last
+    # S exceeds the line's end.
+    if panel.solved < s.size and size_sums[panel.solved - 1] <= line[-1]:
         _last_passing(size_sum, line, panel.solved)
     return _scan(panel.order, panel.w[panel.order], size_sums <= line, size_sums, line,
                  step_up=True)

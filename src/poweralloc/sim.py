@@ -11,10 +11,11 @@ one model per replicate, and opens them as one stack
 (``allocate.stacked``).  It then decides replicate by replicate, each
 rule once per replicate through ``decide``, but the rules' solves are
 made for the stack: the weak-FWER rule's first call runs every
-replicate's multiplier search in lockstep, and at M <= 128, where a
-pass is one block, the model-based stepwise rules solve the passes of
-SOLVE_BLOCK // M^2 replicates at once, which both rules share (see
-``procedures`` and ``allocate``).  Every replicate's decision is bitwise
+replicate's multiplier search in lockstep, and at M <= 128 the
+model-based stepwise rules make the passes of SOLVE_BLOCK // (16 M)
+replicates together, 16 columns of each at a time, each stopping where
+its W saturates, and both rules share them (see ``procedures`` and
+``allocate``).  Every replicate's decision is bitwise
 the one it gets alone.  A cell of more than ``CELL_BLOCK`` p-values is
 stacked a run of whole replicates at a time, so a cell's working memory
 does not grow with its replicate count.

@@ -11,6 +11,7 @@ ones and keeps failures in the example database.
 
 import time
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -58,7 +59,12 @@ def null_grid():
 class _Passes(list):
     def __init__(self):
         super().__init__()
-        self.begun = []
+        self.begun, self.cols = [], []
+
+    def clear(self):
+        super().clear()
+        self.begun.clear()
+        self.cols.clear()
 
 
 @pytest.fixture
@@ -66,19 +72,25 @@ def panel_solves(monkeypatch):
     """The passes over a panel made during a test, which starts with an
     empty memo: one list per call of ``procedures._panel_blocks`` of the
     widths of its column blocks, each block being one ``_size_profile``
-    call.
+    call.  A block of a stack of panels counts the columns of all of them.
 
-    ``begun`` holds one flag per call, set where it began a panel's pass:
-    cold, over all M columns.  The step-down resume passes an anchor and
-    the step-up probes are single columns, so neither is counted.
+    ``cols`` holds each call's scan columns: (n, k) for a stack of n
+    panels, as a pass at M <= 128 gives them, and (k,) for one panel, as a
+    pass above gives them and the rules' reads past a pass do.  ``begun``
+    holds one count per call: of the panels whose pass it began, with the
+    first column of the scan.  A pass is one call per block, the step-down
+    resume starts past the pass and the step-up probes are single columns
+    past it, so only a pass's first block is counted.
     """
     passes = _Passes()
     blocks = procedures._panel_blocks
 
-    def counting(gammas, log_d, rank, cols, anchor=None):
+    def counting(gammas, log_d, rank, cols, anchor=None, scratch=None):
         passes.append([])
-        passes.begun.append(anchor is None and cols.size == gammas.size)
-        for block in blocks(gammas, log_d, rank, cols, anchor):
+        passes.cols.append(cols.copy())
+        first = np.take_along_axis(rank, cols[..., :1], axis=-1)
+        passes.begun.append(int(np.count_nonzero(first == 0)))
+        for block in blocks(gammas, log_d, rank, cols, anchor, scratch):
             passes[-1].append(block[0].size)
             yield block
 

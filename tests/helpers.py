@@ -444,11 +444,12 @@ def reference_stepwise(gammas, s, q: float) -> SimpleNamespace:
     step-up and step-down statistics and cutoffs at level ``q``.
 
     Column m sizes every hypothesis at d_m.  ``w[m]`` is hypothesis m's
-    W, and the rest are by scan step k: S(k) = sum_j eta_j(d_(k)), the
-    step-down log product T(k) = sum of log(1 - eta_j(d_(k))) over the
-    hypotheses j ranked k or later, both summed in input order, and the
-    cutoffs J = max{m : S(m) <= q m} (step-up) and j = the first failing
-    step T(k) < log(1 - q) (step-down).
+    W and ``size_max[m]`` the largest size of column m, and the rest are by
+    scan step k: the sum of log(1 - eta_j(d_(k))) over every j, which gives
+    W, S(k) = sum_j eta_j(d_(k)), the step-down log product T(k) = sum of
+    log(1 - eta_j(d_(k))) over the hypotheses j ranked k or later, all
+    summed in input order, and the cutoffs J = max{m : S(m) <= q m}
+    (step-up) and j = the first failing step T(k) < log(1 - q) (step-down).
     """
     gammas, s = np.asarray(gammas, dtype=float), np.asarray(s, dtype=float)
     log_d = _log_marginal_value(gammas, s)
@@ -457,19 +458,35 @@ def reference_stepwise(gammas, s, q: float) -> SimpleNamespace:
     rank = np.empty(M, dtype=np.intp)
     rank[order] = np.arange(M)
     _, log1m = _size_profile(gammas, log_d)
-    w = 0.0 - np.expm1(log1m.sum(axis=0))  # W = 0.0, not -0.0, at a p-value of 0
-    size_sums = (-np.expm1(log1m)).sum(axis=0)[order]
+    log_sums = log1m.sum(axis=0)
+    w = 0.0 - np.expm1(log_sums)  # W = 0.0, not -0.0, at a p-value of 0
+    eta = -np.expm1(log1m)
+    size_sums = eta.sum(axis=0)[order]
     log_products = np.where(rank[:, None] >= rank, log1m, 0.0).sum(axis=0)[order]
     line = q * np.arange(1, M + 1)
     passing = np.flatnonzero(size_sums <= line)
     bound = math.log1p(-q) if q < 1.0 else -math.inf
     failing = np.flatnonzero(log_products < bound)
     return SimpleNamespace(
-        order=order, w=w, w_by_step=w[order], size_sums=size_sums, line=line,
+        order=order, w=w, w_by_step=w[order], size_max=eta.max(axis=0),
+        log_sums=log_sums[order], size_sums=size_sums, line=line,
         log_products=log_products, bound=bound,
         step_up=int(passing[-1]) + 1 if passing.size else 0,
         step_down=int(failing[0]) if failing.size else M,
     )
+
+
+def pass_stop(gammas, s) -> int:
+    """The solved prefix of a pass at M <= 128, from the reference: the
+    end of the first block of ``procedures.PASS_BLOCK`` scan columns whose
+    last column's sum of log(1 - eta) is below ``procedures.SATURATED``,
+    or M when there is none."""
+    log_sums = reference_stepwise(gammas, s, 0.0).log_sums
+    M = log_sums.size
+    ends = np.minimum(np.arange(procedures.PASS_BLOCK, M + procedures.PASS_BLOCK,
+                                procedures.PASS_BLOCK), M)
+    stops = ends[log_sums[ends - 1] < procedures.SATURATED]
+    return int(stops[0]) if stops.size else M
 
 
 # The p-value-only stepwise baselines as they were before the rules shared

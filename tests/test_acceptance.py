@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from helpers import fd_power_deriv
+from helpers import fd_power_deriv, pass_stop
 from poweralloc import (
     RocModel,
     ScenarioConfig,
@@ -255,7 +255,7 @@ def test_criterion_12_one_pass_per_panel(monkeypatch):
         solved = []
         solve = procedures._size_profile
         monkeypatch.setattr(procedures, "_size_profile", lambda gammas, log_d, *args: (
-            solved.append(np.atleast_1d(log_d)) or solve(gammas, log_d, *args)))
+            solved.append(np.ravel(log_d)) or solve(gammas, log_d, *args)))
         for M, rep in ((20, 0), (100, 1), (128, 2), (1000, 0)):
             panel = generate_panel(ScenarioConfig(M=M, p=0.2, nu=2.0, qstar=0.1, reps=1,
                                                   seed=121), rep)
@@ -271,8 +271,13 @@ def test_criterion_12_one_pass_per_panel(monkeypatch):
             columns = np.concatenate(solved)
             assert np.unique(columns).size == columns.size, f"M={M}: a column solved twice"
             if M <= 128:
-                # The whole panel in one call.
-                assert len(solved) == 1 and columns.size == M, f"M={M}: {len(solved)} calls"
+                # The pass solves the scan's columns in order and stops after
+                # the block where W saturates.
+                pass_ = procedures._panel(model, panel.s)
+                k = pass_.solved
+                assert k == pass_stop(panel.xi, panel.s) < M, f"M={M}: stopped at {k}"
+                log_d = allocate._log_marginal_value(panel.xi, panel.s)
+                assert np.array_equal(columns[:k], log_d[pass_.order[:k]]), f"M={M}"
             else:
                 # The pass stops where W saturates.
                 assert columns.size <= M / 4, f"M={M}: {columns.size / M:.3f} of M^2 pairs"

@@ -255,8 +255,11 @@ class TestDecide:
         # Both cases read the same panel; each starts from an empty memo.
         assert cli.main(["decide", "--procedure", procedure, "--q", "0.1",
                          "--input", str(path), "--out", "json"]) == 0
-        # The rule and the W column read one pass.
-        assert len(panel_solves) == 1
+        # The rule and the W column read one pass, and no column is solved
+        # twice by it or by the rule's reads past it.
+        assert sum(panel_solves.begun) == 1
+        columns = np.concatenate([c.ravel() for c in panel_solves.cols])
+        assert np.unique(columns).size == columns.size
         doc = json.loads(capsys.readouterr().out)
         assert "seed" not in doc
         expected = generalized_pvalues(RocModel.from_gammas(gammas), pvals)
@@ -268,9 +271,9 @@ class TestDecide:
     @pytest.mark.parametrize("procedure, path", [("fdr-opt", "size_sum"),
                                                  ("strong-fwer-opt", "survival_product")])
     def test_trace_past_the_saturated_prefix_is_null(self, tmp_path, capsys, procedure, path):
-        # Above M = 128 the pass stops where W saturates: a trace fills the
-        # steps its rule evaluated, as the whole panel gives them, and
-        # prints the rest as null.
+        # The pass stops where W saturates: a trace fills the steps its rule
+        # evaluated, as the whole panel gives them, and prints the rest as
+        # null.
         rng = np.random.default_rng(5)
         theta = rng.random(1000) < 0.2
         gammas = np.abs(rng.normal(2.0, 1.0, 1000))

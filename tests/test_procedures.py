@@ -307,7 +307,11 @@ class TestPanelMemo:
         fdr = decide_fdr_opt(model, s, 0.1)
         strong = decide_strong_fwer(model, s, 0.1)
         w = generalized_pvalues(model, s)
-        assert len(panel_solves) == 1
+        # One pass, and no column solved twice by it or the rules' reads
+        # past it.
+        assert sum(panel_solves.begun) == 1
+        columns = np.concatenate([c.ravel() for c in panel_solves.cols])
+        assert np.unique(columns).size == columns.size
         assert_same_decision(fdr, cold(decide_fdr_opt, model, s, 0.1))
         assert_same_decision(strong, cold(decide_strong_fwer, model, s, 0.1))
         assert w.tobytes() == generalized_pvalues(model, s).tobytes()
@@ -336,7 +340,8 @@ class TestPanelMemo:
     def test_a_stack_serves_only_its_own_panels(self, panel_solves):
         # Within a stack, its panels share one solve per block; a model of
         # the stack given other p-values, or a model outside it, is solved
-        # alone, and every decision is the one its panel gets alone.
+        # alone, and every decision is the one its panel gets alone.  Each
+        # pass solves its own prefix once.
         rng = np.random.default_rng(8)
         M = 30
         models = [RocModel.from_gammas(np.abs(rng.normal(2.0, 1.0, M))) for _ in range(3)]
@@ -346,7 +351,10 @@ class TestPanelMemo:
         with allocate.stacked(models, s):
             inside = [(decide_fdr_opt(m, row, 0.1), decide_strong_fwer(m, row, 0.1))
                       for m, row in asks]
-        assert [sum(blocks) for blocks in panel_solves] == [3 * M, M, M]
+        assert [n for n in panel_solves.begun if n] == [3, 1, 1]
+        stacks = [c for c in panel_solves.cols if c.ndim == 2]
+        solved = [procedures._panel(m, row).solved for m, row in asks]
+        assert sum(c.size for c in stacks) == sum(solved)
         for (m, row), (fdr, strong) in zip(asks, inside):
             assert_same_decision(fdr, cold(decide_fdr_opt, m, row, 0.1))
             assert_same_decision(strong, cold(decide_strong_fwer, m, row, 0.1))
@@ -626,13 +634,13 @@ def assert_model_rules_match(gammas, s, q):
     """The model rules and W against ``helpers.reference_stepwise``; returns
     the step-up and step-down decisions and the panel's solved prefix.
 
-    W, cutoffs, rejections and the trace are bitwise the reference's at
-    M <= 128, where the pass is one cold block.  Above, the blocks are
-    warm-started and a size below the flush may solve as 0: W agrees to
-    1e-11 relative, the statistics to 1e-9, and the cutoffs unless they
-    part over a float tie.  A trace fills the steps its rule evaluated,
-    the solved prefix and the deciding steps among them, and leaves the
-    rest NaN."""
+    W, cutoffs, rejections and the evaluated trace steps are bitwise the
+    reference's at M <= 128, where every block is solved cold.  Above, the
+    blocks are warm-started and a size below the flush may solve as 0: W
+    agrees to 1e-11 relative, the statistics to 1e-9, and the cutoffs
+    unless they part over a float tie.  A trace fills the steps its rule
+    evaluated, the solved prefix and the deciding steps among them, and
+    leaves the rest NaN."""
     M = s.size
     model = RocModel.from_gammas(gammas)
     ref = helpers.reference_stepwise(gammas, s, q)
@@ -669,7 +677,7 @@ def assert_model_rules_match(gammas, s, q):
             assert q == 1.0 or evaluated[:k + 1].sum() == min(k + 1, M)
         stat = stats if step_up else np.exp(stats)
         if exact:
-            assert got.tobytes() == stat.tobytes()
+            assert got[evaluated].tobytes() == stat[evaluated].tobytes()
         else:
             np.testing.assert_allclose(got[evaluated], stat[evaluated], rtol=1e-9,
                                        atol=M * LOG_PHI_FLUSH)
@@ -741,6 +749,141 @@ class TestAgainstReference:
         assert (fdr.cutoff_index > solved) == ("step-up" in past)
         evaluated = np.count_nonzero(~np.isnan(strong.trace.survival_product))
         assert (evaluated > solved) == ("step-down" in past)
+
+
+def report_bytes(report):
+    return report.satisfied, np.array([report.worst_alpha, report.worst_ratio]).tobytes()
+
+
+def stopped_pass_outputs(model, s, q):
+    """What the rules, W and the size condition give on one panel, and its
+    solved prefix."""
+    return (decide_fdr_opt(model, s, q), decide_strong_fwer(model, s, q),
+            generalized_pvalues(model, s).tobytes(),
+            report_bytes(procedures._size_condition(model, s)),
+            procedures._panel(model, s).solved)
+
+
+def assert_stopped_pass(gammas, s, q, others=()):
+    """At M <= 128 the pass stops after the block of ``PASS_BLOCK`` columns
+    where W saturates, and gives what one cold solve of the whole panel
+    gives: W, cutoffs, rejections, thresholds, the size condition and the
+    trace steps it evaluates are bitwise the reference's.  Within a stack
+    with the panels ``others``, each panel gets bitwise what it gets alone,
+    its solved prefix and unevaluated (NaN) trace steps included."""
+    M = s.size
+    fdr, strong, solved = assert_model_rules_match(gammas, s, q)
+    assert solved == helpers.pass_stop(gammas, s)
+    ref = helpers.reference_stepwise(gammas, s, q)
+    budgets = (ref.w > 0.0) & (ref.w < 1.0)
+    sums = np.empty(M)
+    sums[ref.order] = ref.size_sums
+    expected = (allocate._size_condition_report(ref.w[budgets], ref.size_max[budgets],
+                                                sums[budgets], M) if budgets.any()
+                else allocate.SizeConditionReport(True, np.nan, np.nan))
+    model = RocModel.from_gammas(gammas)
+    assert report_bytes(procedures._size_condition(model, s)) == report_bytes(expected)
+    models = [model] + [RocModel.from_gammas(g) for g, _ in others]
+    rows = np.stack([s] + [row for _, row in others])
+    alone = []
+    for m, row in zip(models, rows):
+        procedures._panel_memo.cache_clear()
+        alone.append(stopped_pass_outputs(m, row, q))
+    procedures._panel_memo.cache_clear()
+    with allocate.stacked(models, rows):
+        inside = [stopped_pass_outputs(m, row, q) for m, row in zip(models, rows)]
+    assert procedures._panel_memo.cache_info().currsize == 0
+    for (*rules, w, report, k), (*rules_alone, w_alone, report_alone, k_alone) in zip(
+            inside, alone):
+        for got, want in zip(rules, rules_alone):
+            assert_same_decision(got, want)
+        assert (w, report, k) == (w_alone, report_alone, k_alone)
+    return fdr, strong, solved
+
+
+def other_panels(seed: int, M: int, count: int) -> list:
+    rng = np.random.default_rng(seed)
+    return [(rng.uniform(0.0, 6.0, M), rng.uniform(0.0, 1.0, M) ** rng.uniform(0.5, 6.0))
+            for _ in range(count)]
+
+
+class TestStoppedPass:
+    """At M <= 128 a pass solves 16 columns of each live panel of a stack
+    at a time, cold, and stops each panel after the block where its W
+    saturates; the rules read past the stop exactly."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        panel=st.one_of(st.sampled_from([1, 16, 17, 128]), st.integers(1, 128)).flatmap(
+            lambda m: st.tuples(
+                arrays(float, m, elements=helpers.UNIT, fill=st.nothing()),
+                arrays(float, m, elements=st.one_of(st.just(0.0), st.floats(0.0, 100.0)),
+                       fill=st.nothing()))),
+        q=helpers.UNIT,
+        others=st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 3)),
+    )
+    def test_matches_the_one_block_reference(self, panel, q, others):
+        s, gammas = panel
+        assert_stopped_pass(gammas, s, q, other_panels(others[0], s.size, others[1]))
+
+    @staticmethod
+    def paper(M, p, nu, seed):
+        rng = np.random.default_rng(seed)
+        theta = rng.random(M) < p
+        gammas = np.abs(rng.normal(nu, 1.0, M))
+        return gammas, ndtr(-(gammas * theta + rng.standard_normal(M)))
+
+    @staticmethod
+    def zero_effects(M):
+        # A third of the effects are 0, with exact p-values of 0 and 1.
+        rng = np.random.default_rng(17)
+        gammas = np.r_[np.zeros(M // 3), rng.uniform(0.0, 5.0, M - M // 3)]
+        s = 10.0 ** rng.uniform(-8.0, 0.0, M)
+        s[[5, M // 2]], s[[7, M // 2 + 1, M - 1]] = 0.0, 1.0
+        return gammas, s
+
+    @pytest.mark.parametrize("case, q, stopped, past", [
+        (("paper", 16, 0.2, 2.0, 1), 0.1, False, set()),
+        (("paper", 17, 0.2, 2.0, 1), 0.999, True, {"step-up", "step-down"}),
+        (("paper", 128, 0.4, 4.0, 4), 0.5, True, {"step-up"}),
+        (("paper", 128, 0.2, 2.0, 0), 1.0, True, {"step-up"}),
+        (("zero_effects", 100), 0.1, True, set()),
+        (("zero_effects", 100), 1.0, True, {"step-up"}),
+        (("zero_effects", 100), 0.0, True, set()),
+    ], ids=["M16", "M17-q0.999", "M128-q0.5", "M128-q1", "zero-effects-q0.1",
+            "zero-effects-q1", "zero-effects-q0"])
+    def test_cases(self, case, q, stopped, past):
+        gammas, s = getattr(self, case[0])(*case[1:])
+        fdr, strong, solved = assert_stopped_pass(gammas, s, q, other_panels(1, s.size, 3))
+        assert (solved < s.size) == stopped
+        assert (fdr.cutoff_index > solved) == ("step-up" in past)
+        evaluated = np.count_nonzero(~np.isnan(strong.trace.survival_product))
+        assert (evaluated > solved) == ("step-down" in past)
+
+    def test_a_panel_that_never_saturates(self):
+        # Every p-value is tiny, so no W reaches 1.0 and the pass solves
+        # every column, 16 at a time.
+        rng = np.random.default_rng(2)
+        gammas, s = rng.uniform(0.5, 3.0, 90), rng.uniform(0.0, 1e-9, 90)
+        *_, solved = assert_stopped_pass(gammas, s, 0.1, other_panels(2, 90, 2))
+        assert solved == 90
+
+
+@pytest.mark.parametrize("rule", [
+    lambda s: generalized_pvalues(RocModel.from_gammas([1.0, 2.0]), s),
+    lambda s: decide_weak_fwer(RocModel.from_gammas([1.0, 2.0]), s, 0.1),
+    lambda s: decide_strong_fwer(RocModel.from_gammas([1.0, 2.0]), s, 0.1),
+    lambda s: decide_fdr_opt(RocModel.from_gammas([1.0, 2.0]), s, 0.1),
+    lambda s: decide_bh(s, 0.1),
+    lambda s: decide_stepdown_sidak(s, 0.1),
+    lambda s: decide_bonferroni(s, 0.1),
+], ids=["w", "weak-fwer", "strong-fwer", "fdr-opt", "bh", "stepdown-sidak", "bonferroni"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1.0 + 2.0**-52, -5e-324],
+                         ids=["nan", "inf", "-inf", "1+ulp", "-ulp"])
+def test_pvalues_outside_the_unit_interval(rule, bad):
+    with pytest.raises(ValueError, match=r"p-values must lie in \[0, 1\]"):
+        rule([0.5, bad])
+    rule([0.5, -0.0])  # -0.0 is a p-value of 0
 
 
 def assert_weak_rule_is_w_within_budget(model, s, alpha, reject):

@@ -2,6 +2,7 @@
 cell/table runs with their determinism contracts."""
 
 import dataclasses
+import functools
 import math
 import tracemalloc
 
@@ -218,9 +219,9 @@ class TestRunCell:
 class TestSharedPanel:
     """A cell asking for both stepwise rules makes one pass over each
     replicate's panel, with the results of cells that each run one of the
-    rules.  A pass at M <= 128 is one block, so the passes of
-    SOLVE_BLOCK // M^2 replicates are one size-profile call; above, each
-    replicate's pass stops where W saturates."""
+    rules.  Each pass stops where W saturates.  At M <= 128 the passes of
+    SOLVE_BLOCK // (16 M) replicates are made together, one size-profile
+    call per block of 16 columns of each replicate still live."""
 
     RULES = ("fdr-opt", "strong-fwer-opt")
 
@@ -230,30 +231,40 @@ class TestSharedPanel:
         return run_cell(config)
 
     @staticmethod
-    def assert_stacked_passes(panel_solves, M, reps):
-        # Each column of each replicate is solved once, in as few solves
-        # as SOLVE_BLOCK allows.
-        per_solve = SOLVE_BLOCK // (M * M)
-        assert len(panel_solves) == math.ceil(reps / per_solve)
+    def assert_stacked_passes(panel_solves, config):
+        # The passes begin SOLVE_BLOCK // (16 M) replicates at a time, and
+        # each solves the columns of its replicate's prefix once, a block of
+        # at most 16 per solve; the rules read no column past a prefix.
+        M, reps = config.M, config.reps
+        per_solve = SOLVE_BLOCK // (procedures.PASS_BLOCK * M)
+        assert [n for n in panel_solves.begun if n] == [
+            min(per_solve, reps - r) for r in range(0, reps, per_solve)]
         assert all(len(blocks) == 1 for blocks in panel_solves)
-        assert sum(map(sum, panel_solves)) == reps * M
+        assert all(c.ndim == 2 and c.shape[1] <= procedures.PASS_BLOCK
+                   for c in panel_solves.cols)
+        solved = sum(helpers.pass_stop(panel.xi, panel.s)
+                     for panel in map(functools.partial(generate_panel, config), range(reps)))
+        assert sum(map(sum, panel_solves)) == solved
 
     def test_one_solve_per_replicate(self, panel_solves):
         for M, reps in ((20, 7), (50, 7), (100, 3)):
             panel_solves.clear()
-            self.cold_cell(make_config(M=M, reps=reps,
-                                       procedures=self.RULES + ("bh", "weak-fwer-opt")))
-            self.assert_stacked_passes(panel_solves, M, reps)
-        # 20^2 * 40 pairs fit one solve; 50^2 * 6 and 100^2 * 1.
-        assert panel_solves == [[100]] * 3
+            config = make_config(M=M, reps=reps,
+                                 procedures=self.RULES + ("bh", "weak-fwer-opt"))
+            self.cold_cell(config)
+            self.assert_stacked_passes(panel_solves, config)
+            # 51 replicates of 20 fit one solve of 16 columns each; 20 of 50
+            # and 10 of 100.
+            assert panel_solves.begun[0] == reps
 
     @pytest.mark.parametrize("M", [1, 5, 60, 300])
     @pytest.mark.parametrize("p", [0.0, 0.4])
     def test_equals_one_rule_per_cell(self, panel_solves, M, p):
         reps = 4
-        both = self.cold_cell(make_config(M=M, p=p, reps=reps, procedures=self.RULES))
+        config = make_config(M=M, p=p, reps=reps, procedures=self.RULES)
+        both = self.cold_cell(config)
         if M * M <= SOLVE_BLOCK:
-            self.assert_stacked_passes(panel_solves, M, reps)
+            self.assert_stacked_passes(panel_solves, config)
         else:
             # The rules share one pass per replicate, which stops where W
             # saturates: with the columns they read past it, no more than
@@ -267,6 +278,24 @@ class TestSharedPanel:
                 x = getattr(both.replicates[tag], field.name)
                 y = getattr(alone.replicates[tag], field.name)
                 assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+    def test_the_paper_grid_reads_nothing_past_the_passes(self, panel_solves):
+        # On the 27 paper cells of the benchmark's mix (seed 5, 10
+        # replicates), the rules read no column past a pass: every solve is
+        # a block of a stacked pass, with no step-up probe and no step-down
+        # resume.  At M = 100 the passes solve at most 0.6 of the pairs
+        # (0.53 here).
+        for M in (20, 50, 100):
+            pairs = 0
+            for p in (0.1, 0.2, 0.4):
+                for nu in (1.0, 2.0, 4.0):
+                    panel_solves.clear()
+                    run_cell(make_config(M=M, p=p, nu=nu, qstar=0.1, reps=10, seed=5,
+                                         procedures=("fdr-opt", "bh", "strong-fwer-opt",
+                                                     "weak-fwer-opt")))
+                    assert all(c.ndim == 2 for c in panel_solves.cols), (M, p, nu)
+                    pairs += M * sum(c.size for c in panel_solves.cols)
+            assert M < 100 or pairs <= 0.6 * 9 * 10 * M * M
 
 
 class TestStackedCell:
@@ -326,7 +355,13 @@ class TestStackedCell:
     def test_each_rule_is_called_once_per_replicate(self, monkeypatch):
         # Through the names of sim and procedures, as a wrapper put on them
         # sees the calls; the solves behind them are made for the stack:
-        # one multiplier search per cell and one pass solve per block.
+        # one multiplier search per cell and one pass solve per block of
+        # 16 columns, while a replicate's W has not saturated.
+        reps = 7
+        config = make_config(M=20, reps=reps, procedures=(
+            "fdr-opt", "bh", "strong-fwer-opt", "weak-fwer-opt"))
+        solved = max(helpers.pass_stop(panel.xi, panel.s)
+                     for panel in map(functools.partial(generate_panel, config), range(reps)))
         calls = []
 
         def counting(owner, name):
@@ -344,13 +379,11 @@ class TestStackedCell:
         counting(procedures, "optimal_sizes")
         counting(allocate, "find_root")
         counting(procedures, "_panel_blocks")
-        reps = 7
-        run_cell(make_config(M=20, reps=reps, procedures=(
-            "fdr-opt", "bh", "strong-fwer-opt", "weak-fwer-opt")))
+        run_cell(config)
         assert {name: calls.count(name) for name in set(calls)} == {
             "generate_panel": reps, "decide_fdr_opt": reps, "decide_strong_fwer": reps,
             "decide_weak_fwer": reps, "decide_bh": reps, "optimal_sizes": reps,
-            "find_root": 1, "_panel_blocks": 1}
+            "find_root": 1, "_panel_blocks": math.ceil(solved / procedures.PASS_BLOCK)}
 
     def test_a_closed_stack_retains_nothing(self):
         # What a stack solved, its passes and allocations, goes with it.
