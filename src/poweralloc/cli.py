@@ -177,7 +177,7 @@ def _formats(x: np.ndarray) -> np.ndarray:
 def _write_json(stream, doc: dict) -> None:
     """``json.dump(doc, stream, indent=2)`` and a newline, where
     ``doc["records"]`` maps each record field to a column (as in
-    ``_cells``) and stands for the list of per-row records.  A chunk
+    ``_write_csv``) and stands for the list of per-row records.  A chunk
     is one ``%`` over its records' templates (see ``_formats``)."""
     head, tail = json.dumps({**doc, "records": _RECORDS}, indent=2).split(
         json.dumps(_RECORDS))
@@ -211,33 +211,55 @@ def _write_json(stream, doc: dict) -> None:
     stream.write(f"\n  ]{tail}\n" if n else f"{head}[]{tail}\n")
 
 
-def _cells(values) -> list:
-    """A list holds text, a float array numbers (``_fmt``) and a bool or
-    int array integers."""
-    if isinstance(values, list):
-        return values
-    if values.dtype.kind == "f":
-        return ["" if v != v else f"{v:.12g}" for v in (values + 0.0).tolist()]
-    return values.astype(np.int64).tolist()
+def _csv_row(fields: list) -> str:
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow(fields)
+    return buffer.getvalue()
+
+
+# The characters that make ``csv.writer`` quote a field: the delimiter,
+# the quote and the line terminator, and on some Python versions "\r".
+_CSV_QUOTED = "".join(c for c in ',"\r\n' if _csv_row([c, ""]).startswith('"'))
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it in a row of two or more
+    fields."""
+    if any(c in text for c in _CSV_QUOTED):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _write_csv(stream, columns: dict) -> None:
-    """A header row of the keys of ``columns``, then one row per record.
-    A ``str`` column is the same on every row and is formatted once; any
-    other column is as in ``_cells``."""
-    n = next(len(col) for col in columns.values() if not isinstance(col, str))
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(list(columns))
-    for lo in range(0, max(n, 1), RECORD_CHUNK):  # once at least, for the header
+    """A header row of the keys of ``columns``, then one row per record,
+    as ``csv.writer`` writes them; there are two or more columns.  A
+    ``str`` column is the same on every row, and is quoted once into the
+    row template that one ``%`` fills for each chunk of RECORD_CHUNK rows.
+    A list column holds text, a float array numbers (``_fmt``) and a bool
+    or int array integers."""
+    varying = [col for col in columns.values() if not isinstance(col, str)]
+    n, width = len(varying[0]), len(varying)
+    stream.write(",".join(map(_csv_field, columns)) + "\n")
+    for lo in range(0, n, RECORD_CHUNK):
         hi = min(n, lo + RECORD_CHUNK)
-        writer.writerows(zip(*[
-            itertools.repeat(col, hi - lo) if isinstance(col, str) else _cells(col[lo:hi])
-            for col in columns.values()
-        ]))
-        stream.write(buffer.getvalue())
-        buffer.seek(0)
-        buffer.truncate()
+        cells, specs = [None] * ((hi - lo) * width), []
+        for j, col in enumerate(varying):
+            col = col[lo:hi]
+            if isinstance(col, list):
+                text = "".join(col)
+                quoted = any(c in text for c in _CSV_QUOTED)
+                cells[j::width], spec = map(_csv_field, col) if quoted else col, "%s"
+            elif col.dtype.kind != "f":
+                cells[j::width], spec = col.astype(np.int64).tolist(), "%d"
+            elif np.isnan(col).any():  # printed empty
+                cells[j::width], spec = [_fmt(v) for v in col.tolist()], "%s"
+            else:
+                cells[j::width], spec = (col + 0.0).tolist(), "%.12g"  # -0.0 + 0.0 is 0.0
+            specs.append(spec)
+        specs = iter(specs)
+        row = ",".join(next(specs) if not isinstance(col, str)
+                       else _csv_field(col).replace("%", "%%") for col in columns.values())
+        stream.write((row + "\n") * (hi - lo) % tuple(cells))
 
 
 # ---------------------------------------------------------------------------
@@ -374,14 +396,17 @@ def _cmd_decide(args) -> int:
         gammas = _gammas(columns.pop("gamma"), lines)
         model = RocModel.from_gammas(gammas)
 
-    decision = decide(procedure, model, pvalues, budget)
     w = condition = None
     if model is not None:
-        # The stepwise rule, every row's W and, for fdr-opt, the size
-        # condition share one pass over the panel (see ``procedures``).
+        # Every row's W, for fdr-opt the size condition, and the stepwise
+        # rule share one pass over the panel (see ``procedures``).  W
+        # needs the pass through the block where W saturates, so asked
+        # first it leaves the rule a saturated pass, whose W its trace
+        # prints at every step.
         w = generalized_pvalues(model, pvalues)
         if procedure == "fdr-opt":
             condition = _size_condition(model, pvalues)
+    decision = decide(procedure, model, pvalues, budget)
     _print_decision(args.out, args.trace, procedure, budget, ids, pvalues, gammas, w,
                     condition, decision)
     return 0
@@ -487,7 +512,7 @@ def _cmd_simulate(args) -> int:
         for tag in cfg.procedures:
             est = cell.estimates[tag]
             rows_out.append([
-                cfg.M, _fmt(cfg.p), _fmt(cfg.nu), _fmt(cfg.qstar), cfg.reps, tag,
+                str(cfg.M), _fmt(cfg.p), _fmt(cfg.nu), _fmt(cfg.qstar), str(cfg.reps), tag,
                 _fmt(est.fdr), _fmt(est.se_fdr), _fmt(est.mdr_std), _fmt(est.se_mdr_std),
                 _fmt(est.fwer), _fmt(est.etp), _fmt(est.efp),
             ])

@@ -5,7 +5,7 @@ of the panel sizes every hypothesis at d_m, and W_m, the budget-scale
 p-value, and the two model-based stepwise rules read only statistics of
 those columns.  This module is their one panel engine:
 
-* The scan order is descending log d_m, ties by index (``_passes``).
+* The scan order is descending log d_m, ties by index (``_Passes``).
   It is the budget-scale order of W, taken exactly: W rounds to 1.0 once
   its log budget is below about -37, which at M = 1000 ties most of a
   panel.  A p-value of 0 pins log d = +inf (first), one of 1 pins -inf
@@ -21,36 +21,53 @@ those columns.  This module is their one panel engine:
   before m, which are the step-down statistic.  A pass owns one scratch (``allocate._Scratch``),
   from which every block takes its (M, block) arrays, so after its first
   block it allocates none of them.
-* One pass (``_passes``) solves the scan a block at a time and stops
-  after the first block where W is exactly 1.0 (``SATURATED``): the sum
-  of log(1 - eta) does not increase along the scan, so every later column
-  has W = 1.0 too.  Above M = 128 a block is SOLVE_BLOCK // M columns,
-  warm-started; at M <= 128 it is ``PASS_BLOCK`` (16) columns, solved
-  cold, so every pair is solved as one cold solve of the whole panel
-  would solve it.  The blocks' bounds depend on M alone.  On a paper
-  panel the pass solves about a sixth of the columns at M = 1000 and
-  about half at M = 100.  A one-entry memo keyed on the exact bytes of
-  the gammas and the p-values serves it to every later call on the same
-  panel.
+* A pass (``_Passes``) solves the scan a block at a time, only as far
+  as the readers that have asked of it need.  W, and the size condition,
+  which reads the budgets W, need it through the first block where W is
+  exactly 1.0 (``SATURATED``): the sum of log(1 - eta) does not increase
+  along the scan, so every later column has W = 1.0 too.  The step-up
+  rule at q is decided once the last solved column's S exceeds q M: S
+  does not decrease, so no later step passes.  The step-down rule at q
+  is decided once a solved step fails.  A pass stops after the first
+  block where W saturates or where every reader so far is decided, and a
+  later reader that needs more resumes it where it stopped, so no column
+  is solved twice.  Past a stop where W saturated, W is 1.0; past one
+  where the rules were decided it is unknown, NaN.  Above M = 128 a
+  block is SOLVE_BLOCK // M columns, each warm-started from the one
+  before it, the first block of a resume from the kept anchor, so every
+  column is solved as the pass that never stopped solves it; at
+  M <= 128 it is ``PASS_BLOCK`` (16) columns, solved cold, so every pair
+  is solved as one cold solve of the whole panel would solve it.  The
+  blocks' bounds depend on M alone.  So W, every column statistic, and
+  where the pass stops once W has been asked for, are those of a pass
+  that W alone asked for.  On a paper panel that pass solves about a
+  sixth of the columns at M = 1000 and about half at M = 100; the two
+  rules at q = 0.1 alone about a third at M = 100.  A one-entry memo
+  keyed on the exact bytes of the gammas and the p-values keeps the pass
+  for every later call on the same panel.
 * The panels of a stack (``allocate.stacked``), such as the replicates
   of a Monte Carlo cell, are still decided one at a time, but at
-  M <= 128 their passes are made together: the first panel that asks for
-  its pass makes those of the SOLVE_BLOCK // (16 M) panels of its group,
-  one ``_panel_blocks`` call per block of 16 columns of each panel not
-  yet saturated, and the stack keeps the group's passes for the other
-  panels and rules.  Every solve in a block is its own, so each pass,
-  where it stops included, is bitwise the panel's alone.  Above M = 128
-  each panel has its own pass, from the memo.
-* A stepwise rule solves columns past the stop only where its cutoff may
-  lie there: when every solved step passes, the step-down rule resumes
-  the pass from its anchor up to the first failing block, and the step-up
-  rule searches the ranks past the stop for the last passing one, a
-  column at a time, unless the last solved step's S already exceeds
-  q M.  Both read those columns as the pass would have: cold at
-  M <= 128, the step-down resume being one block there.
+  M <= 128 their passes are made together, in groups of
+  SOLVE_BLOCK // (16 M) panels that the stack keeps: the first request
+  of a reader on a panel of a group extends the pass of every panel of
+  the group that still needs it, one ``_panel_blocks`` call per block of
+  16 columns of each such panel, and the later requests of that reader
+  on the group's panels read the kept passes.  Every solve in a block is
+  its own, so each pass, where it stops included, is bitwise the one the
+  panel gets alone from the same readers in the same order.  Above
+  M = 128 each panel has its own pass, from the memo.
+* A stepwise rule solves columns past a stop where W saturated only
+  where its cutoff may lie there: when every solved step passes, the
+  step-down rule resumes the pass from its anchor up to the first
+  failing block, and the step-up rule searches the ranks past the stop
+  for the last passing one, a column at a time, unless the last solved
+  step's S already exceeds q M.  Both read those columns as the pass
+  would have: cold at M <= 128, the step-down resume being one block
+  there.  Neither keeps them in the pass.
 
 So the two stepwise rules and ``generalized_pvalues`` on one panel cost
-one pass and the columns each rule reads past it.  The rules:
+at most one pass to saturation and the columns each rule reads past it.
+The rules:
 
 * ``decide_weak_fwer`` - fixed-budget rule: reject m iff its p-value is at
   most its optimally allocated size (a weighted-p-value rule; rejections
@@ -121,7 +138,10 @@ class ProcedureTrace:
     whole other path, NaN, which the CLI prints as null.  The baselines
     evaluate every step; the model rules evaluate the steps of the panel's
     solved prefix and the ones they read past it, which include every step
-    that decides the cutoff.
+    that decides the cutoff.  A model rule's ``order_stats`` is W, known
+    at the solved prefix, and 1.0 past it where the pass stopped because
+    W saturated; past a stop where the readers of the pass were decided
+    it is unknown, NaN.  The deciding step's W is always known.
     """
 
     order_stats: np.ndarray
@@ -278,38 +298,136 @@ PASS_BLOCK = 16
 # the first one below it has W = 1.0 too, as a pass over them would give.
 SATURATED = -40.0
 
+# The reader of a pass that W and the size condition are: it is decided
+# only where W saturates.  A stepwise rule at q reads as ("step-up", q)
+# or ("step-down", q) (see ``_Passes.serve``).
+W_READER = ("w", None)
+
 
 @dataclass(frozen=True)
 class _Panel:
-    """The O(M) reductions of one pass over the panel, by column.
+    """The O(M) reductions of one pass over the panel, by column, as the
+    pass stands.
 
     Column m sizes every hypothesis at d_m (log d_m is ``log_d[m]``).  The
     pass solves the columns in the scan order ``order``, whose inverse is
-    ``rank``, and stops after the block where W saturates: the first
-    ``solved`` of them are solved.  ``w[m]`` is W_m
-    for every m, 1.0 past the solved prefix.  For the solved columns
-    ``size_sums`` holds the step-up statistic S = sum_j eta_j,
-    ``log_products`` the step-down statistic, the sum of log(1 - eta_j)
-    over the hypotheses j not ranked before m, and ``size_max`` the
-    largest size; all three are NaN past the prefix.  ``anchor`` is the
-    warm start that resumes the pass (``_panel_blocks``), None at
-    M <= 128, where a resume is cold as the pass is.
+    ``rank``; the first ``solved`` of them are solved.  ``w[m]`` is W_m
+    for the solved columns, and past them 1.0 where the pass stopped
+    because W saturated, NaN where it stopped because its readers were
+    decided.  For the solved columns ``size_sums`` holds the step-up
+    statistic S = sum_j eta_j, ``log_products`` the step-down statistic,
+    the sum of log(1 - eta_j) over the hypotheses j not ranked before m,
+    and ``size_max`` the largest size; all three are NaN past the prefix.
+    ``anchor`` is the warm start that resumes the pass (``_panel_blocks``),
+    None at M <= 128, where a resume is cold as the pass is.  The arrays
+    are read-only views of the pass, which a later reader may extend.
     """
 
     order: np.ndarray
     rank: np.ndarray
     log_d: np.ndarray
     w: np.ndarray
-    log_products: np.ndarray
     size_sums: np.ndarray
     size_max: np.ndarray
+    log_products: np.ndarray
     solved: int
     anchor: tuple | None
 
 
-def _panel(model: RocModel, s: np.ndarray) -> _Panel:
-    """The reductions of the panel of ``(model, s)``, solved once for
-    consecutive calls on the same inputs.
+class _Passes:
+    """The passes over the n panels of the (n, M) arrays ``gammas`` and
+    ``s``, each solved only as far as the readers that have asked of it
+    need (``serve``).
+
+    At M <= 128 the n <= SOLVE_BLOCK // (16 M) panels are solved together,
+    cold, one stacked ``_panel_blocks`` call per block of ``PASS_BLOCK``
+    columns of each panel that a reader needs more of.  Above, n is 1 and
+    each block of SOLVE_BLOCK // M columns is warm-started from the one
+    before it.
+    """
+
+    def __init__(self, gammas: np.ndarray, s: np.ndarray):
+        n, M = s.shape
+        self.gammas = gammas
+        self.log_d = _log_marginal_value(gammas, s)
+        self.order = np.argsort(-self.log_d, axis=-1, kind="stable")  # the scan order
+        self.rank = np.empty((n, M), dtype=np.intp)
+        self.rank[_rows(self.order)] = np.arange(M)
+        # By column: W and the three statistics, in the order
+        # ``_panel_blocks`` yields them, NaN until solved.
+        self.w, self.size_sums, self.size_max, self.log_products = self.stats = np.full(
+            (4, n, M), np.nan)
+        self.solved = np.zeros(n, dtype=np.intp)
+        self.saturated = np.zeros(n, dtype=bool)
+        self.anchor = None
+        self.readers = set()
+
+    def panel(self, i: int) -> _Panel:
+        """Panel i's pass as it stands, its arrays read-only."""
+        views = [a[i] for a in (self.order, self.rank, self.log_d, *self.stats)]
+        for view in views:
+            view.setflags(write=False)
+        return _Panel(*views, solved=int(self.solved[i]), anchor=self.anchor)
+
+    def serve(self, reader: tuple) -> None:
+        """Extend the pass of every panel that ``reader`` needs more of,
+        the first time it asks: until the reader is decided on it, W
+        saturates or the scan ends.  A pass resumes where it stopped, from
+        its anchor above M = 128, so no column is solved twice.  The
+        panels still in the last, shorter block of the scan are solved
+        apart from the others."""
+        if reader in self.readers:
+            return
+        self.readers.add(reader)
+        n, M = self.log_d.shape
+        stack = M * M <= SOLVE_BLOCK
+        width = PASS_BLOCK if stack else max(1, SOLVE_BLOCK // M)
+        live, scratch = self._undecided(reader, np.arange(n)), _Scratch()
+        while live.size:
+            last = M - self.solved[live] < width
+            for rows in (live[~last], live[last]):
+                if not rows.size:
+                    continue
+                start = self.solved[rows]
+                cols = self.order[rows[:, None], start[:, None] + np.arange(
+                    min(width, M - start[0]))]
+                panels = self.gammas[rows], self.log_d[rows], self.rank[rows], cols
+                if not stack:  # one panel, each block warm-started from the one before
+                    panels = [a[0] for a in panels]
+                (_, log_sums, *block, self.anchor), = _panel_blocks(*panels, self.anchor,
+                                                                   scratch)
+                # W = 0.0 - expm1(sum): a column whose sum is 0.0 has W 0.0, not -0.0.
+                for arr, stat in zip(self.stats, (0.0 - np.expm1(log_sums), *block)):
+                    arr[rows[:, None], cols] = stat
+                self.solved[rows] += cols.shape[1]
+                saturated = rows[np.reshape(log_sums, cols.shape)[:, -1] < SATURATED]
+                self.saturated[saturated] = True
+                past = self.rank[saturated] >= self.solved[saturated, None]
+                self.w[saturated] = np.where(past, 1.0, self.w[saturated])
+            live = self._undecided(reader, live)
+
+    def _undecided(self, reader: tuple, rows: np.ndarray) -> np.ndarray:
+        """The panels among ``rows`` whose pass ``reader`` needs more of:
+        it has neither saturated nor reached the end of the scan, and the
+        reader is not decided on its solved prefix."""
+        kind, q = reader
+        M = self.log_d.shape[1]
+        solved = self.solved[rows]
+        more = ~self.saturated[rows] & (solved < M)
+        if kind == "step-up":
+            # S does not decrease along the scan, so no step past one
+            # whose S exceeds q M passes.
+            last = self.size_sums[rows, self.order[rows, np.maximum(solved, 1) - 1]]
+            more &= ~(last > q * M)
+        elif kind == "step-down" and q < 1.0:
+            more &= ~np.any(self.log_products[rows] < math.log1p(-q), axis=-1)
+        return rows[more]
+
+
+def _panel(model: RocModel, s: np.ndarray, reader: tuple = W_READER) -> _Panel:
+    """The pass over the panel of ``(model, s)``, solved as far as
+    ``reader`` and the readers before it need (``_Passes.serve``), and
+    kept for later calls on the same inputs.
 
     A panel of an open stack (``allocate.stacked``) at M <= 128 gets its
     pass from the stack, which keeps the passes of one group of
@@ -322,65 +440,23 @@ def _panel(model: RocModel, s: np.ndarray) -> _Panel:
     M = s.size
     stack, r = _stack_row(model)
     if stack is None or M * M > SOLVE_BLOCK or stack.s[r].tobytes() != s.tobytes():
-        return _panel_memo(model.gammas.tobytes(), s.tobytes())
-    per_solve = SOLVE_BLOCK // (PASS_BLOCK * M)
-    block, i = divmod(r, per_solve)
-    kept = stack.kept.get("passes")
-    if kept is None or kept[0] != block:
-        rows = slice(block * per_solve, (block + 1) * per_solve)
-        gammas = np.stack([m.gammas for m in stack.models[rows]])
-        kept = stack.kept["passes"] = (block, _passes(gammas, stack.s[rows]))
-    return kept[1][i]
+        passes, i = _panel_memo(model.gammas.tobytes(), s.tobytes()), 0
+    else:
+        per_solve = SOLVE_BLOCK // (PASS_BLOCK * M)
+        block, i = divmod(r, per_solve)
+        kept = stack.kept.get("passes")
+        if kept is None or kept[0] != block:
+            rows = slice(block * per_solve, (block + 1) * per_solve)
+            gammas = np.stack([m.gammas for m in stack.models[rows]])
+            kept = stack.kept["passes"] = (block, _Passes(gammas, stack.s[rows]))
+        passes = kept[1]
+    passes.serve(reader)
+    return passes.panel(i)
 
 
 @functools.lru_cache(maxsize=1)
-def _panel_memo(gammas: bytes, s: bytes) -> _Panel:
-    panel, = _passes(np.frombuffer(gammas)[None], np.frombuffer(s)[None])
-    return panel
-
-
-def _passes(gammas: np.ndarray, s: np.ndarray) -> list[_Panel]:
-    """The passes over the n panels of the (n, M) arrays ``gammas`` and
-    ``s``, one _Panel each.
-
-    Each pass stops after the first block where W is exactly 1.0: the
-    sum of log(1 - eta) does not increase along the scan.  At M <= 128 the
-    n <= SOLVE_BLOCK // (16 M) panels are solved together, cold, one
-    stacked ``_panel_blocks`` call per block of ``PASS_BLOCK`` columns of
-    each panel still live, and a panel leaves the stack after the block
-    where it saturates.  Above, n is 1 and each block of SOLVE_BLOCK // M
-    columns is warm-started from the one before it.
-    """
-    n, M = s.shape
-    log_d = _log_marginal_value(gammas, s)
-    order = np.argsort(-log_d, axis=-1, kind="stable")  # the scan order
-    rank = np.empty((n, M), dtype=np.intp)
-    rank[_rows(order)] = np.arange(M)
-    log_sums = np.full((n, M), -np.inf)  # W = 1.0 past the solved prefix
-    log_products, size_sums, size_max = (np.full((n, M), np.nan) for _ in range(3))
-    stats = (log_sums, size_sums, size_max, log_products)
-    stack = M * M <= SOLVE_BLOCK
-    width = PASS_BLOCK if stack else max(1, SOLVE_BLOCK // M)
-    solved, live, anchor, scratch = np.full(n, M), np.arange(n), None, _Scratch()
-    for k0 in range(0, M, width):
-        cols = order[live, k0:k0 + width]
-        panels = gammas[live], log_d[live], rank[live], cols
-        if not stack:  # one panel, each block warm-started from the one before
-            panels = [a[0] for a in panels]
-        (_, *block, anchor), = _panel_blocks(*panels, anchor, scratch)
-        for arr, stat in zip(stats, block):
-            arr[live[:, None], cols] = stat
-        saturated = log_sums[live, cols[:, -1]] < SATURATED
-        solved[live[saturated]] = k0 + cols.shape[1]
-        live = live[~saturated]
-        if not live.size:
-            break
-    # W = 0.0 - expm1(sum): a column whose sum is 0.0 has W 0.0, not -0.0.
-    w = 0.0 - np.expm1(log_sums)
-    for arr in (order, rank, log_d, w, log_products, size_sums, size_max):
-        arr.setflags(write=False)
-    return [_Panel(order[i], rank[i], log_d[i], w[i], log_products[i], size_sums[i],
-                   size_max[i], int(solved[i]), anchor) for i in range(n)]
+def _panel_memo(gammas: bytes, s: bytes) -> _Passes:
+    return _Passes(np.frombuffer(gammas)[None], np.frombuffer(s)[None])
 
 
 def _scan(order: np.ndarray, order_stats: np.ndarray, passing: np.ndarray,
@@ -434,6 +510,15 @@ def _size_condition(model: RocModel, s) -> SizeConditionReport:
     guarantee assumes; the first worst budget in input order is reported.
     With no candidate budget in (0, 1) the condition holds vacuously, and
     the worst budget and ratio are NaN.
+
+    Where the condition fails, the step-up rule's FDR can exceed q.  On
+    the panel of gammas [7.803, 0.014, 1.185] with only the first
+    hypothesis an alternative, whose worst ratio is 2.0, the exact FDR at
+    q = 0.1 is 0.10373; two Monte Carlo runs of 300,000 replicates read
+    0.10313 and 0.10353 (se 0.00038).
+
+    It reads W at every hypothesis, so it needs the pass through the
+    block where W saturates (``W_READER``).
     """
     s, _ = _inputs(model, s)
     panel = _panel(model, s)
@@ -464,12 +549,14 @@ def decide_strong_fwer(model: RocModel, s, qstar: float) -> Decision:
     cutoff is the last step of the longest surviving prefix.  With
     identical ROC functions this is exactly the step-down Sidak procedure.
 
-    Where every step of the panel's solved prefix survives and qstar < 1,
-    the pass resumes along the scan until a step fails; the trace leaves
-    the steps after the last block solved NaN.
+    The pass is solved until one of its steps fails or W saturates
+    (``_Passes.serve``).  Where every step of a prefix that ends where W
+    saturated survives and qstar < 1, the pass resumes along the scan
+    until a step fails.  The trace leaves the steps after the last block
+    solved NaN, their W included where no reader has asked for it.
     """
     s, qstar = _inputs(model, s, qstar)
-    panel = _panel(model, s)
+    panel = _panel(model, s, ("step-down", qstar))
     bound = math.log1p(-qstar) if qstar < 1.0 else -math.inf
     log_products = panel.log_products[panel.order]
     k = panel.solved
@@ -514,16 +601,19 @@ def decide_fdr_opt(model: RocModel, s, qstar: float) -> Decision:
     with S(m) = sum_j eta_j(d_(m)) <= qstar * m.  Reduces to
     Benjamini-Hochberg when all ROC functions are identical.  Its FDR
     guarantee assumes the size condition, which ``decide`` reports over
-    the candidate budgets.
+    the candidate budgets, and the FDR can exceed qstar where it fails
+    (see ``_size_condition``: 0.10373 at qstar = 0.1 on a panel of three).
 
-    The steps past the panel's solved prefix are searched for the last
-    passing one (``_last_passing``), one column at a time, unless the
-    prefix's last S already exceeds qstar * M: S does not decrease, so no
-    later step passes.  The trace leaves the steps the search does not
-    evaluate NaN.
+    The pass is solved until the last solved step's S exceeds qstar * M
+    or W saturates (``_Passes.serve``): S does not decrease, so no later
+    step passes.  Past a prefix that ends where W saturated, the steps are
+    searched for the last passing one (``_last_passing``), one column at a
+    time, unless the prefix's last S already exceeds qstar * M.  The trace
+    leaves the steps the search does not evaluate NaN, their W included
+    past a stop where no reader has asked for it.
     """
     s, qstar = _inputs(model, s, qstar)
-    panel = _panel(model, s)
+    panel = _panel(model, s, ("step-up", qstar))
     size_sums = panel.size_sums[panel.order]
     line = qstar * np.arange(1, s.size + 1)
 

@@ -13,10 +13,13 @@ rule once per replicate through ``decide``, but the rules' solves are
 made for the stack: the weak-FWER rule's first call runs every
 replicate's multiplier search in lockstep, and at M <= 128 the
 model-based stepwise rules make the passes of SOLVE_BLOCK // (16 M)
-replicates together, 16 columns of each at a time, each stopping where
-its W saturates, and both rules share them (see ``procedures`` and
-``allocate``).  Every replicate's decision is bitwise
-the one it gets alone.  A cell of more than ``CELL_BLOCK`` p-values is
+replicates together, 16 columns of each at a time.  The first rule that
+asks solves each replicate's pass until that rule is decided on it, and
+the second extends only the passes it needs more of, so a pass stops
+where both rules are decided or W saturates: a cell reads no W, so its
+passes are not solved on to where W saturates (see ``procedures`` and
+``allocate``).  Every replicate's decision is bitwise the one it gets
+alone.  A cell of more than ``CELL_BLOCK`` p-values is
 stacked a run of whole replicates at a time, so a cell's working memory
 does not grow with its replicate count.
 

@@ -489,6 +489,38 @@ def pass_stop(gammas, s) -> int:
     return int(stops[0]) if stops.size else M
 
 
+def reader_stop(gammas, s, q, readers=("step-up", "step-down")) -> int:
+    """The solved prefix of a pass at M <= 128 that ``readers`` have asked
+    of, each at level ``q``, from the reference: the end of the first
+    block of ``procedures.PASS_BLOCK`` scan columns by which every reader
+    is decided, or else ``pass_stop``'s.  The step-up rule is decided once
+    the block's last S exceeds q M, the step-down rule once a step of the
+    block or one before it fails, and "w" (W and the size condition)
+    never."""
+    ref = reference_stepwise(gammas, s, q)
+    return block_stop(ref.size_sums, ref.log_products, pass_stop(gammas, s),
+                      [(reader, q) for reader in readers], procedures.PASS_BLOCK)
+
+
+def block_stop(size_sums, log_products, saturated_at: int, readers, width: int) -> int:
+    """The stop of a pass of blocks of ``width`` columns that ``readers``,
+    (kind, q) pairs as in ``reader_stop``, have asked of, from its
+    statistics by scan step and the stop ``saturated_at`` where W
+    saturates; the statistics past that stop may be NaN."""
+    M = size_sums.size
+    ends = np.minimum(np.arange(width, M + width, width), M)
+    decided = np.ones(ends.size, dtype=bool)
+    for kind, q in readers:
+        if kind == "step-up":
+            decided &= size_sums[ends - 1] > q * M
+        elif kind == "step-down":
+            failing = np.flatnonzero(log_products < (math.log1p(-q) if q < 1.0 else -math.inf))
+            decided &= ends > (failing[0] if failing.size else M)
+        else:
+            decided[:] = False
+    return int(ends[decided | (ends >= saturated_at)][0])
+
+
 # The p-value-only stepwise baselines as they were before the rules shared
 # one scan, kept as differential references.  Their results are plain
 # records with the fields of ``procedures.Decision`` and

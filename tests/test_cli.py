@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
-from helpers import reference_print_allocation, reference_print_decision, reference_stepwise
+from helpers import (_fmt, reference_print_allocation, reference_print_decision,
+                     reference_stepwise)
 from poweralloc import RocModel, cli, decide_weak_fwer, generalized_pvalues, procedures
 from poweralloc.allocate import SizeConditionReport
 from poweralloc.sim import PROCEDURE_TAGS
@@ -554,6 +555,47 @@ class TestWriters:
                 floats() if with_w else None, condition, decision)
         assert self.printed(cli._print_decision, *args) == \
             self.printed(reference_print_decision, *args)
+
+
+# Text that ``csv.writer`` quotes (the delimiter, the quote, line breaks),
+# escapes a ``%`` template would read, non-ASCII text, and anything else.
+_CSV_TEXT = st.text(st.one_of(st.sampled_from(list(',"\r\n%é€\u2028 a0')), st.characters()),
+                    max_size=8)
+
+
+class TestCsvWriter:
+    """``cli._write_csv`` writes byte for byte what ``csv.writer`` writes
+    for the same rows: a row-constant column is quoted once into the row
+    template, and only the text and numeric cells are formatted per row."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rows=st.lists(st.tuples(_CSV_TEXT, _floats, st.booleans(), st.integers(-9, 9)),
+                      max_size=20),
+        constants=st.lists(_CSV_TEXT, min_size=1, max_size=3),
+        names=st.lists(_CSV_TEXT, min_size=7, max_size=7, unique=True),
+        chunk=st.sampled_from([1, 3, cli.RECORD_CHUNK]),
+    )
+    def test_matches_csv_writer(self, rows, constants, names, chunk):
+        ids = [row[0] for row in rows]
+        x = np.array([row[1] for row in rows], dtype=float)
+        flags = np.array([row[2] for row in rows], dtype=bool)
+        counts = np.array([row[3] for row in rows], dtype=np.int64)
+        # The constants before, between and after the other columns.
+        values = [ids, constants[0], x, flags, *constants[1:], counts]
+        columns = dict(zip(names, values))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "RECORD_CHUNK", chunk)
+            got = io.StringIO()
+            cli._write_csv(got, columns)
+        want = io.StringIO()
+        writer = csv.writer(want, lineterminator="\n")
+        writer.writerow(list(columns))
+        for i in range(len(rows)):
+            writer.writerow([col if isinstance(col, str) else col[i] if isinstance(col, list)
+                             else _fmt(col[i]) if col.dtype.kind == "f" else int(col[i])
+                             for col in columns.values()])
+        assert got.getvalue() == want.getvalue()
 
 
 class _CountingStream(io.TextIOBase):

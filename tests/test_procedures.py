@@ -292,8 +292,13 @@ def assert_same_decision(a, b):
         assert x.tobytes() == y.tobytes()
 
 
-def cold(rule, model, s, q):
+def cold(rule, model, s, q, before=()):
+    """``rule`` on a panel solved afresh, after the (rule, q) requests
+    ``before``: a pass stops where the readers that have asked of it are
+    decided, so a trace's unevaluated steps depend on them."""
     procedures._panel_memo.cache_clear()
+    for earlier, earlier_q in before:
+        earlier(model, s, earlier_q)
     return rule(model, s, q)
 
 
@@ -313,7 +318,8 @@ class TestPanelMemo:
         columns = np.concatenate([c.ravel() for c in panel_solves.cols])
         assert np.unique(columns).size == columns.size
         assert_same_decision(fdr, cold(decide_fdr_opt, model, s, 0.1))
-        assert_same_decision(strong, cold(decide_strong_fwer, model, s, 0.1))
+        assert_same_decision(strong, cold(decide_strong_fwer, model, s, 0.1,
+                                          [(decide_fdr_opt, 0.1)]))
         assert w.tobytes() == generalized_pvalues(model, s).tobytes()
 
     def test_pvalues_mutated_in_place(self, panel_solves):
@@ -325,7 +331,8 @@ class TestPanelMemo:
         strong = decide_strong_fwer(model, s, 0.1)
         assert len(panel_solves) == 2
         assert_same_decision(fdr, cold(decide_fdr_opt, model, s, 0.1))
-        assert_same_decision(strong, cold(decide_strong_fwer, model, s, 0.1))
+        assert_same_decision(strong, cold(decide_strong_fwer, model, s, 0.1,
+                                          [(decide_fdr_opt, 0.1)]))
 
     def test_same_pvalues_other_gammas(self, panel_solves):
         s = np.array([0.001, 0.01, 0.02, 0.3, 0.04])
@@ -335,13 +342,15 @@ class TestPanelMemo:
         fdr = decide_fdr_opt(model, s, 0.1)
         assert len(panel_solves) == 2
         assert_same_decision(strong, cold(decide_strong_fwer, model, s, 0.1))
-        assert_same_decision(fdr, cold(decide_fdr_opt, model, s, 0.1))
+        assert_same_decision(fdr, cold(decide_fdr_opt, model, s, 0.1,
+                                       [(decide_strong_fwer, 0.1)]))
 
     def test_a_stack_serves_only_its_own_panels(self, panel_solves):
         # Within a stack, its panels share one solve per block; a model of
         # the stack given other p-values, or a model outside it, is solved
-        # alone, and every decision is the one its panel gets alone.  Each
-        # pass solves its own prefix once.
+        # alone, and every decision is the one its panel gets alone from
+        # the same requests.  Each pass solves its own prefix once, as far
+        # as the two rules at q = 0.1 need it.
         rng = np.random.default_rng(8)
         M = 30
         models = [RocModel.from_gammas(np.abs(rng.normal(2.0, 1.0, M))) for _ in range(3)]
@@ -353,11 +362,12 @@ class TestPanelMemo:
                       for m, row in asks]
         assert [n for n in panel_solves.begun if n] == [3, 1, 1]
         stacks = [c for c in panel_solves.cols if c.ndim == 2]
-        solved = [procedures._panel(m, row).solved for m, row in asks]
+        solved = [helpers.reader_stop(m.gammas, row, 0.1) for m, row in asks]
         assert sum(c.size for c in stacks) == sum(solved)
         for (m, row), (fdr, strong) in zip(asks, inside):
             assert_same_decision(fdr, cold(decide_fdr_opt, m, row, 0.1))
-            assert_same_decision(strong, cold(decide_strong_fwer, m, row, 0.1))
+            assert_same_decision(strong, cold(decide_strong_fwer, m, row, 0.1,
+                                              [(decide_fdr_opt, 0.1)]))
 
     def test_negative_zero_is_another_input(self, panel_solves):
         model = RocModel.from_gammas([0.0, 1.0, 2.0])
@@ -368,7 +378,8 @@ class TestPanelMemo:
             fdr = decide_fdr_opt(model, s, 0.1)
             strong = decide_strong_fwer(model, s, 0.1)
             assert_same_decision(fdr, cold(decide_fdr_opt, model, s, 0.1))
-            assert_same_decision(strong, cold(decide_strong_fwer, model, s, 0.1))
+            assert_same_decision(strong, cold(decide_strong_fwer, model, s, 0.1,
+                                              [(decide_fdr_opt, 0.1)]))
         assert len(panel_solves) == 8
 
     def test_memo_is_read_only(self):
@@ -638,25 +649,30 @@ def assert_model_rules_match(gammas, s, q):
     reference's at M <= 128, where every block is solved cold.  Above, the
     blocks are warm-started and a size below the flush may solve as 0: W
     agrees to 1e-11 relative, the statistics to 1e-9, and the cutoffs
-    unless they part over a float tie.  A trace fills the steps its rule
-    evaluated, the solved prefix and the deciding steps among them, and
-    leaves the rest NaN."""
+    unless they part over a float tie.  The rules are asked before W, so
+    the pass stops for each where its readers are decided (``stop``).  A
+    trace fills the steps its rule evaluated, the pass's prefix at the
+    rule's stop and the deciding steps among them, and leaves the rest
+    NaN; its W is known, bitwise, at that prefix, and past it only where
+    W saturated there."""
     M = s.size
     model = RocModel.from_gammas(gammas)
     ref = helpers.reference_stepwise(gammas, s, q)
     procedures._panel_memo.cache_clear()
-    fdr, strong = decide_fdr_opt(model, s, q), decide_strong_fwer(model, s, q)
+    fdr, up = decide_fdr_opt(model, s, q), stop(model, s, ("step-up", q))
+    strong, down = decide_strong_fwer(model, s, q), stop(model, s, ("step-down", q))
     w = generalized_pvalues(model, s)
     solved = procedures._panel(model, s).solved
+    assert up <= down <= solved
     exact = M * M <= allocate.SOLVE_BLOCK
     if exact:
         assert w.tobytes() == ref.w.tobytes()
     else:
         np.testing.assert_allclose(w, ref.w, rtol=1e-11, atol=M * LOG_PHI_FLUSH)
-    for new, j, stats, bounds, path, step_up in (
-            (fdr, ref.step_up, ref.size_sums, ref.line, "size_sum", True),
+    for new, j, stats, bounds, path, step_up, rule_stop in (
+            (fdr, ref.step_up, ref.size_sums, ref.line, "size_sum", True, up),
             (strong, ref.step_down, ref.log_products, np.full(M, ref.bound),
-             "survival_product", False)):
+             "survival_product", False, down)):
         k = new.cutoff_index
         assert k == j or (not exact and _float_tie(stats, bounds, j, k, step_up, 1e-9))
         expected = np.zeros(M, dtype=bool)
@@ -664,10 +680,12 @@ def assert_model_rules_match(gammas, s, q):
         np.testing.assert_array_equal(new.reject, expected)
         # The threshold is the deciding hypothesis's W, bitwise.
         assert new.alpha_threshold == (w[ref.order[k - 1]] if k else 0.0)
-        assert new.trace.order_stats.tobytes() == w[ref.order].tobytes()
+        known = ~np.isnan(new.trace.order_stats)
+        assert np.array_equal(known, np.arange(M) < (M if rule_stop == solved else rule_stop))
+        assert new.trace.order_stats[known].tobytes() == w[ref.order][known].tobytes()
         got = getattr(new.trace, path)
         evaluated = ~np.isnan(got)
-        assert evaluated[:solved].all()
+        assert evaluated[:rule_stop].all()
         if step_up:
             assert k == 0 or evaluated[k - 1]
         else:
@@ -682,6 +700,12 @@ def assert_model_rules_match(gammas, s, q):
             np.testing.assert_allclose(got[evaluated], stat[evaluated], rtol=1e-9,
                                        atol=M * LOG_PHI_FLUSH)
     return fdr, strong, solved
+
+
+def stop(model, s, reader) -> int:
+    """Where the pass over ``(model, s)`` stands: asking again for a reader
+    that has asked of it solves nothing."""
+    return procedures._panel(model, s, reader).solved
 
 
 class TestAgainstReference:
@@ -764,30 +788,40 @@ def stopped_pass_outputs(model, s, q):
             procedures._panel(model, s).solved)
 
 
-def assert_stopped_pass(gammas, s, q, others=()):
-    """At M <= 128 the pass stops after the block of ``PASS_BLOCK`` columns
-    where W saturates, and gives what one cold solve of the whole panel
-    gives: W, cutoffs, rejections, thresholds, the size condition and the
-    trace steps it evaluates are bitwise the reference's.  Within a stack
-    with the panels ``others``, each panel gets bitwise what it gets alone,
-    its solved prefix and unevaluated (NaN) trace steps included."""
+def reference_size_condition(gammas, s):
+    """The size condition over the candidate budgets from the reference."""
     M = s.size
-    fdr, strong, solved = assert_model_rules_match(gammas, s, q)
-    assert solved == helpers.pass_stop(gammas, s)
-    ref = helpers.reference_stepwise(gammas, s, q)
+    ref = helpers.reference_stepwise(gammas, s, 0.0)
     budgets = (ref.w > 0.0) & (ref.w < 1.0)
     sums = np.empty(M)
     sums[ref.order] = ref.size_sums
-    expected = (allocate._size_condition_report(ref.w[budgets], ref.size_max[budgets],
-                                                sums[budgets], M) if budgets.any()
-                else allocate.SizeConditionReport(True, np.nan, np.nan))
+    return (allocate._size_condition_report(ref.w[budgets], ref.size_max[budgets],
+                                            sums[budgets], M) if budgets.any()
+            else allocate.SizeConditionReport(True, np.nan, np.nan))
+
+
+def assert_stopped_pass(gammas, s, q, others=()):
+    """At M <= 128 the pass stops after the block of ``PASS_BLOCK`` columns
+    where W saturates, or where the rules are decided, and gives what one
+    cold solve of the whole panel gives: W, cutoffs, rejections,
+    thresholds, the size condition and the trace steps it evaluates are
+    bitwise the reference's.  Within a stack with the panels ``others``,
+    each panel gets bitwise what it gets alone from the requests its group
+    received, its solved prefix and unevaluated (NaN) trace steps
+    included: the panels after the first ask once their group has had
+    every request."""
+    fdr, strong, solved = assert_model_rules_match(gammas, s, q)
+    assert solved == helpers.pass_stop(gammas, s)
     model = RocModel.from_gammas(gammas)
-    assert report_bytes(procedures._size_condition(model, s)) == report_bytes(expected)
+    assert report_bytes(procedures._size_condition(model, s)) == report_bytes(
+        reference_size_condition(gammas, s))
     models = [model] + [RocModel.from_gammas(g) for g, _ in others]
     rows = np.stack([s] + [row for _, row in others])
     alone = []
-    for m, row in zip(models, rows):
+    for i, (m, row) in enumerate(zip(models, rows)):
         procedures._panel_memo.cache_clear()
+        if i:
+            stopped_pass_outputs(m, row, q)
         alone.append(stopped_pass_outputs(m, row, q))
     procedures._panel_memo.cache_clear()
     with allocate.stacked(models, rows):
@@ -810,7 +844,8 @@ def other_panels(seed: int, M: int, count: int) -> list:
 class TestStoppedPass:
     """At M <= 128 a pass solves 16 columns of each live panel of a stack
     at a time, cold, and stops each panel after the block where its W
-    saturates; the rules read past the stop exactly."""
+    saturates, or where the rules that have asked of it are decided; the
+    rules read past a stop where W saturated exactly."""
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -867,6 +902,177 @@ class TestStoppedPass:
         gammas, s = rng.uniform(0.5, 3.0, 90), rng.uniform(0.0, 1e-9, 90)
         *_, solved = assert_stopped_pass(gammas, s, 0.1, other_panels(2, 90, 2))
         assert solved == 90
+
+
+# The requests a pass serves: the two stepwise rules at their budgets, W,
+# and the size condition, which reads W.
+REQUESTS = ("fdr-opt", "strong-fwer-opt", "w", "size-condition")
+
+
+def ask(request, model, s, q_up, q_down):
+    """The output of ``request`` on one panel, and the reader of the pass
+    it is."""
+    if request == "fdr-opt":
+        return decide_fdr_opt(model, s, q_up), ("step-up", q_up)
+    if request == "strong-fwer-opt":
+        return decide_strong_fwer(model, s, q_down), ("step-down", q_down)
+    if request == "w":
+        return generalized_pvalues(model, s), procedures.W_READER
+    return procedures._size_condition(model, s), procedures.W_READER
+
+
+def assert_same_output(got, want):
+    if isinstance(got, np.ndarray):
+        assert got.tobytes() == want.tobytes()
+    elif isinstance(got, allocate.SizeConditionReport):
+        assert report_bytes(got) == report_bytes(want)
+    else:
+        assert_same_decision(got, want)
+
+
+def assert_decision_at_stop(got, want, path, at, saturated_at):
+    """A rule's decision ``got``, made when its pass stood at ``at``,
+    against ``want``, the one it makes on the pass that W asked for first,
+    which stops at ``saturated_at``: the decision, and every trace step it
+    evaluated, are bitwise that one's.  Its W is known at the prefix, and
+    past it only where W saturated there; its own statistic is evaluated
+    at the prefix and, past a saturated one, where the other's is."""
+    M = got.reject.size
+    assert got.cutoff_index == want.cutoff_index
+    assert got.alpha_threshold == want.alpha_threshold
+    assert got.reject.tobytes() == want.reject.tobytes()
+    assert got.trace.threshold.tobytes() == want.trace.threshold.tobytes()
+    known = ~np.isnan(got.trace.order_stats)
+    assert np.array_equal(known, np.arange(M) < (M if at == saturated_at else at))
+    assert got.trace.order_stats[known].tobytes() == want.trace.order_stats[known].tobytes()
+    for name in ("size_sum", "survival_product"):
+        a, b = getattr(got.trace, name), getattr(want.trace, name)
+        evaluated = ~np.isnan(a)
+        expected = (np.arange(M) < at) if name == path and at < saturated_at else ~np.isnan(b)
+        assert np.array_equal(evaluated, expected), name
+        assert a[evaluated].tobytes() == b[evaluated].tobytes()
+
+
+def assert_extended_pass(gammas, s, q_up, q_down, requests):
+    """Asked ``requests`` in turn, a lone panel's pass stops after each one
+    where the readers so far are decided, or W saturates
+    (``helpers.block_stop`` on the statistics of the pass that W asked for
+    first, the one-shot pass), and gives what the one-shot pass gives,
+    bitwise: W, the size condition, and the decisions at their stops (see
+    ``assert_decision_at_stop``).  The pass solves each column of the
+    one-shot pass's prefix once, and nothing past it; a rule's reads past
+    a saturated prefix solve no column twice."""
+    M = s.size
+    model = RocModel.from_gammas(gammas)
+    procedures._panel_memo.cache_clear()
+    one_shot = {r: ask(r, model, s, q_up, q_down)[0]
+                for r in ("w", "fdr-opt", "strong-fwer-opt", "size-condition")}
+    panel = procedures._panel(model, s)
+    saturated_at, order, rank = panel.solved, panel.order, panel.rank
+    sums, products = panel.size_sums[order], panel.log_products[order]
+    width = (procedures.PASS_BLOCK if M * M <= allocate.SOLVE_BLOCK
+             else allocate.SOLVE_BLOCK // M)
+    procedures._panel_memo.cache_clear()
+    calls, readers = [], []
+    blocks = procedures._panel_blocks
+
+    def recording(gammas, log_d, rank, cols, anchor=None, scratch=None):
+        calls.append((len(readers), np.ravel(cols).copy()))
+        yield from blocks(gammas, log_d, rank, cols, anchor, scratch)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(procedures, "_panel_blocks", recording)
+        for request in requests:
+            got, reader = ask(request, model, s, q_up, q_down)
+            readers.append(reader)
+            at = procedures._panel(model, s, reader).solved
+            assert at == helpers.block_stop(sums, products, saturated_at, readers, width)
+            if request in ("fdr-opt", "strong-fwer-opt"):
+                path = "size_sum" if request == "fdr-opt" else "survival_product"
+                assert_decision_at_stop(got, one_shot[request], path, at, saturated_at)
+            else:
+                assert_same_output(got, one_shot[request])
+    assert procedures._panel(model, s).solved == saturated_at
+    inside = [cols for _, cols in calls if np.all(rank[cols] < saturated_at)]
+    past = [(i, cols) for i, cols in calls if np.all(rank[cols] >= saturated_at)]
+    assert len(inside) + len(past) == len(calls)
+    solved = np.concatenate(inside) if inside else np.empty(0, dtype=np.intp)
+    assert np.sort(solved).tobytes() == np.sort(order[:saturated_at]).tobytes()
+    for i in {i for i, _ in past}:
+        read = np.concatenate([cols for j, cols in past if j == i])
+        assert np.unique(read).size == read.size
+
+
+def assert_stacked_as_alone(panels, q_up, q_down, requests, request_major):
+    """In a stack, each panel asked ``requests`` gets bitwise what it gets
+    alone when asked every request its group received, in the same order:
+    a group's pass is extended for a reader the first time any of its
+    panels asks."""
+    models = [RocModel.from_gammas(g) for g, _ in panels]
+    rows = np.stack([s for _, s in panels])
+    n = len(models)
+    schedule = ([(i, r) for r in requests for i in range(n)] if request_major
+                else [(i, r) for i in range(n) for r in requests])
+    procedures._panel_memo.cache_clear()
+    with allocate.stacked(models, rows):
+        inside = [ask(r, models[i], rows[i], q_up, q_down)[0] for i, r in schedule]
+    assert procedures._panel_memo.cache_info().currsize == 0
+    for i in range(n):
+        procedures._panel_memo.cache_clear()
+        alone = [ask(r, models[i], rows[i], q_up, q_down)[0] for _, r in schedule]
+        for (j, _), got, want in zip(schedule, inside, alone):
+            if j == i:
+                assert_same_output(got, want)
+
+
+class TestReaderStop:
+    """A pass solves only as far as the readers that have asked of it need,
+    and a later reader resumes it where it stopped: extended request by
+    request, in any order, it is the pass that W asked for first, bitwise,
+    and a stacked panel is the panel alone asked what its group was."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        panel=st.one_of(
+            st.one_of(st.sampled_from([1, 16, 17, 128, 129]), st.integers(1, 300)).flatmap(
+                lambda m: st.tuples(
+                    arrays(float, m, elements=helpers.UNIT, fill=st.nothing()),
+                    arrays(float, m, elements=st.one_of(st.just(0.0), st.floats(0.0, 100.0)),
+                           fill=st.nothing()))),
+            # Paper panels, whose rules are decided blocks before W saturates.
+            st.builds(TestStoppedPass.paper, st.integers(1, 300),
+                      st.sampled_from([0.1, 0.2, 0.4]), st.sampled_from([1.0, 2.0, 4.0]),
+                      st.integers(0, 2**32 - 1)).map(lambda panel: panel[::-1])),
+        q_up=helpers.UNIT,
+        q_down=helpers.UNIT,
+        requests=st.permutations(REQUESTS),
+        others=st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 3)),
+        request_major=st.booleans(),
+    )
+    def test_an_extended_pass_is_the_one_shot_pass(self, panel, q_up, q_down, requests,
+                                                   others, request_major):
+        s, gammas = panel
+        assert_extended_pass(gammas, s, q_up, q_down, requests)
+        # The one-shot pass against the reference, at either budget.
+        for q in (q_up, q_down):
+            assert_model_rules_match(gammas, s, q)
+        if s.size ** 2 <= allocate.SOLVE_BLOCK:
+            model = RocModel.from_gammas(gammas)
+            assert report_bytes(procedures._size_condition(model, s)) == report_bytes(
+                reference_size_condition(gammas, s))
+            assert_stacked_as_alone([(gammas, s)] + other_panels(others[0], s.size, others[1]),
+                                    q_up, q_down, requests, request_major)
+
+    @pytest.mark.parametrize("case", [
+        ("paper", 100, 0.2, 2.0, 5), ("paper", 128, 0.4, 4.0, 4), ("paper", 300, 0.2, 2.0, 3),
+        ("zero_effects", 100)], ids=["M100", "M128", "M300", "zero-effects"])
+    @pytest.mark.parametrize("requests", [REQUESTS, REQUESTS[::-1],
+                                          ("strong-fwer-opt", "fdr-opt", "size-condition", "w")],
+                             ids=["rules-first", "w-first", "step-down-first"])
+    def test_paper_panels(self, case, requests):
+        gammas, s = getattr(TestStoppedPass, case[0])(*case[1:])
+        assert_extended_pass(gammas, s, 0.1, 0.1, requests)
+        assert_extended_pass(gammas, s, 0.05, 0.2, requests)
 
 
 @pytest.mark.parametrize("rule", [

@@ -3,7 +3,6 @@ cell/table runs with their determinism contracts."""
 
 import dataclasses
 import functools
-import math
 import tracemalloc
 
 import numpy as np
@@ -219,9 +218,10 @@ class TestRunCell:
 class TestSharedPanel:
     """A cell asking for both stepwise rules makes one pass over each
     replicate's panel, with the results of cells that each run one of the
-    rules.  Each pass stops where W saturates.  At M <= 128 the passes of
-    SOLVE_BLOCK // (16 M) replicates are made together, one size-profile
-    call per block of 16 columns of each replicate still live."""
+    rules.  Each pass stops where both rules are decided, or where W
+    saturates.  At M <= 128 the passes of SOLVE_BLOCK // (16 M) replicates
+    are made together, one size-profile call per block of 16 columns of
+    each replicate that a rule needs more of."""
 
     RULES = ("fdr-opt", "strong-fwer-opt")
 
@@ -234,7 +234,8 @@ class TestSharedPanel:
     def assert_stacked_passes(panel_solves, config):
         # The passes begin SOLVE_BLOCK // (16 M) replicates at a time, and
         # each solves the columns of its replicate's prefix once, a block of
-        # at most 16 per solve; the rules read no column past a prefix.
+        # at most 16 per solve, as far as the two rules at qstar need it;
+        # the rules read no column past a prefix.
         M, reps = config.M, config.reps
         per_solve = SOLVE_BLOCK // (procedures.PASS_BLOCK * M)
         assert [n for n in panel_solves.begun if n] == [
@@ -242,7 +243,7 @@ class TestSharedPanel:
         assert all(len(blocks) == 1 for blocks in panel_solves)
         assert all(c.ndim == 2 and c.shape[1] <= procedures.PASS_BLOCK
                    for c in panel_solves.cols)
-        solved = sum(helpers.pass_stop(panel.xi, panel.s)
+        solved = sum(helpers.reader_stop(panel.xi, panel.s, config.qstar)
                      for panel in map(functools.partial(generate_panel, config), range(reps)))
         assert sum(map(sum, panel_solves)) == solved
 
@@ -283,8 +284,9 @@ class TestSharedPanel:
         # On the 27 paper cells of the benchmark's mix (seed 5, 10
         # replicates), the rules read no column past a pass: every solve is
         # a block of a stacked pass, with no step-up probe and no step-down
-        # resume.  At M = 100 the passes solve at most 0.6 of the pairs
-        # (0.53 here).
+        # resume.  At M = 100 the passes solve at most 0.6 of the pairs,
+        # and at most 0.4 now that they stop where the rules are decided
+        # (0.336 here; 0.53 where they stopped where W saturates).
         for M in (20, 50, 100):
             pairs = 0
             for p in (0.1, 0.2, 0.4):
@@ -296,6 +298,23 @@ class TestSharedPanel:
                     assert all(c.ndim == 2 for c in panel_solves.cols), (M, p, nu)
                     pairs += M * sum(c.size for c in panel_solves.cols)
             assert M < 100 or pairs <= 0.6 * 9 * 10 * M * M
+            assert M < 100 or pairs <= 0.4 * 9 * 10 * M * M
+
+
+def extension_calls(starts, stops, M: int) -> int:
+    """The ``_panel_blocks`` calls of one reader's extension of a group of
+    passes at M <= 128 from the prefixes ``starts`` to ``stops``: a call per
+    round of blocks of 16 columns, and a second one in a round where some
+    of the passes are in the shorter last block of the scan and some are
+    not."""
+    width = procedures.PASS_BLOCK
+    at, stops, calls = np.array(starts), np.array(stops), 0
+    while np.any(at < stops):
+        live = at < stops
+        last = live & (M - at < width)
+        calls += int(np.any(live & ~last)) + int(np.any(last))
+        at = np.where(live, np.minimum(at + width, M), at)
+    return calls
 
 
 class TestStackedCell:
@@ -355,13 +374,17 @@ class TestStackedCell:
     def test_each_rule_is_called_once_per_replicate(self, monkeypatch):
         # Through the names of sim and procedures, as a wrapper put on them
         # sees the calls; the solves behind them are made for the stack:
-        # one multiplier search per cell and one pass solve per block of
-        # 16 columns, while a replicate's W has not saturated.
+        # one multiplier search per cell, and for each rule one pass solve
+        # per round of blocks of 16 columns of the replicates it needs more
+        # of (see ``extension_calls``).
         reps = 7
         config = make_config(M=20, reps=reps, procedures=(
             "fdr-opt", "bh", "strong-fwer-opt", "weak-fwer-opt"))
-        solved = max(helpers.pass_stop(panel.xi, panel.s)
-                     for panel in map(functools.partial(generate_panel, config), range(reps)))
+        panels = [generate_panel(config, rep) for rep in range(reps)]
+        up = [helpers.reader_stop(panel.xi, panel.s, config.qstar, ("step-up",))
+              for panel in panels]
+        both = [helpers.reader_stop(panel.xi, panel.s, config.qstar) for panel in panels]
+        solves = extension_calls([0] * reps, up, config.M) + extension_calls(up, both, config.M)
         calls = []
 
         def counting(owner, name):
@@ -383,7 +406,7 @@ class TestStackedCell:
         assert {name: calls.count(name) for name in set(calls)} == {
             "generate_panel": reps, "decide_fdr_opt": reps, "decide_strong_fwer": reps,
             "decide_weak_fwer": reps, "decide_bh": reps, "optimal_sizes": reps,
-            "find_root": 1, "_panel_blocks": math.ceil(solved / procedures.PASS_BLOCK)}
+            "find_root": 1, "_panel_blocks": solves}
 
     def test_a_closed_stack_retains_nothing(self):
         # What a stack solved, its passes and allocations, goes with it.
